@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Run the full experiment battery at reporting scale.
 
-Writes one CSV per experiment into --results-dir (default ./results) plus a
-combined JSON, and prints one verdict line per experiment.  Exits nonzero
-if any experiment verdict fails.
+Runs every experiment once, writes one CSV per experiment into
+--results-dir (default ./results) plus a combined JSON of the same rows,
+and prints one verdict line per experiment.  Exits nonzero if any
+experiment verdict fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 import time
 
-from onebit.harness import EXPERIMENT_ORDER, ExperimentConfig, run
+from onebit.harness import EXPERIMENT_ORDER, ExperimentConfig, run_experiment, write_report
 
 
 def main() -> int:
@@ -27,25 +29,6 @@ def main() -> int:
     args = ap.parse_args()
 
     out = pathlib.Path(args.results_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    failures = []
-    for name in EXPERIMENT_ORDER:
-        cfg = ExperimentConfig(
-            experiment=name,
-            delta=args.delta,
-            trials=args.trials,
-            seed=args.seed,
-            net_size=args.net_size,
-            out_path=str(out / f"{name}.csv"),
-        )
-        t0 = time.time()
-        status = run(cfg, workers=args.workers)
-        verdict = "pass" if status == 0 else "FAIL"
-        print(f"{name:13s} {verdict}  ({time.time() - t0:6.1f}s)  -> {cfg.out_path}")
-        if status != 0:
-            failures.append(name)
-
     combined = ExperimentConfig(
         experiment="all",
         delta=args.delta,
@@ -55,10 +38,28 @@ def main() -> int:
         out_path=str(out / "all.json"),
         format="json",
     )
-    status = run(combined, workers=args.workers)
-    print(f"{'all':13s} {'pass' if status == 0 else 'FAIL'}  -> {combined.out_path}")
-    if status != 0 and "all" not in failures:
-        failures.append("all")
+    try:
+        combined.validate()
+    except ValueError as exc:
+        ap.error(str(exc))
+    out.mkdir(parents=True, exist_ok=True)
+
+    rows = []
+    failures = []
+    for name in EXPERIMENT_ORDER:
+        t0 = time.time()
+        batch, verdict = run_experiment(name, combined, workers=args.workers)
+        per_experiment = dataclasses.replace(
+            combined, experiment=name, out_path=str(out / f"{name}.csv"), format="csv"
+        )
+        path = write_report(per_experiment, batch)
+        rows.extend(batch)
+        print(f"{name:13s} {'pass' if verdict else 'FAIL'}  ({time.time() - t0:6.1f}s)  -> {path}")
+        if not verdict:
+            failures.append(name)
+
+    path = write_report(combined, rows)
+    print(f"{'all':13s} {'FAIL' if failures else 'pass'}  -> {path}")
 
     if failures:
         print(f"failed: {', '.join(failures)}", file=sys.stderr)

@@ -101,7 +101,7 @@ def _load_config_file(path: str) -> dict:
     for key, value in raw.items():
         want = _CONFIG_KEYS[key]
         if key == "m":
-            if not (value == "auto" or isinstance(value, int)):
+            if not (value == "auto" or (isinstance(value, int) and not isinstance(value, bool))):
                 raise ValueError('config key "m" must be an integer or "auto"')
         elif want is float:
             if not isinstance(value, (int, float)) or isinstance(value, bool):

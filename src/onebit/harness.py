@@ -66,6 +66,9 @@ DELTA_REQUIRED = frozenset(
     {"rip", "sign-product", "linear-rip", "small-cells", "metric-ratio", "embed", "nets"}
 )
 
+# experiments that size their own draws; resolve_m gives them 0
+_SELF_SIZED = frozenset({"vc", "nets", "embed"})
+
 # the quarter-density crossing law is exact on the 3-sphere, so the sampling
 # experiments default there; sparse-set experiments default to a desk-scale
 # regime instead
@@ -104,14 +107,15 @@ class ExperimentConfig:
     format: str = "csv"
 
     def validate(self):
+        """Reject bad fields, then resolve every selected experiment.
+
+        Resolving surfaces every per-experiment error (a missing delta, an
+        out-of-range s, an auto m of 0) before any trial runs.
+        """
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n is not None and self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.s is not None:
-            n_eff = self.n if self.n is not None else _FALLBACK_N
-            if not (0 < self.s < n_eff + 1):
-                raise ValueError(f"need 0 < s < n + 1, got s={self.s}, n={n_eff}")
         if isinstance(self.m, str):
             if self.m != "auto":
                 raise ValueError(f'm must be an integer or "auto", got {self.m!r}')
@@ -127,13 +131,8 @@ class ExperimentConfig:
             raise ValueError("net_size must be >= 1")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-        needs_delta = (
-            {self.experiment} if self.experiment != "all" else set()
-        ) & DELTA_REQUIRED
-        if needs_delta and self.delta is None:
-            raise ValueError(f"--delta is required for {self.experiment}")
-        if self.experiment == "nets" and self.delta is not None and self.delta >= 0.5:
-            raise ValueError("nets needs delta < 0.5 so the 2*delta packing is meaningful")
+        for name in _selected_experiments(self):
+            _effective(name, self)
 
 
 @dataclass(frozen=True)
@@ -148,6 +147,11 @@ class ReportRow:
 
 def _sort_key(row: ReportRow):
     return (row.experiment, row.seed, row.trial, row.statistic)
+
+
+def _selected_experiments(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """The experiments a config runs, in report order."""
+    return EXPERIMENT_ORDER if cfg.experiment == "all" else (cfg.experiment,)
 
 
 @dataclass(frozen=True)
@@ -203,6 +207,13 @@ def _effective(experiment: str, cfg: ExperimentConfig) -> _Effective:
         else:
             raise ValueError(f"--delta is required for {experiment}")
     m = resolve_m(experiment, cfg if delta == cfg.delta else _with_delta(cfg, delta), n, s)
+    if m < 1 and experiment not in _SELF_SIZED:
+        raise ValueError(
+            f"{experiment}: m resolves to {m} at n={n}, s={s}, "
+            f"net_size={cfg.net_size}; pass an explicit --m or change these"
+        )
+    if experiment == "nets" and delta >= 0.5:
+        raise ValueError("nets needs delta < 0.5 so the 2*delta packing is meaningful")
     if experiment in ("widths", "sudakov"):
         if m < 100:
             raise ValueError("width estimation needs at least 100 Monte Carlo draws")
@@ -553,6 +564,17 @@ def write_json(path: str, cfg: ExperimentConfig, rows: list[ReportRow], summary:
         fh.write("\n")
 
 
+def write_report(cfg: ExperimentConfig, rows: list[ReportRow]) -> str:
+    """Write rows in canonical order to cfg's path and format; return the path."""
+    rows = sorted(rows, key=_sort_key)
+    out_path = cfg.out_path or default_out_path(cfg)
+    if cfg.format == "csv":
+        write_csv(out_path, rows)
+    else:
+        write_json(out_path, cfg, rows, summarize(rows))
+    return out_path
+
+
 def run(cfg: ExperimentConfig, workers: int = 1) -> int:
     """Execute the configured experiment(s), write the report, return exit status.
 
@@ -560,18 +582,11 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> int:
     I/O failures propagate as OSError for the CLI to translate.
     """
     cfg.validate()
-    names = EXPERIMENT_ORDER if cfg.experiment == "all" else (cfg.experiment,)
     rows: list[ReportRow] = []
     verdicts: list[bool] = []
-    for name in names:
+    for name in _selected_experiments(cfg):
         batch, verdict = run_experiment(name, cfg, workers=workers)
         rows.extend(batch)
         verdicts.append(verdict)
-    rows.sort(key=_sort_key)
-    out_path = cfg.out_path or default_out_path(cfg)
-    summary = summarize(rows)
-    if cfg.format == "csv":
-        write_csv(out_path, rows)
-    else:
-        write_json(out_path, cfg, rows, summary)
+    write_report(cfg, rows)
     return 0 if all(verdicts) else 1

@@ -9,6 +9,7 @@ packing lower estimate and a covering upper estimate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .sphere import PointSet, pairwise_geodesic
 
 SHATTER_MAX_POINTS = 22
 _CONSTRUCTIVE_ENUM_LIMIT = 12  # constructive per-dichotomy candidates up to 2^12 splits
+_DIRECTION_BLOCK = 256  # candidate directions projected and registered together
 
 
 @dataclass(frozen=True)
@@ -147,23 +149,22 @@ class VcReport:
     sauer_bound: float | None
 
 
-def _register_direction(proj: np.ndarray, realized: np.ndarray, weights: np.ndarray):
-    """Record every dichotomy realized by caps with this projection vector.
+def _register_cuts(proj: np.ndarray, realized: np.ndarray, weights: np.ndarray):
+    """Record every dichotomy realized by caps along each row's projections.
 
     Caps along a direction c are threshold sets {i : proj_i > t}; sweeping t
-    through the sorted distinct projections enumerates all of them, and the
-    reversed direction contributes the complementary prefixes.
+    through a row's sorted distinct projections enumerates all of them as
+    suffixes of the sorted order, and the reversed direction contributes the
+    complementary prefixes.  ``proj`` is a (directions, points) block.
     """
-    order = np.argsort(proj, kind="stable")
-    sorted_proj = proj[order]
-    masks_bits = weights[order]
-    suffix = np.cumsum(masks_bits[::-1])[::-1]  # suffix[i] = mask of {order[i:]}
-    realized[0] = True  # empty cap (threshold above the maximum)
-    for i in range(proj.size):
-        if i == 0 or sorted_proj[i] != sorted_proj[i - 1]:
-            realized[int(suffix[i])] = True  # cap {proj > sorted_proj[i-1]} etc.
-            prefix_mask = int(suffix[0]) ^ int(suffix[i])
-            realized[prefix_mask] = True  # same cut along the reversed direction
+    order = np.argsort(proj, axis=1, kind="stable")
+    sorted_proj = np.take_along_axis(proj, order, axis=1)
+    suffix = np.cumsum(weights[order][:, ::-1], axis=1)[:, ::-1]  # mask of {order[i:]}
+    distinct = np.ones(proj.shape, dtype=bool)
+    distinct[:, 1:] = sorted_proj[:, 1:] != sorted_proj[:, :-1]
+    cuts = suffix[distinct]
+    realized[cuts] = True
+    realized[suffix[0, 0] ^ cuts] = True  # suffix[:, 0] is the full set
 
 
 def _constructive_directions(points: np.ndarray):
@@ -196,6 +197,26 @@ def _constructive_directions(points: np.ndarray):
         yield points[inside].sum(axis=0) - penalty * points[~inside].sum(axis=0)
 
 
+def _projection_blocks(P: np.ndarray, rng: np.random.Generator, budget: int):
+    """Candidate projections in blocks of ``_DIRECTION_BLOCK`` rows, ``budget`` rows in all.
+
+    The constructive family comes first; random gaussian directions follow
+    once it is exhausted.  Blocks are produced lazily, so a caller that stops
+    early draws nothing more from ``rng``.
+    """
+    constructive = _constructive_directions(P)
+    spent = 0
+    while spent < budget:
+        size = min(_DIRECTION_BLOCK, budget - spent)
+        chunk = list(itertools.islice(constructive, size))
+        if chunk:
+            block = np.stack([P @ cand for cand in chunk])
+        else:
+            block = rng.standard_normal((size, P.shape[1])) @ P.T
+        yield block
+        spent += block.shape[0]
+
+
 def shatter_check(
     points: PointSet, rng: np.random.Generator, budget: int = 100_000
 ) -> VcReport:
@@ -213,22 +234,12 @@ def shatter_check(
         )
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    P = points.points
     weights = (1 << np.arange(k)).astype(np.int64)
     realized = np.zeros(2**k, dtype=bool)
-    spent = 0
-    for cand in _constructive_directions(P):
-        if spent >= budget or realized.all():
+    for block in _projection_blocks(points.points, rng, budget):
+        _register_cuts(block, realized, weights)
+        if realized.all():
             break
-        _register_direction(P @ cand, realized, weights)
-        spent += 1
-    while spent < budget and not realized.all():
-        batch = min(256, budget - spent)
-        dirs = rng.standard_normal((batch, P.shape[1]))
-        projections = dirs @ P.T
-        for row in projections:
-            _register_direction(row, realized, weights)
-        spent += batch
     count = int(realized.sum())
     bound = sauer_bound(k, points.n + 1) if k > 1 else None
     return VcReport(

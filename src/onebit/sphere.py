@@ -26,7 +26,6 @@ from .errors import (
 
 UNIT_NORM_TOL = 1e-9
 ANTIPODAL_TOL = 1e-12
-BISECTION_TOL = 1e-12
 
 _MAX_REJECTION_ATTEMPTS = 10_000
 
@@ -421,18 +420,20 @@ def _tangent_component(geo: Geodesic, theta: np.ndarray, t) -> np.ndarray:
     return (-np.cos((1.0 - t) * a) * ax + np.cos(t * a) * ay) / math.sin(a)
 
 
-def _bisect_crossing(f, fa, tol=BISECTION_TOL):
-    """Bisection for the sign change of f on [0, 1]; fa = f(0)."""
-    lo, hi = 0.0, 1.0
-    sign_lo = fa >= 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (fm >= 0) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _crossing_fraction(fa, fb, angle: float):
+    """Arc fraction in [0, 1] where the hyperplane with these endpoint values cuts the arc.
+
+    The normal's inner product along the constant-speed arc is proportional
+    to sin((1-t)a) fa + sin(ta) fb.  Orienting the normal so that
+    pa = sgn fa >= 0 (and hence pb = sgn fb <= 0 inside the wedge), the zero
+    solves tan(ta) = sin(a) pa / (cos(a) pa - pb), whose atan2 branch lies
+    in [0, a].  Works elementwise on arrays and on scalars.
+    """
+    sgn = np.where(fa >= 0, 1.0, -1.0)
+    pa = sgn * fa
+    pb = sgn * fb
+    t = np.arctan2(math.sin(angle) * pa, math.cos(angle) * pa - pb) / angle
+    return np.clip(t, 0.0, 1.0)
 
 
 def transversal_separation(theta: UnitVector, x: UnitVector, y: UnitVector) -> bool:
@@ -453,11 +454,7 @@ def transversal_separation(theta: UnitVector, x: UnitVector, y: UnitVector) -> b
         # crossing at an endpoint: the distance condition cannot hold
         return False
 
-    def f(t):
-        a = geo.angle
-        return (math.sin((1.0 - t) * a) * fa + math.sin(t * a) * fb) / math.sin(a)
-
-    t_star = _bisect_crossing(f, fa)
+    t_star = float(_crossing_fraction(fa, fb, geo.angle))
     z = geodesic_point(geo, t_star)
     d_xy = geodesic_distance(x, y)
     d_min = min(geodesic_distance(z, x), geodesic_distance(z, y))
@@ -473,8 +470,8 @@ def transversal_mask(thetas: np.ndarray, x: UnitVector, y: UnitVector) -> np.nda
 
     Directions outside the wedge are reported False rather than raising,
     which is the convention Monte Carlo frequency estimates need.  The
-    crossing solver is the same interval bisection as the scalar routine,
-    run on all wedge members simultaneously.
+    crossing point comes from the same closed form as the scalar routine,
+    evaluated on all wedge members at once.
     """
     geo = Geodesic(x, y)
     thetas = np.asarray(thetas, dtype=float)
@@ -491,17 +488,7 @@ def transversal_mask(thetas: np.ndarray, x: UnitVector, y: UnitVector) -> np.nda
     sin_a = math.sin(a)
     endpoint = (fa == 0.0) | (fb == 0.0)
 
-    lo = np.zeros_like(fa)
-    hi = np.ones_like(fa)
-    sign_lo = fa >= 0
-    steps = int(math.ceil(-math.log2(BISECTION_TOL)))
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        fm = (np.sin((1.0 - mid) * a) * fa + np.sin(mid * a) * fb) / sin_a
-        go_right = (fm >= 0) == sign_lo
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    t_star = 0.5 * (lo + hi)
+    t_star = _crossing_fraction(fa, fb, a)
 
     # distance condition: constant-speed parametrization puts the crossing at
     # arc fraction t_star, so both endpoint distances are fractions of d(x,y)

@@ -194,16 +194,21 @@ def linear_l1_rip(
     gram = points.points @ points.points.T
     sq = np.maximum(2.0 - 2.0 * gram, 0.0)
     chord = np.sqrt(sq)
-    worst = -1.0
+    # the statistic is symmetric, so row i only scans j > i; one buffer serves
+    # every row, and a pair wins only by strictly beating the first maximum
+    buf = np.empty((k - 1, ens.m))
+    worst = 0.0
     pair = (0, 0)
-    for i in range(k):
-        stat = np.abs(proj[i] - proj).mean(axis=1) / HALF_NORMAL_MEAN
-        gap = np.abs(stat - chord[i])
-        gap[i] = 0.0
+    for i in range(k - 1):
+        rows = buf[: k - 1 - i]
+        np.subtract(proj[i], proj[i + 1 :], out=rows)
+        np.abs(rows, out=rows)
+        stat = rows.sum(axis=1) / ens.m / HALF_NORMAL_MEAN
+        gap = np.abs(stat - chord[i, i + 1 :])
         j = int(np.argmax(gap))
         if gap[j] > worst:
             worst = float(gap[j])
-            pair = (i, j)
+            pair = (i, i + 1 + j)
     return RipReport(
         sup_discrepancy=worst,
         argmax_pair=pair,

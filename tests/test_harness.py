@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -324,3 +328,52 @@ def test_main_io_error(tmp_path, capsys):
     code = main(["crofton", "--m", "500", "--trials", "1", "--out", str(missing)])
     assert code == 3
     assert "report write failed" in capsys.readouterr().err
+
+
+def test_parse_config_rejects_bool_m(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"m": True}), encoding="utf-8")
+    out = tmp_path / "r.csv"
+    assert main(["crofton", "--config", str(config), "--out", str(out)]) == 2
+    assert 'config key "m" must be an integer or "auto"' in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["all", "--n", "4", "--s", "4", "--delta", "0.2"],  # auto m = 0 at log(n/s) = 0
+        ["rip", "--n", "4", "--s", "4", "--delta", "0.2"],
+        ["all", "--delta", "0.6"],  # nets needs 2 * delta < 1
+    ],
+)
+def test_main_rejects_unrunnable_experiments_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("an experiment ran before validation finished")
+
+    monkeypatch.setattr("onebit.harness.run_experiment", no_trials)
+    out = tmp_path / "r.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_all_script_matches_combined_report(tmp_path):
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    results = tmp_path / "results"
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "run_all.py"), "--trials", "1",
+         "--seed", "3", "--workers", "1", "--results-dir", str(results)],
+        env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        capture_output=True, text=True, timeout=300,
+    )
+    for name in EXPERIMENT_ORDER:
+        lines = (results / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) > 1 and all(line.startswith(f"{name},") for line in lines[1:])
+    produced = (results / "all.json").read_bytes()
+    cfg = ExperimentConfig(
+        experiment="all", delta=0.2, trials=1, seed=3, net_size=200,
+        out_path=str(results / "all.json"), format="json",
+    )
+    assert run(cfg) == proc.returncode, proc.stderr
+    assert (results / "all.json").read_bytes() == produced

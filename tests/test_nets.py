@@ -22,6 +22,7 @@ from onebit import (
     substream,
     vc_entropy_check,
 )
+from onebit.nets import _constructive_directions
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -233,6 +234,72 @@ def test_shatter_report_sauer_field():
     assert report.n == 2
     assert report.sauer_bound == sauer_bound(6, 3)
     assert report.witness_points is pts
+
+
+# --- batched cut registration against the per-direction reference ---------------
+
+
+def _register_direction_reference(proj, realized, weights):
+    """One direction at a time: sweep the threshold through the sorted projections."""
+    order = np.argsort(proj, kind="stable")
+    sorted_proj = proj[order]
+    suffix = np.cumsum(weights[order][::-1])[::-1]
+    realized[0] = True
+    for i in range(proj.size):
+        if i == 0 or sorted_proj[i] != sorted_proj[i - 1]:
+            realized[int(suffix[i])] = True
+            realized[int(suffix[0]) ^ int(suffix[i])] = True
+
+
+def _shatter_reference(points, rng, budget):
+    """(dichotomies realized, shattered) by the per-direction search loop."""
+    P = points.points
+    weights = (1 << np.arange(len(points))).astype(np.int64)
+    realized = np.zeros(2 ** len(points), dtype=bool)
+    spent = 0
+    for cand in _constructive_directions(P):
+        if spent >= budget or realized.all():
+            break
+        _register_direction_reference(P @ cand, realized, weights)
+        spent += 1
+    while spent < budget and not realized.all():
+        batch = min(256, budget - spent)
+        for row in rng.standard_normal((batch, P.shape[1])) @ P.T:
+            _register_direction_reference(row, realized, weights)
+        spent += batch
+    return int(realized.sum()), bool(realized.all())
+
+
+def _assert_shatter_matches_reference(points, seed, budget):
+    rng = substream(seed, "test-shatter-ref", budget)
+    ref_rng = substream(seed, "test-shatter-ref", budget)
+    report = shatter_check(points, rng, budget=budget)
+    expected = _shatter_reference(points, ref_rng, budget)
+    assert (report.dichotomies_realized, report.shattered) == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_shatter_canonical_witness_matches_reference(n):
+    _assert_shatter_matches_reference(canonical_witness(n), n, 20_000)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shatter_random_points_match_reference(seed):
+    # 8 generic points on S^2 are never shattered, so the whole budget is
+    # spent and the random phase draws from rng
+    pts = PointSet.uniform(2, 8, substream(seed, "test-shatter-ref-pts"))
+    _assert_shatter_matches_reference(pts, seed, 20_000)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 300, 600])
+def test_shatter_small_budgets_match_reference(budget):
+    # budgets cut the constructive family short (8 points have
+    # 16 + 56 + 2 * 254 = 580 candidates, the 6-point witness 166) or end
+    # in a partial random batch just past it
+    pts = PointSet.uniform(2, 8, substream(2, "test-shatter-ref-pts"))
+    _assert_shatter_matches_reference(pts, 2, budget)
+    _assert_shatter_matches_reference(canonical_witness(5), 3, budget)
 
 
 # --- entropy of indicator classes ------------------------------------------------

@@ -33,6 +33,7 @@ from onebit import (
     uniform_sphere_rows,
     wedge_mask,
 )
+from onebit.sphere import _crossing_fraction
 
 
 def unit(*coords):
@@ -381,3 +382,82 @@ def test_transversal_mask_all_outside_wedge():
     thetas = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
     assert not transversal_mask(thetas, x, y).any()
+
+
+# --- closed-form crossing against the bisection reference ---------------------
+
+
+def _bisect_crossing(fa, fb, a, tol=1e-12):
+    """Interval bisection for the sign change of sin((1-t)a) fa + sin(ta) fb on [0, 1].
+
+    Elementwise on arrays as on scalars; 40 halvings reach ``tol``.
+    """
+    lo = np.zeros_like(fa)
+    hi = np.ones_like(fa)
+    sign_lo = fa >= 0
+    for _ in range(int(math.ceil(-math.log2(tol)))):
+        mid = 0.5 * (lo + hi)
+        fm = (np.sin((1.0 - mid) * a) * fa + np.sin(mid * a) * fb) / math.sin(a)
+        go_right = (fm >= 0) == sign_lo
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _transversal_mask_reference(thetas, x, y):
+    """transversal_mask with the crossing found by bisection."""
+    geo = Geodesic(x, y)
+    a = geo.angle
+    fa = thetas @ x.coords
+    fb = thetas @ y.coords
+    wedge = (fa >= 0) != (fb >= 0)
+    fa, fb = fa[wedge], fb[wedge]
+    t_star = _bisect_crossing(fa, fb, a)
+    far_enough = np.minimum(t_star, 1.0 - t_star) * geo.length >= geo.length / 4.0
+    tangent = (-np.cos((1.0 - t_star) * a) * fa + np.cos(t_star * a) * fb) / math.sin(a)
+    steep_enough = np.arcsin(np.minimum(1.0, np.abs(tangent))) >= math.pi / 4.0
+    out = np.zeros(thetas.shape[0], dtype=bool)
+    out[wedge] = far_enough & steep_enough & (fa != 0.0) & (fb != 0.0)
+    return out
+
+
+def _arc_pair(n, distance, rng):
+    """A uniform x and a y at the given normalized geodesic distance from it."""
+    x = sample_uniform_sphere(n, rng).coords
+    t = rng.standard_normal(n + 1)
+    t -= (t @ x) * x
+    t /= np.linalg.norm(t)
+    angle = distance * math.pi
+    return UnitVector(x), UnitVector.normalized(math.cos(angle) * x + math.sin(angle) * t)
+
+
+@pytest.mark.parametrize("distance", [1e-4, 0.01, 0.3, 0.5, 0.8, 1.0 - 1e-4])
+def test_transversal_mask_matches_bisection_reference(distance):
+    # 6 pairs x 40,000 directions; half of them are drawn near the wedge,
+    # which uniform directions almost never hit on short arcs
+    rng = substream(7, "test-transversal-closed-form", int(distance * 1e4))
+    x, y = _arc_pair(3, distance, rng)
+    mid = x.coords + y.coords
+    mid /= np.linalg.norm(mid)
+    near = rng.standard_normal((20_000, 4))
+    near -= np.outer(near @ mid, mid) * (1.0 - math.tan(distance * math.pi / 2.0))
+    near /= np.linalg.norm(near, axis=1, keepdims=True)
+    thetas = np.vstack([uniform_sphere_rows(3, 20_000, rng), near])
+    expected = _transversal_mask_reference(thetas, x, y)
+    assert np.array_equal(transversal_mask(thetas, x, y), expected)
+    assert expected.any()
+    # the crossing points themselves agree to the bisection's resolution
+    fa, fb = thetas @ x.coords, thetas @ y.coords
+    wedge = (fa >= 0) != (fb >= 0)
+    a = Geodesic(x, y).angle
+    gap = _crossing_fraction(fa[wedge], fb[wedge], a) - _bisect_crossing(fa[wedge], fb[wedge], a)
+    assert np.abs(gap).max() <= 1e-12
+
+
+def test_transversal_endpoint_crossings_rejected():
+    # a hyperplane through an endpoint crosses at arc fraction 0 or 1
+    x, y = unit(1, 0, 0), unit(0, 1, 0)
+    thetas = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    assert not transversal_mask(thetas, x, y).any()
+    assert not transversal_separation(UnitVector([0.0, -1.0, 0.0]), x, y)
+    assert not transversal_separation(UnitVector([-1.0, 0.0, 0.0]), x, y)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from onebit import (
+    HALF_NORMAL_MEAN,
     CellReport,
     DimensionMismatchError,
     EnsembleKind,
@@ -15,6 +16,7 @@ from onebit import (
     PointSet,
     PreconditionError,
     RipReport,
+    SparseSpec,
     UnitVector,
     embedding_size,
     finite_embedding,
@@ -27,6 +29,7 @@ from onebit import (
     sign_product_rip,
     sign_product_statistic,
     small_cells_check,
+    sparse_net,
     substream,
     wedge_mask,
 )
@@ -334,3 +337,65 @@ def test_finite_embedding_round_trip():
     assert ens.ambient == 4
     assert report.delta_target == 0.2
     assert report.passed
+
+
+# --- linear l1 audit against the full-row reference --------------------------------
+
+
+def _linear_l1_rip_reference(points, ens):
+    """Every row i against all k rows, as the audit was first written: (sup, pair)."""
+    proj = points.points @ ens.directions.T
+    k = len(points)
+    gram = points.points @ points.points.T
+    chord = np.sqrt(np.maximum(2.0 - 2.0 * gram, 0.0))
+    worst = -1.0
+    pair = (0, 0)
+    for i in range(k):
+        stat = np.abs(proj[i] - proj).mean(axis=1) / HALF_NORMAL_MEAN
+        gap = np.abs(stat - chord[i])
+        gap[i] = 0.0
+        j = int(np.argmax(gap))
+        if gap[j] > worst:
+            worst = float(gap[j])
+            pair = (i, j)
+    return worst, pair
+
+
+def _assert_matches_reference(points, ens):
+    report = linear_l1_rip(points, ens, 0.2)
+    worst, pair = _linear_l1_rip_reference(points, ens)
+    assert report.sup_discrepancy == worst  # bitwise, not approximately
+    assert report.argmax_pair == pair
+
+
+def test_linear_l1_rip_two_points_matches_reference():
+    rng = substream(15, "test-l1rip-ref2")
+    pair = PointSet.uniform(5, 2, rng)
+    _assert_matches_reference(pair, MeasurementEnsemble.gaussian(5, 300, seed=15))
+    same = PointSet(np.array([[0.6, 0.8, 0.0], [0.6, 0.8, 0.0]]))
+    _assert_matches_reference(same, MeasurementEnsemble.gaussian(2, 40, seed=15))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_linear_l1_rip_rip_shape_matches_reference(seed):
+    # the linear-rip experiment's default shape: 210 sparse-net points, m = 2773
+    rng = substream(seed, "test-l1rip-ref")
+    net = sparse_net(SparseSpec(64, 4), 200, rng)
+    ens = MeasurementEnsemble(rng.standard_normal((2773, 65)), EnsembleKind.GAUSSIAN)
+    assert len(net) == 210
+    _assert_matches_reference(net, ens)
+
+
+def test_linear_l1_rip_tied_pairs_match_reference():
+    # three copies of each point: every pair distance, statistic and gap
+    # repeats nine times, so the first maximum decides the witness
+    rng = substream(16, "test-l1rip-ties")
+    base = PointSet.uniform(3, 6, rng).points
+    pts = PointSet(np.vstack([base, base, base]))
+    ens = MeasurementEnsemble.gaussian(3, 64, seed=16)
+    worst, _ = _linear_l1_rip_reference(pts, ens)
+    proj = pts.points @ ens.directions.T
+    stat = np.abs(proj[:, None, :] - proj[None, :, :]).mean(axis=2) / HALF_NORMAL_MEAN
+    chord = np.sqrt(np.maximum(2.0 - 2.0 * (pts.points @ pts.points.T), 0.0))
+    assert np.count_nonzero(np.abs(stat - chord) == worst) > 2
+    _assert_matches_reference(pts, ens)
