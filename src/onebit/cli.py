@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .harness import ENV_SEED, EXPERIMENTS, ExperimentConfig, default_out_path, run
+from .harness import ENV_SEED, REGISTRY, ExperimentConfig, default_out_path, run
 
 _CONFIG_KEYS = {
     "n": int,
@@ -30,22 +30,6 @@ _CONFIG_KEYS = {
     "out": str,
     "format": str,
     "workers": int,
-}
-
-_EXPERIMENT_HELP = {
-    "crofton": "wedge frequency vs geodesic distance for random pairs",
-    "transversal": "well-separated crossing frequency vs a quarter of the distance",
-    "small-cells": "sign-pattern cell diameters under a random tessellation",
-    "rip": "sup |hamming - geodesic| over a sparse net",
-    "sign-product": "centered one-bit correlation statistic over a sparse net",
-    "linear-rip": "normalized linear l1 distortion over a sparse net",
-    "widths": "gaussian vs hemisphere mean width of a sparse net",
-    "sudakov": "entropy lower bounds against both width estimates",
-    "vc": "cap shattering on canonical witnesses plus a Sauer bound check",
-    "nets": "greedy packing/covering sandwich on a random net",
-    "metric-ratio": "relative hamming/geodesic error on a separated net",
-    "embed": "one-bit embedding of a finite set at computed budget",
-    "all": "run every experiment with shared settings",
 }
 
 
@@ -71,8 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo checks for one-bit sensing on the sphere.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=_EXPERIMENT_HELP[name])
+    helps = [(spec.name, spec.help) for spec in REGISTRY.values()]
+    for name, text in helps + [("all", "run every experiment with shared settings")]:
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON file with option defaults")
         p.add_argument("--n", type=_positive_int, help="sphere dimension (ambient n+1)")
         p.add_argument("--s", type=_positive_int, help="sparsity level")

@@ -5,6 +5,9 @@ experiment e under master seed s draws all of its randomness from the
 stream (s, e, t), so results do not depend on scheduling.  Rows are merged
 and canonically sorted before writing, which makes report files
 byte-identical for any worker count.
+
+Each experiment is one :class:`Experiment` entry of :data:`REGISTRY`, which
+holds everything the harness and the CLI know about it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,34 +48,7 @@ from .verify import (
     small_cells_check,
 )
 
-EXPERIMENT_ORDER = (
-    "crofton",
-    "transversal",
-    "small-cells",
-    "rip",
-    "sign-product",
-    "linear-rip",
-    "widths",
-    "sudakov",
-    "vc",
-    "nets",
-    "metric-ratio",
-    "embed",
-)
-EXPERIMENTS = EXPERIMENT_ORDER + ("all",)
-
-# experiments whose target tolerance has no sensible default
-DELTA_REQUIRED = frozenset(
-    {"rip", "sign-product", "linear-rip", "small-cells", "metric-ratio", "embed", "nets"}
-)
-
-# experiments that size their own draws; resolve_m gives them 0
-_SELF_SIZED = frozenset({"vc", "nets", "embed"})
-
-# the quarter-density crossing law is exact on the 3-sphere, so the sampling
-# experiments default there; sparse-set experiments default to a desk-scale
-# regime instead
-_DEFAULT_N = {"crofton": 3, "transversal": 3}
+# sparse-set experiments default to a desk-scale regime
 _FALLBACK_N = 64
 _DEFAULT_SPARSITY = 4
 _SUDAKOV_GRID = tuple(round(0.05 * i, 2) for i in range(1, 11))
@@ -110,7 +86,7 @@ class ExperimentConfig:
         """Reject bad fields, then resolve every selected experiment.
 
         Resolving surfaces every per-experiment error (a missing delta, an
-        out-of-range s, an auto m of 0) before any trial runs.
+        out-of-range s, an auto m below 1) before any trial runs.
         """
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
@@ -125,8 +101,10 @@ class ExperimentConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.safety <= 0.0:
-            raise ValueError("safety must be positive")
+        if not (0 <= self.seed < 2**64):
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not (0.0 < self.safety < math.inf):
+            raise ValueError("safety must be positive and finite")
         if self.net_size < 1:
             raise ValueError("net_size must be >= 1")
         if self.format not in ("csv", "json"):
@@ -158,7 +136,6 @@ def _selected_experiments(cfg: ExperimentConfig) -> tuple[str, ...]:
 class _Effective:
     """Per-experiment resolved parameters for one run."""
 
-    name: str
     n: int
     s: int | None
     m: int
@@ -167,197 +144,194 @@ class _Effective:
     safety: float
 
 
+class _Stat(NamedTuple):
+    """One statistic of one trial; run_experiment turns it into a ReportRow."""
+
+    statistic: str
+    value: float
+    passed: bool = True
+
+
+# --- parameter resolution ----------------------------------------------------
+
+
+def _sparse_budget(safety, delta, n, s, net_size) -> float:
+    """safety * delta^-2 * s * log(n/s), the distortion experiments' budget."""
+    return safety * delta**-2 * s * math.log(n / s)
+
+
+def _cells_budget(safety, delta, n, s, net_size) -> float:
+    """safety * delta^-1 * log(net_size), the tessellation budget."""
+    return safety * delta**-1 * math.log(net_size)
+
+
+def _fixed_budget(m: int) -> Callable[..., float]:
+    return lambda safety, delta, n, s, net_size: m
+
+
 def resolve_m(experiment: str, cfg: ExperimentConfig, n: int, s: int | None) -> int:
-    """Resolve the measurement budget for one experiment.
+    """Resolve the measurement budget for one experiment at cfg's delta.
 
     Auto rules: ceil(safety * delta^-2 * s * log(n/s)) for the distortion
     experiments, ceil(safety * delta^-1 * log(net_size)) for the
     tessellation experiment, 1e5 direction draws for the crossing-frequency
     experiments, and 2000 Monte Carlo draws for the width estimators.
     """
+    return _resolve_m(REGISTRY[experiment], cfg, n, s, cfg.delta)
+
+
+def _resolve_m(spec: Experiment, cfg: ExperimentConfig, n, s, delta) -> int:
     if isinstance(cfg.m, int):
         return cfg.m
-    if experiment in ("crofton", "transversal"):
-        return 100_000
-    if experiment in ("rip", "sign-product", "linear-rip", "metric-ratio"):
-        if cfg.delta is None:
-            raise ValueError(f"--delta is required for {experiment}")
-        return int(math.ceil(cfg.safety * cfg.delta**-2 * s * math.log(n / s)))
-    if experiment == "small-cells":
-        if cfg.delta is None:
-            raise ValueError("--delta is required for small-cells")
-        return int(math.ceil(cfg.safety * cfg.delta**-1 * math.log(cfg.net_size)))
-    if experiment in ("widths", "sudakov"):
-        return 2000
-    return 0  # vc, nets, embed size their own draws
+    if spec.auto_m is None:
+        return 0  # the trial sizes its own draws
+    if delta is None and spec.needs_delta:
+        raise ValueError(f"--delta is required for {spec.name}")
+    m = spec.auto_m(cfg.safety, delta, n, s, cfg.net_size)
+    if not math.isfinite(m) or math.ceil(m) < 1:
+        raise ValueError(
+            f"{spec.name}: m resolves to {m} at n={n}, s={s}, "
+            f"net_size={cfg.net_size}; pass an explicit --m or change these"
+        )
+    return math.ceil(m)
 
 
 def _effective(experiment: str, cfg: ExperimentConfig) -> _Effective:
-    n = cfg.n if cfg.n is not None else _DEFAULT_N.get(experiment, _FALLBACK_N)
-    needs_s = experiment in (
-        "rip", "sign-product", "linear-rip", "metric-ratio", "widths", "sudakov"
-    )
-    s = cfg.s if cfg.s is not None else (_DEFAULT_SPARSITY if needs_s else None)
+    spec = REGISTRY[experiment]
+    n = cfg.n if cfg.n is not None else spec.default_n
+    s = cfg.s if cfg.s is not None else (_DEFAULT_SPARSITY if spec.needs_s else None)
     if s is not None and not (0 < s < n + 1):
         raise ValueError(f"need 0 < s < n + 1, got s={s}, n={n}")
     delta = cfg.delta
-    if delta is None and experiment in DELTA_REQUIRED:
-        if cfg.experiment == "all":
-            delta = 0.2
-        else:
+    if delta is None and spec.needs_delta:
+        if cfg.experiment != "all":
             raise ValueError(f"--delta is required for {experiment}")
-    m = resolve_m(experiment, cfg if delta == cfg.delta else _with_delta(cfg, delta), n, s)
-    if m < 1 and experiment not in _SELF_SIZED:
-        raise ValueError(
-            f"{experiment}: m resolves to {m} at n={n}, s={s}, "
-            f"net_size={cfg.net_size}; pass an explicit --m or change these"
-        )
-    if experiment == "nets" and delta >= 0.5:
-        raise ValueError("nets needs delta < 0.5 so the 2*delta packing is meaningful")
-    if experiment in ("widths", "sudakov"):
-        if m < 100:
-            raise ValueError("width estimation needs at least 100 Monte Carlo draws")
-        if cfg.net_size > 2000:
-            raise ValueError("width experiments support nets of at most 2000 points")
-        if s is not None and s >= n:
-            raise ValueError("width scaling needs s < n")
-    return _Effective(
-        name=experiment, n=n, s=s, m=m, delta=delta,
+        delta = 0.2
+    eff = _Effective(
+        n=n, s=s, m=_resolve_m(spec, cfg, n, s, delta), delta=delta,
         net_size=cfg.net_size, safety=cfg.safety,
     )
+    if spec.limits is not None:
+        spec.limits(eff)
+    return eff
 
 
-def _with_delta(cfg: ExperimentConfig, delta) -> ExperimentConfig:
-    d = asdict(cfg)
-    d["delta"] = delta
-    return ExperimentConfig(**d)
+def _nets_limits(eff: _Effective):
+    if eff.delta >= 0.5:
+        raise ValueError("nets needs delta < 0.5 so the 2*delta packing is meaningful")
+
+
+def _width_limits(eff: _Effective):
+    if eff.m < 100:
+        raise ValueError("width estimation needs at least 100 Monte Carlo draws")
+    if eff.net_size > 2000:
+        raise ValueError("width experiments support nets of at most 2000 points")
+    if eff.s >= eff.n:
+        raise ValueError("width scaling needs s < n")
 
 
 # --- per-trial experiment bodies ---------------------------------------------
+#
+# Library functions are looked up by name at call time, never stored in the
+# registry, so a caller that rebinds a name in this module (a tracer, a test
+# double) reaches every trial.
 
 
-def _row(eff, seed, trial, statistic, value, passed=True) -> ReportRow:
-    return ReportRow(
-        experiment=eff.name, seed=seed, trial=trial,
-        statistic=statistic, value=float(value), passed=bool(passed),
-    )
-
-
-def _trial_crossing(eff: _Effective, seed: int, trial: int, rng, kind: str):
+def _trial_crossing(eff: _Effective, rng, mask, statistic: str, scale: float):
+    """Frequency of directions whose crossing mask holds, against scale * d."""
     x = sample_uniform_sphere(eff.n, rng)
     y = sample_uniform_sphere(eff.n, rng)
     d = geodesic_distance(x, y)
     thetas = uniform_sphere_rows(eff.n, eff.m, rng)
-    if kind == "crofton":
-        freq = float(wedge_mask(thetas, x.coords, y.coords).mean())
-        target = d
-    else:
-        freq = float(transversal_mask(thetas, x, y).mean())
-        target = d / 4.0
+    freq = float(mask(thetas, x, y).mean())
+    target = d * scale
     bound = 3.0 * math.sqrt(max(target * (1.0 - target), 0.0) / eff.m)
     err = abs(freq - target)
-    stat = "wedge_freq" if kind == "crofton" else "transversal_freq"
     return [
-        _row(eff, seed, trial, "distance", d),
-        _row(eff, seed, trial, stat, freq),
-        _row(eff, seed, trial, "abs_error", err, err <= bound),
-        _row(eff, seed, trial, "error_bound", bound),
+        _Stat("distance", d),
+        _Stat(statistic, freq),
+        _Stat("abs_error", err, err <= bound),
+        _Stat("error_bound", bound),
     ]
 
 
-def _trial_crofton(eff, seed, trial, rng):
-    return _trial_crossing(eff, seed, trial, rng, "crofton")
+def _trial_crofton(eff, rng):
+    return _trial_crossing(eff, rng, wedge_mask, "wedge_freq", 1.0)
 
 
-def _trial_transversal(eff, seed, trial, rng):
-    return _trial_crossing(eff, seed, trial, rng, "transversal")
+def _trial_transversal(eff, rng):
+    return _trial_crossing(eff, rng, transversal_mask, "transversal_freq", 0.25)
 
 
-def _trial_small_cells(eff: _Effective, seed, trial, rng):
+def _ensemble(eff: _Effective, rng, kind=EnsembleKind.UNIFORM_SPHERE) -> MeasurementEnsemble:
+    """A fresh ensemble of eff.m directions of the given kind."""
+    if kind is EnsembleKind.UNIFORM_SPHERE:
+        directions = uniform_sphere_rows(eff.n, eff.m, rng)
+    else:
+        directions = rng.standard_normal((eff.m, eff.n + 1))
+    return MeasurementEnsemble(directions, kind)
+
+
+def _trial_small_cells(eff: _Effective, rng):
     if eff.s is not None:
         points = PointSet.sparse(SparseSpec(eff.n, eff.s), eff.net_size, rng)
     else:
         points = PointSet.uniform(eff.n, eff.net_size, rng)
-    ens = MeasurementEnsemble(
-        uniform_sphere_rows(eff.n, eff.m, rng), EnsembleKind.UNIFORM_SPHERE
-    )
-    report = small_cells_check(points, ens, eff.delta)
+    report = small_cells_check(points, _ensemble(eff, rng), eff.delta)
     return [
-        _row(eff, seed, trial, "m", eff.m),
-        _row(eff, seed, trial, "num_cells", report.num_cells),
-        _row(
-            eff, seed, trial, "max_cell_diameter",
+        _Stat("m", eff.m),
+        _Stat("num_cells", report.num_cells),
+        _Stat(
+            "max_cell_diameter",
             report.max_cell_diameter, report.max_cell_diameter < eff.delta,
         ),
     ]
 
 
-def _trial_rip(eff: _Effective, seed, trial, rng):
-    net = sparse_net(SparseSpec(eff.n, eff.s), eff.net_size, rng)
-    ens = MeasurementEnsemble(
-        uniform_sphere_rows(eff.n, eff.m, rng), EnsembleKind.UNIFORM_SPHERE
-    )
-    report = one_bit_rip(net, ens, eff.delta)
+def _distortion_stats(m: int, points: PointSet, report):
     return [
-        _row(eff, seed, trial, "m", eff.m),
-        _row(eff, seed, trial, "net_points", len(net)),
-        _row(eff, seed, trial, "sup_discrepancy", report.sup_discrepancy, report.passed),
+        _Stat("m", m),
+        _Stat("net_points", len(points)),
+        _Stat("sup_discrepancy", report.sup_discrepancy, report.passed),
     ]
 
 
-def _trial_sign_product(eff: _Effective, seed, trial, rng):
+def _trial_distortion(eff: _Effective, rng, kind: EnsembleKind, check):
+    """One RIP check of a fresh ensemble of the given kind over a sparse net."""
     net = sparse_net(SparseSpec(eff.n, eff.s), eff.net_size, rng)
-    ens = MeasurementEnsemble(
-        rng.standard_normal((eff.m, eff.n + 1)), EnsembleKind.GAUSSIAN
-    )
-    report = sign_product_rip(net, ens, eff.delta)
-    return [
-        _row(eff, seed, trial, "m", eff.m),
-        _row(eff, seed, trial, "net_points", len(net)),
-        _row(eff, seed, trial, "sup_discrepancy", report.sup_discrepancy, report.passed),
-    ]
+    report = check(net, _ensemble(eff, rng, kind), eff.delta)
+    return _distortion_stats(eff.m, net, report)
 
 
-def _trial_linear_rip(eff: _Effective, seed, trial, rng):
-    net = sparse_net(SparseSpec(eff.n, eff.s), eff.net_size, rng)
-    ens = MeasurementEnsemble(
-        rng.standard_normal((eff.m, eff.n + 1)), EnsembleKind.GAUSSIAN
-    )
-    report = linear_l1_rip(net, ens, eff.delta)
-    return [
-        _row(eff, seed, trial, "m", eff.m),
-        _row(eff, seed, trial, "net_points", len(net)),
-        _row(eff, seed, trial, "sup_discrepancy", report.sup_discrepancy, report.passed),
-    ]
+def _trial_rip(eff, rng):
+    return _trial_distortion(eff, rng, EnsembleKind.UNIFORM_SPHERE, one_bit_rip)
 
 
-def _trial_metric_ratio(eff: _Effective, seed, trial, rng):
+def _trial_sign_product(eff, rng):
+    return _trial_distortion(eff, rng, EnsembleKind.GAUSSIAN, sign_product_rip)
+
+
+def _trial_linear_rip(eff, rng):
+    return _trial_distortion(eff, rng, EnsembleKind.GAUSSIAN, linear_l1_rip)
+
+
+def _trial_metric_ratio(eff: _Effective, rng):
     sample = PointSet.sparse(SparseSpec(eff.n, eff.s), eff.net_size, rng)
     min_sep = eff.delta / 4.0
     packed = greedy_packing(sample, min_sep, rng).centers
-    rows = [
-        _row(eff, seed, trial, "m", eff.m),
-        _row(eff, seed, trial, "net_points", len(packed)),
-    ]
+    stats = [_Stat("m", eff.m), _Stat("net_points", len(packed))]
     if len(packed) < 2:
-        rows.append(_row(eff, seed, trial, "sup_ratio", 0.0, True))
-        return rows
-    ens = MeasurementEnsemble(
-        uniform_sphere_rows(eff.n, eff.m, rng), EnsembleKind.UNIFORM_SPHERE
-    )
-    report = metric_ratio_check(packed, ens, min_sep)
-    rows.append(_row(eff, seed, trial, "sup_ratio", report.sup_ratio, report.passed))
-    return rows
+        stats.append(_Stat("sup_ratio", 0.0, True))
+        return stats
+    report = metric_ratio_check(packed, _ensemble(eff, rng), min_sep)
+    stats.append(_Stat("sup_ratio", report.sup_ratio, report.passed))
+    return stats
 
 
-def _trial_embed(eff: _Effective, seed, trial, rng):
+def _trial_embed(eff: _Effective, rng):
     points = PointSet.uniform(eff.n, eff.net_size, rng)
     ens, report = finite_embedding(points, eff.delta, eff.safety, rng)
-    return [
-        _row(eff, seed, trial, "m", ens.m),
-        _row(eff, seed, trial, "net_points", len(points)),
-        _row(eff, seed, trial, "sup_discrepancy", report.sup_discrepancy, report.passed),
-    ]
+    return _distortion_stats(ens.m, points, report)
 
 
 def _width_denominators(n: int, s: int) -> tuple[float, float]:
@@ -365,7 +339,7 @@ def _width_denominators(n: int, s: int) -> tuple[float, float]:
     return s * math.log2(ratio), s * math.log(ratio)
 
 
-def _trial_widths(eff: _Effective, seed, trial, rng):
+def _trial_widths(eff: _Effective, rng):
     net = PointSet.sparse(SparseSpec(eff.n, eff.s), eff.net_size, rng)
     gw = estimate_gaussian_width(net, eff.m, rng)
     hw = estimate_hemisphere_width_cholesky(net, eff.m, rng)
@@ -374,39 +348,30 @@ def _trial_widths(eff: _Effective, seed, trial, rng):
     ratio_e = gw.value**2 / denom_ln if denom_ln > 0 else math.inf
     lo, hi = _WIDTH_BOX
     return [
-        _row(eff, seed, trial, "gaussian_width", gw.value),
-        _row(eff, seed, trial, "gaussian_width_stderr", gw.std_error),
-        _row(eff, seed, trial, "hemisphere_width", hw.value),
-        _row(eff, seed, trial, "hemisphere_width_stderr", hw.std_error),
-        _row(eff, seed, trial, "width_ratio_log2", ratio2, lo <= ratio2 <= hi),
-        _row(eff, seed, trial, "width_ratio_ln", ratio_e),
+        _Stat("gaussian_width", gw.value),
+        _Stat("gaussian_width_stderr", gw.std_error),
+        _Stat("hemisphere_width", hw.value),
+        _Stat("hemisphere_width_stderr", hw.std_error),
+        _Stat("width_ratio_log2", ratio2, lo <= ratio2 <= hi),
+        _Stat("width_ratio_ln", ratio_e),
     ]
 
 
-def _trial_sudakov(eff: _Effective, seed, trial, rng):
+def _trial_sudakov(eff: _Effective, rng):
     net = PointSet.sparse(SparseSpec(eff.n, eff.s), eff.net_size, rng)
     gw = estimate_gaussian_width(net, eff.m, rng)
     hw = estimate_hemisphere_width_cholesky(net, eff.m, rng)
     gauss = sudakov_check(net, ProcessMetric.GAUSSIAN, _SUDAKOV_GRID, gw)
     hemi_radii = tuple(math.sqrt(d) for d in _SUDAKOV_GRID)
     hemi = sudakov_check(net, ProcessMetric.HEMISPHERE, hemi_radii, hw)
-    rows = [
-        _row(eff, seed, trial, "gaussian_width", gw.value),
-        _row(eff, seed, trial, "hemisphere_width", hw.value),
-    ]
+    stats = [_Stat("gaussian_width", gw.value), _Stat("hemisphere_width", hw.value)]
     for i, delta in enumerate(_SUDAKOV_GRID):
         tag = f"{delta:.2f}"
-        rows.append(
-            _row(
-                eff, seed, trial, f"gauss_ratio_d{tag}",
-                gauss.ratios[i], gauss.ratios[i] <= _SUDAKOV_CONST,
-            )
+        stats.append(
+            _Stat(f"gauss_ratio_d{tag}", gauss.ratios[i], gauss.ratios[i] <= _SUDAKOV_CONST)
         )
-        rows.append(
-            _row(
-                eff, seed, trial, f"hemi_ratio_d{tag}",
-                hemi.ratios[i], hemi.ratios[i] <= _SUDAKOV_CONST,
-            )
+        stats.append(
+            _Stat(f"hemi_ratio_d{tag}", hemi.ratios[i], hemi.ratios[i] <= _SUDAKOV_CONST)
         )
         # entropy comparison: sqrt(log N(delta)) vs the better of the two
         # width-based envelopes at the same geodesic scale
@@ -414,107 +379,166 @@ def _trial_sudakov(eff: _Effective, seed, trial, rng):
         root_log = math.sqrt(math.log(n_geo)) if n_geo > 1 else 0.0
         envelope = min(gw.value / delta, hw.value / math.sqrt(delta))
         chain = root_log / envelope if envelope > 0 else math.inf
-        rows.append(
-            _row(eff, seed, trial, f"chain_d{tag}", chain, chain <= _SUDAKOV_CONST)
-        )
-    return rows
+        stats.append(_Stat(f"chain_d{tag}", chain, chain <= _SUDAKOV_CONST))
+    return stats
 
 
-def _trial_vc(eff: _Effective, seed, trial, rng):
-    rows = []
+def _trial_vc(eff: _Effective, rng):
+    stats = []
     for n in _VC_WITNESS_RANGE:
-        witness = canonical_witness(n)
-        rep = shatter_check(witness, rng, budget=_VC_BUDGET)
-        rows.append(
-            _row(eff, seed, trial, f"shatter_n{n}", rep.dichotomies_realized, rep.shattered)
-        )
+        rep = shatter_check(canonical_witness(n), rng, budget=_VC_BUDGET)
+        stats.append(_Stat(f"shatter_n{n}", rep.dichotomies_realized, rep.shattered))
     pts = PointSet.uniform(2, _VC_RANDOM_POINTS, rng)
     rep = shatter_check(pts, rng, budget=_VC_BUDGET)
-    rows.append(_row(eff, seed, trial, "dichotomies_8pts", rep.dichotomies_realized))
-    rows.append(_row(eff, seed, trial, "sauer_bound_8pts", rep.sauer_bound))
-    rows.append(
-        _row(
-            eff, seed, trial, "sauer_ok",
-            float(rep.dichotomies_realized <= rep.sauer_bound),
-            rep.dichotomies_realized <= rep.sauer_bound,
-        )
-    )
-    return rows
-
-
-def _trial_nets(eff: _Effective, seed, trial, rng):
-    points = PointSet.uniform(eff.n, eff.net_size, rng)
-    result = sandwich_check(points, eff.delta, rng)
-    return [
-        _row(eff, seed, trial, "packing_2delta", result["packing_2delta"]),
-        _row(eff, seed, trial, "covering_delta", result["covering_delta"]),
-        _row(eff, seed, trial, "packing_delta", result["packing_delta"]),
-        _row(eff, seed, trial, "sandwich_ok", float(result["ok"]), result["ok"]),
+    sauer_ok = rep.dichotomies_realized <= rep.sauer_bound
+    return stats + [
+        _Stat("dichotomies_8pts", rep.dichotomies_realized),
+        _Stat("sauer_bound_8pts", rep.sauer_bound),
+        _Stat("sauer_ok", float(sauer_ok), sauer_ok),
     ]
 
 
-_TRIAL_FNS: dict[str, Callable] = {
-    "crofton": _trial_crofton,
-    "transversal": _trial_transversal,
-    "small-cells": _trial_small_cells,
-    "rip": _trial_rip,
-    "sign-product": _trial_sign_product,
-    "linear-rip": _trial_linear_rip,
-    "widths": _trial_widths,
-    "sudakov": _trial_sudakov,
-    "vc": _trial_vc,
-    "nets": _trial_nets,
-    "metric-ratio": _trial_metric_ratio,
-    "embed": _trial_embed,
-}
+def _trial_nets(eff: _Effective, rng):
+    points = PointSet.uniform(eff.n, eff.net_size, rng)
+    result = sandwich_check(points, eff.delta, rng)
+    return [
+        _Stat("packing_2delta", result["packing_2delta"]),
+        _Stat("covering_delta", result["covering_delta"]),
+        _Stat("packing_delta", result["packing_delta"]),
+        _Stat("sandwich_ok", float(result["ok"]), result["ok"]),
+    ]
 
-# statistics whose pass flag feeds the experiment verdict
-SCORED_STATISTICS: dict[str, tuple[str, ...]] = {
-    "crofton": ("abs_error",),
-    "transversal": ("abs_error",),
-    "small-cells": ("max_cell_diameter",),
-    "rip": ("sup_discrepancy",),
-    "sign-product": ("sup_discrepancy",),
-    "linear-rip": ("sup_discrepancy",),
-    "widths": ("width_ratio_log2",),
-    "sudakov": tuple(
-        f"{kind}_d{d:.2f}"
-        for d in _SUDAKOV_GRID
-        for kind in ("gauss_ratio", "hemi_ratio", "chain")
-    ),
-    "vc": tuple(f"shatter_n{n}" for n in _VC_WITNESS_RANGE) + ("sauer_ok",),
-    "nets": ("sandwich_ok",),
-    "metric-ratio": ("sup_ratio",),
-    "embed": ("sup_discrepancy",),
-}
 
-_DISCREPANCY_STATISTICS = frozenset(
-    {"abs_error", "sup_discrepancy", "sup_ratio", "max_cell_diameter"}
-)
+# --- verdicts ----------------------------------------------------------------
 
 # fraction of trials allowed to miss a three-sigma bound before the verdict flips
 _RATE_THRESHOLD = 0.9
 
 
-def _verdict(experiment: str, scored: list[bool]) -> bool:
-    if not scored:
-        return True
-    if experiment in ("crofton", "transversal"):
-        allowed = max(1, int(0.05 * len(scored)))
-        return scored.count(False) <= allowed
-    if experiment in ("widths", "sudakov", "vc", "nets"):
-        return all(scored)
-    return sum(scored) / len(scored) >= _RATE_THRESHOLD
+def _crossing_verdict(scored: list[bool]) -> bool:
+    return scored.count(False) <= max(1, int(0.05 * len(scored)))
+
+
+def _rate_verdict(scored: list[bool]) -> bool:
+    return not scored or sum(scored) / len(scored) >= _RATE_THRESHOLD
+
+
+# --- the registry ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Everything the harness and the CLI know about one experiment.
+
+    ``trial`` maps the resolved parameters and the trial's generator to its
+    statistics; the pass flags of the ``scored`` statistics feed ``verdict``.
+    ``auto_m(safety, delta, n, s, net_size)`` is the unrounded auto budget,
+    or None when the trial sizes its own draws.  ``limits`` rejects resolved
+    parameters the trial cannot use.
+    """
+
+    name: str
+    help: str
+    trial: Callable[[_Effective, np.random.Generator], list[_Stat]]
+    scored: tuple[str, ...]
+    verdict: Callable[[list[bool]], bool]
+    auto_m: Callable[..., float] | None
+    needs_delta: bool = False
+    needs_s: bool = False
+    default_n: int = _FALLBACK_N
+    limits: Callable[[_Effective], None] | None = None
+
+
+_SUDAKOV_SCORED = tuple(
+    f"{kind}_d{d:.2f}" for d in _SUDAKOV_GRID for kind in ("gauss_ratio", "hemi_ratio", "chain")
+)
+
+# in report order; the quarter-density crossing law is exact on the 3-sphere,
+# so the sampling experiments default there
+REGISTRY: dict[str, Experiment] = {
+    e.name: e
+    for e in (
+        Experiment(
+            "crofton", "wedge frequency vs geodesic distance for random pairs",
+            _trial_crofton, ("abs_error",), _crossing_verdict, _fixed_budget(100_000),
+            default_n=3,
+        ),
+        Experiment(
+            "transversal", "well-separated crossing frequency vs a quarter of the distance",
+            _trial_transversal, ("abs_error",), _crossing_verdict, _fixed_budget(100_000),
+            default_n=3,
+        ),
+        Experiment(
+            "small-cells", "sign-pattern cell diameters under a random tessellation",
+            _trial_small_cells, ("max_cell_diameter",), _rate_verdict, _cells_budget,
+            needs_delta=True,
+        ),
+        Experiment(
+            "rip", "sup |hamming - geodesic| over a sparse net",
+            _trial_rip, ("sup_discrepancy",), _rate_verdict, _sparse_budget,
+            needs_delta=True, needs_s=True,
+        ),
+        Experiment(
+            "sign-product", "centered one-bit correlation statistic over a sparse net",
+            _trial_sign_product, ("sup_discrepancy",), _rate_verdict, _sparse_budget,
+            needs_delta=True, needs_s=True,
+        ),
+        Experiment(
+            "linear-rip", "normalized linear l1 distortion over a sparse net",
+            _trial_linear_rip, ("sup_discrepancy",), _rate_verdict, _sparse_budget,
+            needs_delta=True, needs_s=True,
+        ),
+        Experiment(
+            "widths", "gaussian vs hemisphere mean width of a sparse net",
+            _trial_widths, ("width_ratio_log2",), all, _fixed_budget(2000),
+            needs_s=True, limits=_width_limits,
+        ),
+        Experiment(
+            "sudakov", "entropy lower bounds against both width estimates",
+            _trial_sudakov, _SUDAKOV_SCORED, all, _fixed_budget(2000),
+            needs_s=True, limits=_width_limits,
+        ),
+        Experiment(
+            "vc", "cap shattering on canonical witnesses plus a Sauer bound check",
+            _trial_vc, tuple(f"shatter_n{n}" for n in _VC_WITNESS_RANGE) + ("sauer_ok",),
+            all, None,
+        ),
+        Experiment(
+            "nets", "greedy packing/covering sandwich on a random net",
+            _trial_nets, ("sandwich_ok",), all, None,
+            needs_delta=True, limits=_nets_limits,
+        ),
+        Experiment(
+            "metric-ratio", "relative hamming/geodesic error on a separated net",
+            _trial_metric_ratio, ("sup_ratio",), _rate_verdict, _sparse_budget,
+            needs_delta=True, needs_s=True,
+        ),
+        Experiment(
+            "embed", "one-bit embedding of a finite set at computed budget",
+            _trial_embed, ("sup_discrepancy",), _rate_verdict, None,
+            needs_delta=True,
+        ),
+    )
+}
+EXPERIMENT_ORDER = tuple(REGISTRY)
+EXPERIMENTS = EXPERIMENT_ORDER + ("all",)
+
+_DISCREPANCY_STATISTICS = frozenset(
+    {"abs_error", "sup_discrepancy", "sup_ratio", "max_cell_diameter"}
+)
 
 
 def run_experiment(experiment: str, cfg: ExperimentConfig, workers: int = 1):
     """Rows and verdict for a single experiment under cfg's master seed."""
+    spec = REGISTRY[experiment]
     eff = _effective(experiment, cfg)
-    fn = _TRIAL_FNS[experiment]
 
     def one(trial: int):
-        rng = substream(cfg.seed, experiment, trial)
-        return fn(eff, cfg.seed, trial, rng)
+        stats = spec.trial(eff, substream(cfg.seed, experiment, trial))
+        return [
+            ReportRow(experiment, cfg.seed, trial, st.statistic, float(st.value), bool(st.passed))
+            for st in stats
+        ]
 
     if workers <= 1:
         batches = [one(t) for t in range(cfg.trials)]
@@ -522,13 +546,12 @@ def run_experiment(experiment: str, cfg: ExperimentConfig, workers: int = 1):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(one, range(cfg.trials)))
     rows = [row for batch in batches for row in batch]
-    scored_names = set(SCORED_STATISTICS[experiment])
-    scored = [r.passed for r in rows if r.statistic in scored_names]
-    return rows, _verdict(experiment, scored)
+    scored = [r.passed for r in rows if r.statistic in spec.scored]
+    return rows, spec.verdict(scored)
 
 
 def summarize(rows: list[ReportRow]) -> dict:
-    scored_names = {s for names in SCORED_STATISTICS.values() for s in names}
+    scored_names = {s for spec in REGISTRY.values() for s in spec.scored}
     scored = [r.passed for r in rows if r.statistic in scored_names]
     discrepancies = [
         abs(r.value) for r in rows if r.statistic in _DISCREPANCY_STATISTICS

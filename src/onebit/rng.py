@@ -33,6 +33,12 @@ def _label_word(label) -> int:
 
 
 def substream(seed: int, *labels) -> np.random.Generator:
-    """Generator for the stream identified by (seed, *labels)."""
-    entropy = [int(seed) & _MASK64] + [_label_word(lab) for lab in labels]
+    """Generator for the stream identified by (seed, *labels).
+
+    The seed must lie in [0, 2**64): a wider value would alias the stream of
+    its 64-bit wrap.
+    """
+    if not 0 <= int(seed) <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    entropy = [int(seed)] + [_label_word(lab) for lab in labels]
     return np.random.default_rng(entropy)

@@ -108,7 +108,6 @@ class SparseSpec:
 
 class GeneratorTag(str, Enum):
     SPARSE = "sparse"
-    CONVEX_SPARSE = "convex-sparse"
     UNIFORM = "uniform"
     EXPLICIT = "explicit"
 
@@ -139,13 +138,6 @@ def pairwise_geodesic(points: np.ndarray) -> np.ndarray:
 
 
 # --- samplers ---------------------------------------------------------------
-
-
-def sample_gaussian_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard gaussian vector in R^(n+1)."""
-    if n < 1:
-        raise InvalidDimensionError(f"sphere dimension must be >= 1, got {n}")
-    return rng.standard_normal(n + 1)
 
 
 def sample_uniform_sphere(n: int, rng: np.random.Generator) -> UnitVector:
@@ -291,13 +283,6 @@ class PointSet:
             raise ValueError("count must be >= 1")
         rows = np.stack([sample_sparse_unit(spec, rng).coords for _ in range(count)])
         return cls(rows, GeneratorTag.SPARSE)
-
-    @classmethod
-    def convex_sparse(cls, spec: SparseSpec, count: int, rng: np.random.Generator) -> "PointSet":
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        rows = np.stack([sample_convex_sparse(spec, rng).coords for _ in range(count)])
-        return cls(rows, GeneratorTag.CONVEX_SPARSE)
 
 
 def sparse_net(

@@ -59,6 +59,24 @@ class MetricRatioReport:
     passed: bool
 
 
+def _argmax_pair(values: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Largest entry of a matrix and its index; ties go to the first in row-major order."""
+    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+    return float(values[i, j]), (int(i), int(j))
+
+
+def _rip_report(
+    sup: float, pair: tuple[int, int], ens: MeasurementEnsemble, delta_target: float
+) -> RipReport:
+    return RipReport(
+        sup_discrepancy=sup,
+        argmax_pair=pair,
+        m=ens.m,
+        delta_target=float(delta_target),
+        passed=sup <= delta_target,
+    )
+
+
 def _check_dims(points: PointSet, ens: MeasurementEnsemble):
     if points.ambient != ens.ambient:
         raise DimensionMismatchError(
@@ -87,11 +105,9 @@ def small_cells_check(points: PointSet, ens: MeasurementEnsemble, delta: float) 
         members = np.flatnonzero(inverse == cell)
         if members.size < 2:
             continue
-        sub = dist[np.ix_(members, members)]
-        flat = int(np.argmax(sub))
-        i, j = np.unravel_index(flat, sub.shape)
-        if sub[i, j] > worst or worst_pair is None:
-            worst = float(sub[i, j])
+        diameter, (i, j) = _argmax_pair(dist[np.ix_(members, members)])
+        if diameter > worst or worst_pair is None:
+            worst = diameter
             worst_pair = (int(members[i]), int(members[j]))
     return CellReport(
         delta=float(delta),
@@ -141,16 +157,7 @@ def one_bit_rip(points: PointSet, ens: MeasurementEnsemble, delta_target: float)
         raise ValueError("need at least two points")
     gap = np.abs(_hamming_matrix(points, ens) - points.pairwise_geodesic())
     np.fill_diagonal(gap, 0.0)
-    flat = int(np.argmax(gap))
-    i, j = np.unravel_index(flat, gap.shape)
-    sup = float(gap[i, j])
-    return RipReport(
-        sup_discrepancy=sup,
-        argmax_pair=(int(i), int(j)),
-        m=ens.m,
-        delta_target=float(delta_target),
-        passed=sup <= delta_target,
-    )
+    return _rip_report(*_argmax_pair(gap), ens, delta_target)
 
 
 def sign_product_rip(
@@ -165,17 +172,7 @@ def sign_product_rip(
     proj = points.points @ ens.directions.T  # (k, m)
     signs_x = np.where(proj >= 0, 1.0, -1.0)
     stats = (signs_x @ proj.T) / ens.m - HALF_NORMAL_MEAN * (points.points @ points.points.T)
-    gap = np.abs(stats)
-    flat = int(np.argmax(gap))
-    i, j = np.unravel_index(flat, gap.shape)
-    sup = float(gap[i, j])
-    return RipReport(
-        sup_discrepancy=sup,
-        argmax_pair=(int(i), int(j)),
-        m=ens.m,
-        delta_target=float(delta_target),
-        passed=sup <= delta_target,
-    )
+    return _rip_report(*_argmax_pair(np.abs(stats)), ens, delta_target)
 
 
 def linear_l1_rip(
@@ -209,13 +206,7 @@ def linear_l1_rip(
         if gap[j] > worst:
             worst = float(gap[j])
             pair = (i, i + 1 + j)
-    return RipReport(
-        sup_discrepancy=worst,
-        argmax_pair=pair,
-        m=ens.m,
-        delta_target=float(delta_target),
-        passed=worst <= delta_target,
-    )
+    return _rip_report(worst, pair, ens, delta_target)
 
 
 def metric_ratio_check(
@@ -242,14 +233,9 @@ def metric_ratio_check(
         )
     ratio = np.abs(_hamming_matrix(points, ens) - dist) / np.where(off, dist, 1.0)
     ratio[~off] = 0.0
-    flat = int(np.argmax(ratio))
-    i, j = np.unravel_index(flat, ratio.shape)
-    sup = float(ratio[i, j])
+    sup, pair = _argmax_pair(ratio)
     return MetricRatioReport(
-        sup_ratio=sup,
-        argmax_pair=(int(i), int(j)),
-        min_sep=float(min_sep),
-        passed=sup <= 1.0,
+        sup_ratio=sup, argmax_pair=pair, min_sep=float(min_sep), passed=sup <= 1.0
     )
 
 

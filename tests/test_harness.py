@@ -11,7 +11,7 @@ import pytest
 
 from onebit import ExperimentConfig, ReportRow, resolve_m, run, run_experiment, summarize
 from onebit.cli import main, parse_config
-from onebit.harness import EXPERIMENT_ORDER, _verdict, default_out_path
+from onebit.harness import EXPERIMENT_ORDER, REGISTRY, default_out_path
 
 # --- measurement budget resolution -----------------------------------------------
 
@@ -75,6 +75,12 @@ def test_config_rejects_unknown_experiment():
         {"safety": 0.0},
         {"net_size": 0},
         {"format": "xml"},
+        {"safety": math.inf},
+        {"safety": math.nan},
+        {"safety": 1e308},  # auto m overflows to inf
+        {"experiment": "small-cells", "safety": 1e308},
+        {"seed": -1},
+        {"seed": 2**64},
     ],
 )
 def test_config_rejects_bad_values(kw):
@@ -102,22 +108,24 @@ def test_default_out_path():
 
 
 def test_verdict_crossing_allows_rare_misses():
-    assert _verdict("crofton", [True] * 19 + [False])
-    assert not _verdict("crofton", [True] * 18 + [False] * 2)
-    assert _verdict("transversal", [True] * 95 + [False] * 5)
-    assert not _verdict("transversal", [True] * 94 + [False] * 6)
+    crofton, transversal = REGISTRY["crofton"].verdict, REGISTRY["transversal"].verdict
+    assert crofton([True] * 19 + [False])
+    assert not crofton([True] * 18 + [False] * 2)
+    assert transversal([True] * 95 + [False] * 5)
+    assert not transversal([True] * 94 + [False] * 6)
 
 
 def test_verdict_strict_families():
     for name in ("widths", "sudakov", "vc", "nets"):
-        assert _verdict(name, [True, True])
-        assert not _verdict(name, [True, False])
+        assert REGISTRY[name].verdict([True, True])
+        assert not REGISTRY[name].verdict([True, False])
 
 
 def test_verdict_rate_families():
-    assert _verdict("rip", [True] * 9 + [False])
-    assert not _verdict("rip", [True] * 8 + [False] * 2)
-    assert _verdict("rip", [])
+    rip = REGISTRY["rip"].verdict
+    assert rip([True] * 9 + [False])
+    assert not rip([True] * 8 + [False] * 2)
+    assert rip([])
 
 
 def test_summarize_scored_rows_only():
@@ -219,11 +227,13 @@ def test_run_experiment_row_structure():
     assert verdict
 
 
-def test_experiment_order_covers_registry():
-    from onebit.harness import _TRIAL_FNS, SCORED_STATISTICS
-
-    assert set(EXPERIMENT_ORDER) == set(_TRIAL_FNS)
-    assert set(EXPERIMENT_ORDER) == set(SCORED_STATISTICS)
+def test_every_scored_statistic_occurs_in_rows():
+    # a scored name that no row carries would leave its verdict vacuously true
+    cfg = ExperimentConfig(experiment="all", delta=0.3, m=200, trials=1, net_size=20, seed=1)
+    for name, spec in REGISTRY.items():
+        rows, _ = run_experiment(name, cfg)
+        missing = set(spec.scored) - {r.statistic for r in rows}
+        assert not missing, (name, missing)
 
 
 # --- CLI -------------------------------------------------------------------------
@@ -274,6 +284,10 @@ def test_parse_config_rejects_bad_config_types(tmp_path):
     config.write_text(json.dumps({"m": "sometimes"}), encoding="utf-8")
     with pytest.raises(SystemExit):
         parse_config(["crofton", "--config", str(config)])
+    config.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["crofton", "--config", str(config)])
+    assert exc.value.code == 2
 
 
 def test_parse_config_accepts_auto_m_from_file(tmp_path):
@@ -289,10 +303,11 @@ def test_seed_environment_fallback(monkeypatch):
     assert cfg.seed == 42
     cfg, _ = parse_config(["crofton", "--seed", "7"])
     assert cfg.seed == 7
-    monkeypatch.setenv("ONEBIT_SEED", "abc")
-    with pytest.raises(SystemExit) as exc:
-        parse_config(["crofton"])
-    assert exc.value.code == 2
+    for bad in ("abc", "-1"):
+        monkeypatch.setenv("ONEBIT_SEED", bad)
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["crofton"])
+        assert exc.value.code == 2
     monkeypatch.delenv("ONEBIT_SEED")
     cfg, _ = parse_config(["crofton"])
     assert cfg.seed == 0
@@ -345,6 +360,10 @@ def test_parse_config_rejects_bool_m(tmp_path, capsys):
         ["all", "--n", "4", "--s", "4", "--delta", "0.2"],  # auto m = 0 at log(n/s) = 0
         ["rip", "--n", "4", "--s", "4", "--delta", "0.2"],
         ["all", "--delta", "0.6"],  # nets needs 2 * delta < 1
+        ["rip", "--delta", "0.2", "--safety", "inf"],
+        ["rip", "--delta", "0.2", "--safety", "nan"],
+        ["small-cells", "--delta", "0.2", "--safety", "1e308"],  # auto m overflows
+        ["crofton", "--seed", "-1"],
     ],
 )
 def test_main_rejects_unrunnable_experiments_before_any_work(argv, tmp_path, capsys, monkeypatch):

@@ -71,3 +71,10 @@ def test_streams_pass_basic_independence_smoke():
     b = substream(3, "ind", 1).standard_normal(20_000)
     corr = float(np.corrcoef(a, b)[0, 1])
     assert abs(corr) < 0.03
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_rejected(seed):
+    # masking would alias -1 to the stream of 2**64 - 1, and 2**64 to seed 0
+    with pytest.raises(ValueError):
+        substream(seed, "x")
