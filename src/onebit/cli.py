@@ -12,25 +12,36 @@ configuration, 3 report I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import typing
 
 from .harness import ENV_SEED, REGISTRY, ExperimentConfig, default_out_path, run
 
-_CONFIG_KEYS = {
-    "n": int,
-    "s": int,
-    "m": None,  # int or the string "auto"
-    "delta": float,
-    "trials": int,
-    "seed": int,
-    "safety": float,
-    "net_size": int,
-    "out": str,
-    "format": str,
-    "workers": int,
-}
+
+def _config_keys() -> dict:
+    """Config-file keys and their JSON types, from ExperimentConfig's fields.
+
+    The subcommand names the experiment, ``out_path`` is spelled ``out``,
+    and ``workers`` is a run option rather than a field.  A field of
+    several types (``m``: an integer or "auto") maps to None.
+    """
+    hints = typing.get_type_hints(ExperimentConfig)
+    keys = {}
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name == "experiment":
+            continue
+        hint = hints[field.name]
+        types = [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
+        keys["out" if field.name == "out_path" else field.name] = (
+            types[0] if len(types) == 1 else None
+        )
+    return {**keys, "workers": int}
+
+
+_CONFIG_KEYS = _config_keys()
 
 
 def _positive_int(text: str) -> int:
@@ -120,7 +131,7 @@ def parse_config(argv) -> tuple[ExperimentConfig, int]:
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             parser.error(str(exc))
     for key in _CONFIG_KEYS:
-        flag = getattr(args, "out" if key == "out" else key, None)
+        flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
     try:

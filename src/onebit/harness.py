@@ -60,6 +60,9 @@ _VC_BUDGET = 20_000
 
 ENV_SEED = "ONEBIT_SEED"
 
+# largest m x (n+1) float64 direction matrix a trial may draw
+MAX_DIRECTION_BYTES = 2**30
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -211,9 +214,29 @@ def _effective(experiment: str, cfg: ExperimentConfig) -> _Effective:
         n=n, s=s, m=_resolve_m(spec, cfg, n, s, delta), delta=delta,
         net_size=cfg.net_size, safety=cfg.safety,
     )
+    if spec.auto_m is not None:  # self-sized trials draw no eff.m directions
+        _check_directions(eff.m, n, f"{experiment}: m")
     if spec.limits is not None:
         spec.limits(eff)
     return eff
+
+
+def _check_directions(m, n: int, label: str):
+    """Reject m directions of dimension n + 1 that overflow MAX_DIRECTION_BYTES."""
+    most = MAX_DIRECTION_BYTES // (8 * (n + 1))
+    if m > most:
+        shown = f"{m:.4g}" if isinstance(m, float) else str(m)
+        raise ValueError(
+            f"{label} = {shown} directions of dimension {n + 1} exceed the "
+            f"{MAX_DIRECTION_BYTES // 2**30} GiB direction limit (at most {most}); "
+            "lower --m or --safety"
+        )
+
+
+def _embed_limits(eff: _Effective):
+    # finite_embedding sizes its own ensemble: safety * delta^-2 * log(net_size)
+    budget = eff.safety * eff.delta**-2 * math.log(eff.net_size)
+    _check_directions(budget, eff.n, "the embedding budget m")
 
 
 def _nets_limits(eff: _Effective):
@@ -516,7 +539,7 @@ REGISTRY: dict[str, Experiment] = {
         Experiment(
             "embed", "one-bit embedding of a finite set at computed budget",
             _trial_embed, ("sup_discrepancy",), _rate_verdict, None,
-            needs_delta=True,
+            needs_delta=True, limits=_embed_limits,
         ),
     )
 }

@@ -24,6 +24,8 @@ CHOLESKY_MAX_POINTS = 2000
 _JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 MIN_WIDTH_TRIALS = 100
 MIN_EMPIRICAL_INNER = 10_000
+# working memory of one chunk of hemisphere_empirical_samples
+HEMISPHERE_CHUNK_BYTES = 16 * 2**20
 
 
 class WidthMethod(str, Enum):
@@ -141,7 +143,14 @@ def hemisphere_empirical_samples(
 
     Entry (t, i) is (1/sqrt(m)) * sum_j (1{theta_j in H_i} - 1/2) for the
     t-th batch of m_inner uniform directions, the CLT-scaled empirical
-    version of the hemisphere process.
+    version of the hemisphere process.  A direction is a standard gaussian
+    row left unnormalized, since the sign of <x, g> does not depend on |g|.
+
+    Memory: each direction costs 8 * ambient bytes of float64 draws plus
+    9 * k bytes of float64 projection and bool hit, and one chunk holds at
+    most ``HEMISPHERE_CHUNK_BYTES`` of them: whole trials when one fits,
+    else a trial's directions in several pieces.  The draws come in the
+    same order at any chunk size, so the output does not depend on it.
     """
     if m_inner < MIN_EMPIRICAL_INNER:
         raise ValueError(f"need m_inner >= {MIN_EMPIRICAL_INNER}, got {m_inner}")
@@ -150,16 +159,18 @@ def hemisphere_empirical_samples(
     k = len(points)
     out = np.empty((trials, k))
     root_m = math.sqrt(m_inner)
-    # chunk so each batch of direction draws stays comfortably in memory
-    chunk = max(1, int(8_000_000 // (m_inner * points.ambient)))
-    done = 0
-    while done < trials:
-        batch = min(chunk, trials - done)
-        g = rng.standard_normal((batch * m_inner, points.ambient))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        counts = (g @ points.points.T >= 0).reshape(batch, m_inner, k).sum(axis=1)
-        out[done : done + batch] = (counts - m_inner / 2.0) / root_m
-        done += batch
+    rows_cap = max(1, HEMISPHERE_CHUNK_BYTES // (8 * points.ambient + 9 * k))
+    batch_cap = max(1, rows_cap // m_inner)
+    for done in range(0, trials, batch_cap):
+        batch = min(batch_cap, trials - done)
+        counts = np.zeros((k, batch), dtype=np.intp)
+        # one piece of batch * m_inner rows, or (batch = 1) pieces of rows_cap
+        for start in range(0, m_inner, rows_cap):
+            span = min(rows_cap, m_inner - start)
+            g = rng.standard_normal((batch * span, points.ambient))
+            hits = points.points @ g.T >= 0  # (k, batch * span)
+            counts += np.count_nonzero(hits.reshape(k, batch, span), axis=2)
+        out[done : done + batch] = (counts.T - m_inner / 2.0) / root_m
     return out
 
 

@@ -23,6 +23,9 @@ from .measurements import (
 )
 from .sphere import PointSet, UnitVector, uniform_sphere_rows
 
+# working memory of linear_l1_rip's row buffer
+L1_SCAN_BYTES = 16 * 2**20
+
 
 @dataclass(frozen=True)
 class CellReport:
@@ -188,24 +191,31 @@ def linear_l1_rip(
         raise ValueError("need at least two points")
     proj = points.points @ ens.directions.T  # (k, m)
     k = len(points)
-    gram = points.points @ points.points.T
-    sq = np.maximum(2.0 - 2.0 * gram, 0.0)
-    chord = np.sqrt(sq)
-    # the statistic is symmetric, so row i only scans j > i; one buffer serves
-    # every row, and a pair wins only by strictly beating the first maximum
-    buf = np.empty((k - 1, ens.m))
+    # chord = sqrt(max(2 - 2 gram, 0)) in place, one (k, k) array; scaling by
+    # -2 is exact, so the bits equal those of the out-of-place formula
+    chord = points.points @ points.points.T
+    chord *= -2.0
+    chord += 2.0
+    np.maximum(chord, 0.0, out=chord)
+    np.sqrt(chord, out=chord)
+    # the statistic is symmetric, so row i only scans j > i, in blocks of at
+    # most L1_SCAN_BYTES; one buffer serves every block, and a pair wins only
+    # by strictly beating the first maximum
+    block = max(1, min(k - 1, L1_SCAN_BYTES // (8 * ens.m)))
+    buf = np.empty((block, ens.m))
     worst = 0.0
     pair = (0, 0)
     for i in range(k - 1):
-        rows = buf[: k - 1 - i]
-        np.subtract(proj[i], proj[i + 1 :], out=rows)
-        np.abs(rows, out=rows)
-        stat = rows.sum(axis=1) / ens.m / HALF_NORMAL_MEAN
-        gap = np.abs(stat - chord[i, i + 1 :])
-        j = int(np.argmax(gap))
-        if gap[j] > worst:
-            worst = float(gap[j])
-            pair = (i, i + 1 + j)
+        for lo in range(i + 1, k, block):
+            rows = buf[: min(block, k - lo)]
+            np.subtract(proj[i], proj[lo : lo + block], out=rows)
+            np.abs(rows, out=rows)
+            stat = rows.sum(axis=1) / ens.m / HALF_NORMAL_MEAN
+            gap = np.abs(stat - chord[i, lo : lo + block])
+            j = int(np.argmax(gap))
+            if gap[j] > worst:
+                worst = float(gap[j])
+                pair = (i, lo + j)
     return _rip_report(worst, pair, ens, delta_target)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from onebit import ExperimentConfig, ReportRow, resolve_m, run, run_experiment, summarize
 from onebit.cli import main, parse_config
-from onebit.harness import EXPERIMENT_ORDER, REGISTRY, default_out_path
+from onebit.harness import EXPERIMENT_ORDER, MAX_DIRECTION_BYTES, REGISTRY, default_out_path
 
 # --- measurement budget resolution -----------------------------------------------
 
@@ -354,6 +354,16 @@ def test_parse_config_rejects_bool_m(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Fail the test if an experiment starts."""
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("an experiment ran before validation finished")
+
+    monkeypatch.setattr("onebit.harness.run_experiment", no_trials)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -364,17 +374,39 @@ def test_parse_config_rejects_bool_m(tmp_path, capsys):
         ["rip", "--delta", "0.2", "--safety", "nan"],
         ["small-cells", "--delta", "0.2", "--safety", "1e308"],  # auto m overflows
         ["crofton", "--seed", "-1"],
+        ["crofton", "--m", "40000000"],  # explicit m over the direction limit
+        ["embed", "--delta", "0.2", "--safety", "1e308"],  # the trial's own budget
     ],
 )
-def test_main_rejects_unrunnable_experiments_before_any_work(argv, tmp_path, capsys, monkeypatch):
-    def no_trials(*args, **kwargs):
-        raise AssertionError("an experiment ran before validation finished")
-
-    monkeypatch.setattr("onebit.harness.run_experiment", no_trials)
+def test_main_rejects_unrunnable_experiments_before_any_work(argv, tmp_path, capsys, no_runs):
     out = tmp_path / "r.csv"
     assert main(argv + ["--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, first_rejected",
+    [("rip", "rip: m = 277258872223979"), ("all", "small-cells: m = 26491586832741")],
+)
+def test_oversized_m_names_the_direction_limit(
+    experiment, first_rejected, tmp_path, capsys, no_runs
+):
+    out = tmp_path / "r.csv"
+    argv = [experiment, "--delta", "0.2", "--safety", "1e12", "--trials", "1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{first_rejected} directions of dimension 65" in err
+    assert "1 GiB direction limit" in err
+    assert not out.exists()
+
+
+def test_direction_limit_is_inclusive():
+    # crofton draws m x 4 float64 directions: 2**30 / 32 of them fill 1 GiB exactly
+    most = MAX_DIRECTION_BYTES // 32
+    ExperimentConfig(experiment="crofton", m=most).validate()
+    with pytest.raises(ValueError, match="direction limit"):
+        ExperimentConfig(experiment="crofton", m=most + 1).validate()
 
 
 def test_run_all_script_matches_combined_report(tmp_path):

@@ -1,6 +1,7 @@
 """Process layer: widths, hemisphere covariance, symmetrization, minoration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from onebit import (
     hemisphere_covariance,
     hemisphere_empirical_samples,
     metric_distances,
+    processes,
     substream,
     sudakov_check,
     symmetrized_process_sup,
@@ -137,6 +139,61 @@ def test_empirical_samples_have_quarter_variance():
     variances = samples.var(axis=0, ddof=1)
     assert np.all(np.abs(variances - 0.25) <= 0.04)
     assert np.all(np.abs(samples.mean(axis=0)) <= 0.05)
+
+
+def _hemisphere_samples_reference(points, m_inner, trials, rng):
+    """The sampler as first written: normalized rows, chunks that ignore k."""
+    k = len(points)
+    out = np.empty((trials, k))
+    root_m = math.sqrt(m_inner)
+    chunk = max(1, int(8_000_000 // (m_inner * points.ambient)))
+    done = 0
+    while done < trials:
+        batch = min(chunk, trials - done)
+        g = rng.standard_normal((batch * m_inner, points.ambient))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        counts = (g @ points.points.T >= 0).reshape(batch, m_inner, k).sum(axis=1)
+        out[done : done + batch] = (counts - m_inner / 2.0) / root_m
+        done += batch
+    return out
+
+
+def _assert_samples_match_reference(k: int, trials: int, seed: int):
+    pts = PointSet.uniform(3, k, substream(seed, "test-emp-ref-pts", k))
+    rng = substream(seed, "test-emp-ref-draws", k)
+    samples = hemisphere_empirical_samples(pts, 10_000, trials, rng)
+    ref_rng = substream(seed, "test-emp-ref-draws", k)
+    expected = _hemisphere_samples_reference(pts, 10_000, trials, ref_rng)
+    assert samples.tobytes() == expected.tobytes()  # bitwise, not approximately
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# trials per chunk at the default budget: 40 (k = 1), 17 (k = 7), 4 (k = 40), 1 (k = 100)
+@pytest.mark.parametrize("k, trials", [(1, 41), (7, 18), (40, 10), (100, 3)])
+def test_empirical_samples_match_reference(k, trials):
+    _assert_samples_match_reference(k, trials, seed=17)
+
+
+@pytest.mark.parametrize("k", [1, 7, 40])
+def test_empirical_samples_match_reference_in_pieces(k, monkeypatch):
+    # a budget of 3000 directions splits every trial into pieces of 3000, 3000, 3000, 1000
+    monkeypatch.setattr(processes, "HEMISPHERE_CHUNK_BYTES", 3_000 * (8 * 4 + 9 * k))
+    _assert_samples_match_reference(k, 2, seed=18)
+
+
+def test_empirical_samples_memory_follows_budget():
+    # the old chunk rule held 2 trials of 10^4 directions against 2000 points
+    # at once: a (20000, 2000) float64 projection plus its mask, about 360 MB
+    pts = PointSet.uniform(3, 2_000, substream(19, "test-emp-mem"))
+    rng = substream(19, "test-emp-mem-draws")
+    tracemalloc.start()
+    try:
+        samples = hemisphere_empirical_samples(pts, 10_000, 2, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert samples.shape == (2, 2_000)
+    assert peak < 64 * 2**20
 
 
 def test_cholesky_and_empirical_widths_agree():

@@ -31,6 +31,7 @@ from onebit import (
     small_cells_check,
     sparse_net,
     substream,
+    verify,
     wedge_mask,
 )
 
@@ -399,3 +400,30 @@ def test_linear_l1_rip_tied_pairs_match_reference():
     chord = np.sqrt(np.maximum(2.0 - 2.0 * (pts.points @ pts.points.T), 0.0))
     assert np.count_nonzero(np.abs(stat - chord) == worst) > 2
     _assert_matches_reference(pts, ens)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 7, 64])
+def test_linear_l1_rip_blocks_match_reference(rows_per_block, monkeypatch):
+    # a budget of a few rows splits every scan of j > i into several blocks
+    rng = substream(17, "test-l1rip-blocks")
+    net = sparse_net(SparseSpec(16, 3), 60, rng)
+    ens = MeasurementEnsemble(rng.standard_normal((500, 17)), EnsembleKind.GAUSSIAN)
+    monkeypatch.setattr(verify, "L1_SCAN_BYTES", rows_per_block * 8 * ens.m)
+    assert len(net) > 64
+    _assert_matches_reference(net, ens)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 4])
+def test_linear_l1_rip_blocked_ties_match_reference(rows_per_block, monkeypatch):
+    rng = substream(16, "test-l1rip-ties")
+    base = PointSet.uniform(3, 6, rng).points
+    pts = PointSet(np.vstack([base, base, base]))
+    ens = MeasurementEnsemble.gaussian(3, 64, seed=16)
+    monkeypatch.setattr(verify, "L1_SCAN_BYTES", rows_per_block * 8 * ens.m)
+    _assert_matches_reference(pts, ens)
+
+
+def test_linear_l1_rip_rip_shape_is_one_block():
+    # the battery's linear-rip shape (210 points, m = 2773) scans each row in one block
+    assert verify.L1_SCAN_BYTES // (8 * 2773) >= 209
+
