@@ -234,6 +234,8 @@ def _check_directions(m, n: int, label: str):
 
 
 def _embed_limits(eff: _Effective):
+    if eff.net_size < 2:
+        raise ValueError("embed needs net_size >= 2: distortion is measured over pairs")
     # finite_embedding sizes its own ensemble: safety * delta^-2 * log(net_size)
     budget = eff.safety * eff.delta**-2 * math.log(eff.net_size)
     _check_directions(budget, eff.n, "the embedding budget m")

@@ -11,7 +11,7 @@ covariance of a pair is 1/4 - d(x, y)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -22,6 +22,8 @@ from .sphere import PointSet, UnitVector, geodesic_distance, pairwise_geodesic
 
 CHOLESKY_MAX_POINTS = 2000
 _JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+# a factorization at this jitter or below proves the covariance PSD
+CERTIFIED_JITTER = 1e-9
 MIN_WIDTH_TRIALS = 100
 MIN_EMPIRICAL_INNER = 10_000
 # working memory of one chunk of hemisphere_empirical_samples
@@ -47,30 +49,71 @@ def hemisphere_covariance(x: UnitVector, y: UnitVector) -> float:
     return 0.25 - 0.5 * geodesic_distance(x, y)
 
 
+def _jitter_ladder(entries: np.ndarray) -> tuple[np.ndarray | None, float | None]:
+    """Cholesky factor of entries + jitter * I at the smallest rung that factors.
+
+    Returns (factor, jitter), or (None, None) when every rung fails.
+    """
+    shifted = entries.copy()
+    diag = np.diagonal(entries)
+    for jitter in _JITTERS:
+        np.fill_diagonal(shifted, diag + jitter)
+        try:
+            return np.linalg.cholesky(shifted), jitter
+        except np.linalg.LinAlgError:
+            continue
+    return None, None
+
+
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Hemisphere process covariance over a point set.
+    """Hemisphere process covariance over a point set, with its Cholesky factor.
 
     The diagonal equals 1/4 exactly and the matrix is positive semidefinite
     up to roundoff (smallest eigenvalue >= -1e-8 before jitter); both are
-    checked at construction.
+    checked at construction.  Construction also factors entries + jitter * I
+    at the first rung of ``_JITTERS`` that succeeds and keeps the factor in
+    ``factor`` (None when every rung fails).
+
+    A factorization at jitter <= ``CERTIFIED_JITTER`` of at most
+    ``CHOLESKY_MAX_POINTS`` points proves PSD: its backward error bounds
+    lambda_min from below by -1e-9 - O(k eps |A|), inside the -1e-8
+    tolerance.  Any other outcome falls back to ``eigvalsh``.
     """
 
     entries: np.ndarray
+    factor: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ent = self.entries
         if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
             raise ValueError("covariance must be square")
+        if not np.all(np.isfinite(ent)):
+            raise ValueError("covariance entries must be finite")
         if np.abs(np.diag(ent) - 0.25).max() > 1e-12:
             raise ValueError("hemisphere covariance diagonal must equal 1/4")
-        smallest = float(np.linalg.eigvalsh(ent)[0])
-        if smallest < -1e-8:
-            raise ValueError(f"covariance is not PSD within tolerance: lambda_min = {smallest:.3e}")
+        factor, jitter = _jitter_ladder(ent)
+        certified = (
+            jitter is not None
+            and jitter <= CERTIFIED_JITTER
+            and ent.shape[0] <= CHOLESKY_MAX_POINTS
+        )
+        if not certified:
+            smallest = float(np.linalg.eigvalsh(ent)[0])
+            if smallest < -1e-8:
+                raise ValueError(
+                    f"covariance is not PSD within tolerance: lambda_min = {smallest:.3e}"
+                )
+        if factor is not None:
+            factor.flags.writeable = False
+        object.__setattr__(self, "factor", factor)
 
 
 def covariance_matrix(points: PointSet) -> CovarianceMatrix:
-    ent = 0.25 - 0.5 * points.pairwise_geodesic()
+    # 0.25 + (-0.5 d) in place is bitwise 0.25 - 0.5 d
+    ent = points.pairwise_geodesic()
+    ent *= -0.5
+    ent += 0.25
     ent.flags.writeable = False
     return CovarianceMatrix(entries=ent)
 
@@ -97,25 +140,14 @@ def estimate_gaussian_width(
     )
 
 
-def _chol_with_jitter(entries: np.ndarray) -> np.ndarray:
-    eye = np.eye(entries.shape[0])
-    for jitter in _JITTERS:
-        try:
-            return np.linalg.cholesky(entries + jitter * eye)
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalError(
-        f"cholesky failed for every jitter up to {_JITTERS[-1]:g}; covariance is badly conditioned"
-    )
-
-
 def estimate_hemisphere_width_cholesky(
     points: PointSet, trials: int, rng: np.random.Generator
 ) -> WidthEstimate:
     """E sup of hemisphere process increments, sampled from the exact covariance.
 
-    Factorizes 1/4 - d/2 (plus a small diagonal jitter, escalated tenfold on
-    failure) and averages the range of the resulting gaussian vector.  The
+    Samples through the Cholesky factor of 1/4 - d/2 (plus a small diagonal
+    jitter, escalated tenfold on failure) that :class:`CovarianceMatrix`
+    keeps, and averages the range of the resulting gaussian vector.  The
     exact factorization limits the set to ``CHOLESKY_MAX_POINTS`` points.
     """
     if len(points) > CHOLESKY_MAX_POINTS:
@@ -125,8 +157,12 @@ def estimate_hemisphere_width_cholesky(
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     cov = covariance_matrix(points)
-    chol = _chol_with_jitter(cov.entries)
-    z = rng.standard_normal((trials, len(points))) @ chol.T
+    if cov.factor is None:
+        raise NumericalError(
+            f"cholesky failed for every jitter up to {_JITTERS[-1]:g}; "
+            "covariance is badly conditioned"
+        )
+    z = rng.standard_normal((trials, len(points))) @ cov.factor.T
     sups = z.max(axis=1) - z.min(axis=1)
     return WidthEstimate(
         value=float(sups.mean()),

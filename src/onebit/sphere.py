@@ -131,8 +131,11 @@ def pairwise_geodesic(points: np.ndarray) -> np.ndarray:
     The diagonal is set to exactly 0 so downstream covariance constructions
     see the identity d(x, x) = 0 without arccos roundoff.
     """
-    gram = np.clip(points @ points.T, -1.0, 1.0)
-    dist = np.arccos(gram) / np.pi
+    points = np.asarray(points, dtype=float)
+    dist = points @ points.T
+    np.clip(dist, -1.0, 1.0, out=dist)
+    np.arccos(dist, out=dist)
+    dist /= np.pi
     np.fill_diagonal(dist, 0.0)
     return dist
 
@@ -167,11 +170,8 @@ def uniform_sphere_rows(n: int, count: int, rng: np.random.Generator) -> np.ndar
     return g / norms
 
 
-def sample_sparse_unit(spec: SparseSpec, rng: np.random.Generator) -> UnitVector:
-    """Uniform s-sparse unit vector: uniform support, uniform subsphere direction.
-
-    Exactly ``spec.s`` coordinates are nonzero.
-    """
+def _sparse_row(spec: SparseSpec, rng: np.random.Generator) -> np.ndarray:
+    """Coordinates of :func:`sample_sparse_unit`'s draw, without validation."""
     support = rng.choice(spec.ambient, size=spec.s, replace=False)
     while True:
         g = rng.standard_normal(spec.s)
@@ -180,7 +180,15 @@ def sample_sparse_unit(spec: SparseSpec, rng: np.random.Generator) -> UnitVector
             break
     out = np.zeros(spec.ambient)
     out[support] = g / norm
-    return UnitVector(out)
+    return out
+
+
+def sample_sparse_unit(spec: SparseSpec, rng: np.random.Generator) -> UnitVector:
+    """Uniform s-sparse unit vector: uniform support, uniform subsphere direction.
+
+    Exactly ``spec.s`` coordinates are nonzero.
+    """
+    return UnitVector(_sparse_row(spec, rng))
 
 
 def sample_convex_sparse(spec: SparseSpec, rng: np.random.Generator) -> UnitVector:
@@ -281,8 +289,51 @@ class PointSet:
     def sparse(cls, spec: SparseSpec, count: int, rng: np.random.Generator) -> "PointSet":
         if count < 1:
             raise ValueError("count must be >= 1")
-        rows = np.stack([sample_sparse_unit(spec, rng).coords for _ in range(count)])
+        # PointSet validates the rows, so the per-point UnitVector check is skipped
+        rows = np.stack([_sparse_row(spec, rng) for _ in range(count)])
         return cls(rows, GeneratorTag.SPARSE)
+
+
+def _close_pair_rows(dist: np.ndarray, count: int) -> list[int]:
+    """Lower endpoint of each of the ``count`` closest pairs, closest first.
+
+    ``dist`` holds symmetric distances with +inf on the diagonal.  Pairs come
+    in the order in which a stable sort of all k^2 entries meets each pair
+    first: by (distance, i, j) with i < j, and the row i is chosen.  Nets
+    with fewer than ``count`` pairs continue with the self-pairs (i, i) in
+    index order, as that sort reaches the diagonal last.
+
+    Each pair is the row minimum of at most two rows, so the 2 * count
+    smallest row minima come from at least ``count`` distinct pairs, all at
+    or below the largest of them, t.  Only entries <= t are looked at:
+    those below t lie in fewer than 2 * count rows, and entries equal to t
+    are read row by row in index order until enough pairs are found.
+    """
+    k = dist.shape[0]
+    row_min = dist.min(axis=1)
+    # with fewer than 2 * count rows every pair is a candidate (distances <= 1)
+    t = np.partition(row_min, 2 * count - 1)[2 * count - 1] if k >= 2 * count else 1.0
+    chosen: list[int] = []
+    seen: set[tuple[int, int]] = set()
+
+    def take(i: int, j: int) -> bool:
+        key = (min(i, j), max(i, j))
+        if key not in seen:
+            seen.add(key)
+            chosen.append(i)
+        return len(chosen) == count
+
+    below = np.flatnonzero(row_min < t)
+    ii, jj = np.nonzero(dist[below] < t)
+    ii = below[ii]
+    for n in np.lexsort((jj, ii, dist[ii, jj])):
+        if take(int(ii[n]), int(jj[n])):
+            return chosen
+    for i in np.flatnonzero(row_min <= t):
+        for j in np.flatnonzero(dist[i] == t):
+            if take(int(i), int(j)):
+                return chosen
+    return chosen + list(range(min(k, count - len(chosen))))
 
 
 def sparse_net(
@@ -296,7 +347,8 @@ def sparse_net(
 
     Draws ``size`` independent s-sparse points, then appends one companion
     per nearest pair (``close_pairs`` of them): a small in-support tangent
-    perturbation of one endpoint.  Companions stay inside the s-sparse set
+    perturbation of the pair's lower-index endpoint, so the net does not
+    depend on how a sort breaks ties.  Companions stay inside the s-sparse set
     and guarantee the net exercises small geodesic distances, where relative
     distortion checks are hardest.
     """
@@ -304,19 +356,8 @@ def sparse_net(
     if close_pairs <= 0:
         return base
     dist = base.pairwise_geodesic()
-    np.fill_diagonal(dist, 2.0)
-    order = np.argsort(dist, axis=None)
-    chosen: list[int] = []
-    seen: set[tuple[int, int]] = set()
-    for flat in order:
-        i, j = np.unravel_index(flat, dist.shape)
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            continue
-        seen.add(key)
-        chosen.append(int(i))
-        if len(chosen) >= close_pairs:
-            break
+    np.fill_diagonal(dist, np.inf)  # a point is not its own close pair
+    chosen = _close_pair_rows(dist, close_pairs)
     extras = []
     for idx in chosen:
         x = base.points[idx]
@@ -338,7 +379,7 @@ def sparse_net(
 
 def signs(values: np.ndarray) -> np.ndarray:
     """Elementwise sign with sign(0) = +1, as int8."""
-    return np.where(np.asarray(values) >= 0, 1, -1).astype(np.int8)
+    return np.where(np.asarray(values) >= 0, np.int8(1), np.int8(-1))
 
 
 def in_wedge(theta: UnitVector, x: UnitVector, y: UnitVector) -> bool:

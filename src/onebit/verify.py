@@ -25,6 +25,8 @@ from .sphere import PointSet, UnitVector, uniform_sphere_rows
 
 # working memory of linear_l1_rip's row buffer
 L1_SCAN_BYTES = 16 * 2**20
+# float32 counts +-1 agreements exactly in blocks of fewer than 2^24 columns
+HAMMING_BLOCK_COLUMNS = 2**24 - 1
 
 
 @dataclass(frozen=True)
@@ -142,9 +144,20 @@ def margin_separation_count(
 
 
 def _hamming_matrix(points: PointSet, ens: MeasurementEnsemble) -> np.ndarray:
-    bits = sign_matrix(ens, points).astype(float)
-    agree = bits @ bits.T
-    return (ens.m - agree) / (2.0 * ens.m)
+    """Pairwise Hamming distances, bitwise equal to the float64 product of the bits.
+
+    Each block of fewer than 2^24 columns is multiplied in float32: every
+    partial sum of its +-1 products is an integer below 2^24 in magnitude,
+    so float32 holds it exactly, and the block sums add up exactly in float64.
+    """
+    bits = sign_matrix(ens, points)
+    # m - agreements stays an exact integer, so the in-place steps keep the bits
+    dist = np.full((len(points), len(points)), float(ens.m))
+    for lo in range(0, ens.m, HAMMING_BLOCK_COLUMNS):
+        block = bits[:, lo : lo + HAMMING_BLOCK_COLUMNS].astype(np.float32)
+        dist -= block @ block.T
+    dist /= 2.0 * ens.m
+    return dist
 
 
 def one_bit_rip(points: PointSet, ens: MeasurementEnsemble, delta_target: float) -> RipReport:
@@ -158,7 +171,9 @@ def one_bit_rip(points: PointSet, ens: MeasurementEnsemble, delta_target: float)
         raise ValueError("need at least one measurement")
     if len(points) < 2:
         raise ValueError("need at least two points")
-    gap = np.abs(_hamming_matrix(points, ens) - points.pairwise_geodesic())
+    gap = _hamming_matrix(points, ens)
+    gap -= points.pairwise_geodesic()
+    np.abs(gap, out=gap)
     np.fill_diagonal(gap, 0.0)
     return _rip_report(*_argmax_pair(gap), ens, delta_target)
 
@@ -173,9 +188,15 @@ def sign_product_rip(
     if ens.m < 1:
         raise ValueError("need at least one measurement")
     proj = points.points @ ens.directions.T  # (k, m)
-    signs_x = np.where(proj >= 0, 1.0, -1.0)
-    stats = (signs_x @ proj.T) / ens.m - HALF_NORMAL_MEAN * (points.points @ points.points.T)
-    return _rip_report(*_argmax_pair(np.abs(stats)), ens, delta_target)
+    stats = np.where(proj >= 0, 1.0, -1.0) @ proj.T
+    del proj
+    # in place, the same operations in the same order: the bits are unchanged
+    stats /= ens.m
+    gram = points.points @ points.points.T
+    gram *= HALF_NORMAL_MEAN
+    stats -= gram
+    np.abs(stats, out=stats)
+    return _rip_report(*_argmax_pair(stats), ens, delta_target)
 
 
 def linear_l1_rip(
@@ -236,13 +257,17 @@ def metric_ratio_check(
     if min_sep <= 0.0:
         raise ValueError("min_sep must be positive")
     dist = points.pairwise_geodesic()
-    off = ~np.eye(len(points), dtype=bool)
-    if dist[off].min() < min_sep:
+    np.fill_diagonal(dist, np.inf)
+    if dist.min() < min_sep:
         raise PreconditionError(
             f"pairs closer than min_sep={min_sep}: run a packing before this check"
         )
-    ratio = np.abs(_hamming_matrix(points, ens) - dist) / np.where(off, dist, 1.0)
-    ratio[~off] = 0.0
+    np.fill_diagonal(dist, 1.0)
+    ratio = _hamming_matrix(points, ens)
+    ratio -= dist
+    np.abs(ratio, out=ratio)
+    ratio /= dist
+    np.fill_diagonal(ratio, 0.0)
     sup, pair = _argmax_pair(ratio)
     return MetricRatioReport(
         sup_ratio=sup, argmax_pair=pair, min_sep=float(min_sep), passed=sup <= 1.0

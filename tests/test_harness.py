@@ -376,6 +376,8 @@ def no_runs(monkeypatch):
         ["crofton", "--seed", "-1"],
         ["crofton", "--m", "40000000"],  # explicit m over the direction limit
         ["embed", "--delta", "0.2", "--safety", "1e308"],  # the trial's own budget
+        ["embed", "--delta", "0.2", "--net-size", "1"],  # no pair to measure
+        ["all", "--delta", "0.2", "--net-size", "1", "--m", "100", "--trials", "1"],
     ],
 )
 def test_main_rejects_unrunnable_experiments_before_any_work(argv, tmp_path, capsys, no_runs):

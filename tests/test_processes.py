@@ -12,8 +12,10 @@ from onebit import (
     EnsembleKindError,
     FeasibilityError,
     MeasurementEnsemble,
+    NumericalError,
     PointSet,
     ProcessMetric,
+    SparseSpec,
     UnitVector,
     WidthMethod,
     conditional_metric_sq,
@@ -25,6 +27,7 @@ from onebit import (
     hemisphere_empirical_samples,
     metric_distances,
     processes,
+    sparse_net,
     substream,
     sudakov_check,
     symmetrized_process_sup,
@@ -71,6 +74,82 @@ def test_covariance_matrix_validation():
         CovarianceMatrix(np.zeros((2, 3)))  # not square
     with pytest.raises(ValueError):
         CovarianceMatrix(np.array([[0.25, 0.30], [0.30, 0.25]]))  # not PSD
+    with pytest.raises(ValueError, match="finite"):
+        CovarianceMatrix(np.array([[0.25, np.nan], [np.nan, 0.25]]))
+
+
+def _chol_with_jitter_reference(entries):
+    """The estimator's former ladder, whose factor CovarianceMatrix must keep."""
+    eye = np.eye(entries.shape[0])
+    for jitter in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+        try:
+            return np.linalg.cholesky(entries + jitter * eye)
+        except np.linalg.LinAlgError:
+            continue
+    return None
+
+
+def _twin_covariance(gap):
+    """[[1/4, 1/4 + gap], [1/4 + gap, 1/4]]: lambda_min = -gap, first factored at jitter > gap."""
+    return np.array([[0.25, 0.25 + gap], [0.25 + gap, 0.25]])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: PointSet.uniform(3, 50, rng),
+        lambda rng: PointSet.uniform(63, 400, rng),
+        # repeated points make the covariance singular
+        lambda rng: PointSet(np.vstack([PointSet.uniform(3, 20, rng).points] * 3)),
+        lambda rng: sparse_net(SparseSpec(64, 4), 300, rng),
+    ],
+)
+def test_covariance_factor_matches_jitter_ladder(make):
+    cov = covariance_matrix(make(substream(6, "test-cov-factor")))
+    assert np.array_equal(cov.factor, _chol_with_jitter_reference(cov.entries))
+    assert not cov.factor.flags.writeable
+
+
+def test_covariance_factor_from_a_higher_rung_is_kept():
+    # factors at jitter 1e-8 only; lambda_min = -5e-9 passes the eigvalsh fallback
+    cov = CovarianceMatrix(_twin_covariance(5e-9))
+    assert np.array_equal(cov.factor, _chol_with_jitter_reference(cov.entries))
+
+
+def test_covariance_factored_only_at_a_high_rung_is_rejected():
+    # factors at jitter 1e-7, above the certified rungs, and lambda_min = -5e-8
+    entries = _twin_covariance(5e-8)
+    assert _chol_with_jitter_reference(entries) is not None
+    with pytest.raises(ValueError, match="not PSD within tolerance: lambda_min = -5.000e-08"):
+        CovarianceMatrix(entries)
+
+
+def test_eigvalsh_runs_only_when_the_ladder_cannot_certify(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape[0])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    CovarianceMatrix(_twin_covariance(-0.1))  # factors at jitter 1e-10
+    assert calls == []
+    CovarianceMatrix(_twin_covariance(5e-9))  # needs jitter 1e-8
+    assert calls == [2]
+    monkeypatch.setattr(processes, "CHOLESKY_MAX_POINTS", 1)
+    CovarianceMatrix(_twin_covariance(-0.1))  # too many points for the roundoff bound
+    assert calls == [2, 2]
+
+
+def test_cholesky_width_raises_when_every_rung_fails(monkeypatch):
+    # a ladder that cannot factor a covariance eigvalsh accepts
+    monkeypatch.setattr(processes, "_JITTERS", (-1.0,))
+    rng = substream(4, "test-hw-ladder")
+    pts = PointSet.uniform(2, 5, rng)
+    assert covariance_matrix(pts).factor is None
+    with pytest.raises(NumericalError, match="cholesky failed for every jitter up to -1"):
+        estimate_hemisphere_width_cholesky(pts, 10, rng)
 
 
 # --- gaussian width --------------------------------------------------------------

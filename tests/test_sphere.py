@@ -33,7 +33,7 @@ from onebit import (
     uniform_sphere_rows,
     wedge_mask,
 )
-from onebit.sphere import _crossing_fraction
+from onebit.sphere import _close_pair_rows, _crossing_fraction
 
 
 def unit(*coords):
@@ -239,6 +239,91 @@ def test_sparse_net_zero_companions_is_plain_sample():
     rng = substream(9, "net0")
     net = sparse_net(SparseSpec(20, 3), 60, rng, close_pairs=0)
     assert len(net) == 60
+
+
+# --- close pairs against the full stable sort ----------------------------------
+
+
+def _close_rows_reference(dist, count):
+    """sparse_net's former loop over a stable argsort of all k^2 entries (diagonal 2)."""
+    dist = dist.copy()
+    np.fill_diagonal(dist, 2.0)
+    chosen, seen = [], set()
+    for flat in np.argsort(dist, axis=None, kind="stable"):
+        i, j = np.unravel_index(flat, dist.shape)
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            continue
+        seen.add(key)
+        chosen.append(int(i))
+        if len(chosen) >= count:
+            break
+    return chosen
+
+
+def _sparse_net_reference(spec, size, rng, close_pairs=10, close_scale=0.05):
+    """sparse_net with the companions chosen by _close_rows_reference."""
+    base = PointSet.sparse(spec, size, rng)
+    extras = []
+    for idx in _close_rows_reference(base.pairwise_geodesic(), close_pairs):
+        x = base.points[idx]
+        support = np.flatnonzero(x)
+        t = rng.standard_normal(support.size)
+        local = x[support]
+        t -= (t @ local) * local
+        perturbed = local + close_scale * t
+        perturbed /= np.linalg.norm(perturbed)
+        row = np.zeros_like(x)
+        row[support] = perturbed
+        extras.append(row)
+    return PointSet(np.vstack([base.points, np.stack(extras)]), GeneratorTag.SPARSE)
+
+
+def _assert_same_net(spec, size, seed, close_pairs=10):
+    rng = substream(seed, "test-close-pairs", size, close_pairs)
+    expected_rng = substream(seed, "test-close-pairs", size, close_pairs)
+    net = sparse_net(spec, size, rng, close_pairs=close_pairs)
+    expected = _sparse_net_reference(spec, size, expected_rng, close_pairs=close_pairs)
+    assert np.array_equal(net.points, expected.points)
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("spec, size", [(SparseSpec(20, 3), 60), (SparseSpec(64, 4), 300)])
+def test_sparse_net_matches_stable_sort_reference(spec, size, seed):
+    _assert_same_net(spec, size, seed)
+
+
+@pytest.mark.parametrize("close_pairs", [1, 3, 10, 25])
+def test_sparse_net_with_massive_ties_matches_reference(close_pairs):
+    # 1-sparse points are +-e_i: exact duplicates, distance-1/2 and antipodal ties
+    _assert_same_net(SparseSpec(7, 1), 40, 0, close_pairs)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_small_sparse_nets_fill_with_self_pairs(size):
+    # 10 companions need more than the size * (size - 1) / 2 pairs below 5 points
+    _assert_same_net(SparseSpec(10, 2), size, 3)
+    _assert_same_net(SparseSpec(10, 2), size, 3, close_pairs=3)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 8, 9, 16, 30, 64, 120, 200])
+def test_close_pair_rows_on_signed_basis_match_reference(count):
+    # the basis vectors of R^8 and their negatives: every pair is at 1/2 or 1
+    rows = np.vstack([np.eye(8), -np.eye(8)])
+    dist = pairwise_geodesic(rows)
+    expected = _close_rows_reference(dist, count)
+    np.fill_diagonal(dist, np.inf)
+    assert _close_pair_rows(dist, count) == expected
+
+
+def test_close_pairs_take_the_lower_index_of_tied_pairs():
+    rows = np.vstack([np.eye(4), -np.eye(4)])
+    dist = pairwise_geodesic(rows)
+    np.fill_diagonal(dist, np.inf)
+    # all 24 distance-1/2 pairs come first, in (i, j) order, then the antipodes
+    assert _close_pair_rows(dist, 28) == [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2,
+                                          3, 3, 3, 4, 4, 4, 5, 5, 6, 0, 1, 2, 3]
 
 
 # --- signs and wedges ----------------------------------------------------------

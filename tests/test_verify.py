@@ -27,6 +27,7 @@ from onebit import (
     metric_ratio_check,
     one_bit_rip,
     sign_product_rip,
+    sign_matrix,
     sign_product_statistic,
     small_cells_check,
     sparse_net,
@@ -427,3 +428,25 @@ def test_linear_l1_rip_rip_shape_is_one_block():
     # the battery's linear-rip shape (210 points, m = 2773) scans each row in one block
     assert verify.L1_SCAN_BYTES // (8 * 2773) >= 209
 
+
+
+# --- Hamming matrix against the float64 product ---------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 50, 2773])
+@pytest.mark.parametrize("block_columns", [None, 7])
+def test_hamming_matrix_matches_float64_product(m, block_columns, monkeypatch):
+    # block_columns = 7 sums several float32 blocks, the last one partial
+    if block_columns is not None:
+        monkeypatch.setattr(verify, "HAMMING_BLOCK_COLUMNS", block_columns)
+    rng = substream(18, "test-hamming-blocks", m)
+    net = sparse_net(SparseSpec(64, 4), 200, rng)
+    ens = MeasurementEnsemble.uniform(64, m, seed=18)
+    bits = sign_matrix(ens, net).astype(float)
+    expected = (ens.m - bits @ bits.T) / (2.0 * ens.m)
+    assert np.array_equal(verify._hamming_matrix(net, ens), expected)
+
+
+def test_hamming_blocks_count_exactly_in_float32():
+    # every partial sum of a block's +-1 products must be a float32 integer
+    assert verify.HAMMING_BLOCK_COLUMNS < 2**24
