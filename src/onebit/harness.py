@@ -242,8 +242,15 @@ def _embed_limits(eff: _Effective):
 
 
 def _nets_limits(eff: _Effective):
+    if eff.net_size < 2:
+        raise ValueError("nets needs net_size >= 2: a single point packs and covers trivially")
     if eff.delta >= 0.5:
         raise ValueError("nets needs delta < 0.5 so the 2*delta packing is meaningful")
+
+
+def _metric_ratio_limits(eff: _Effective):
+    if eff.net_size < 2:
+        raise ValueError("metric-ratio needs net_size >= 2: the ratio is measured over pairs")
 
 
 def _width_limits(eff: _Effective):
@@ -345,8 +352,8 @@ def _trial_metric_ratio(eff: _Effective, rng):
     min_sep = eff.delta / 4.0
     packed = greedy_packing(sample, min_sep, rng).centers
     stats = [_Stat("m", eff.m), _Stat("net_points", len(packed))]
-    if len(packed) < 2:
-        stats.append(_Stat("sup_ratio", 0.0, True))
+    if len(packed) < 2:  # no pair was measured, so nothing passed
+        stats.append(_Stat("sup_ratio", 0.0, False))
         return stats
     report = metric_ratio_check(packed, _ensemble(eff, rng), min_sep)
     stats.append(_Stat("sup_ratio", report.sup_ratio, report.passed))
@@ -536,7 +543,7 @@ REGISTRY: dict[str, Experiment] = {
         Experiment(
             "metric-ratio", "relative hamming/geodesic error on a separated net",
             _trial_metric_ratio, ("sup_ratio",), _rate_verdict, _sparse_budget,
-            needs_delta=True, needs_s=True,
+            needs_delta=True, needs_s=True, limits=_metric_ratio_limits,
         ),
         Experiment(
             "embed", "one-bit embedding of a finite set at computed budget",

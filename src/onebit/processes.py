@@ -11,6 +11,7 @@ covariance of a pair is 1/4 - d(x, y)/2.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,6 +29,8 @@ MIN_WIDTH_TRIALS = 100
 MIN_EMPIRICAL_INNER = 10_000
 # working memory of one chunk of hemisphere_empirical_samples
 HEMISPHERE_CHUNK_BYTES = 16 * 2**20
+# OpenBLAS runs a GEMM of m * n * k multiply-adds below 65536 * 4 on one thread
+_GEMM_ONE_THREAD = 2**18 - 1
 
 
 class WidthMethod(str, Enum):
@@ -182,32 +185,80 @@ def hemisphere_empirical_samples(
     version of the hemisphere process.  A direction is a standard gaussian
     row left unnormalized, since the sign of <x, g> does not depend on |g|.
 
-    Memory: each direction costs 8 * ambient bytes of float64 draws plus
-    9 * k bytes of float64 projection and bool hit, and one chunk holds at
-    most ``HEMISPHERE_CHUNK_BYTES`` of them: whole trials when one fits,
-    else a trial's directions in several pieces.  The draws come in the
-    same order at any chunk size, so the output does not depend on it.
+    Work and memory: the calling thread draws every chunk's directions from
+    ``rng``, while one helper thread, opened for this call, projects and
+    counts the chunk before it; it never touches ``rng``.  With at most one
+    chunk in flight, two reused float64 draw buffers (16 * ambient bytes per
+    direction) and one bool hit array (k bytes per direction) hold at most
+    ``HEMISPHERE_CHUNK_BYTES``: whole trials when one fits, else a trial's
+    directions in several pieces.  Projections go through one fixed block
+    of at most ``_GEMM_ONE_THREAD`` multiply-adds, small enough that BLAS
+    runs them on the helper thread alone.  The draws come in the same order
+    at any chunk size, so the output does not depend on it.
     """
     if m_inner < MIN_EMPIRICAL_INNER:
         raise ValueError(f"need m_inner >= {MIN_EMPIRICAL_INNER}, got {m_inner}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    k = len(points)
+    k, ambient = len(points), points.ambient
     out = np.empty((trials, k))
-    root_m = math.sqrt(m_inner)
-    rows_cap = max(1, HEMISPHERE_CHUNK_BYTES // (8 * points.ambient + 9 * k))
-    batch_cap = max(1, rows_cap // m_inner)
-    for done in range(0, trials, batch_cap):
-        batch = min(batch_cap, trials - done)
-        counts = np.zeros((k, batch), dtype=np.intp)
-        # one piece of batch * m_inner rows, or (batch = 1) pieces of rows_cap
-        for start in range(0, m_inner, rows_cap):
-            span = min(rows_cap, m_inner - start)
-            g = rng.standard_normal((batch * span, points.ambient))
-            hits = points.points @ g.T >= 0  # (k, batch * span)
-            counts += np.count_nonzero(hits.reshape(k, batch, span), axis=2)
-        out[done : done + batch] = (counts.T - m_inner / 2.0) / root_m
+    rows_cap = max(1, HEMISPHERE_CHUNK_BYTES // (16 * ambient + k))
+    batch_cap = max(1, min(trials, rows_cap // m_inner))
+    rows_max = min(rows_cap, batch_cap * m_inner)
+    draws = (np.empty(rows_max * ambient), np.empty(rows_max * ambient))
+    counter = _HitCounter(points.points, m_inner, rows_max, out)
+    pending = None
+    with ThreadPoolExecutor(1) as helper:
+        for done in range(0, trials, batch_cap):
+            batch = min(batch_cap, trials - done)
+            # one piece of batch * m_inner rows, or (batch = 1) pieces of rows_cap
+            for start in range(0, m_inner, rows_cap):
+                span = min(rows_cap, m_inner - start)
+                g = draws[0][: batch * span * ambient].reshape(batch * span, ambient)
+                rng.standard_normal(out=g)
+                draws = draws[::-1]  # the next chunk goes to the buffer not in flight
+                if pending is not None:
+                    pending.result()
+                last = start + span == m_inner
+                pending = helper.submit(counter.add, g, done, batch, span, last)
+        pending.result()
     return out
+
+
+class _HitCounter:
+    """The helper thread's side of the sampler: project, test, count, write out.
+
+    Owns one projection block, one bool (k, rows) hit array and the running
+    counts; only one chunk is in flight, so they are reused from chunk to chunk.
+    """
+
+    def __init__(self, points: np.ndarray, m_inner: int, rows_max: int, out: np.ndarray):
+        k, ambient = points.shape
+        self.points = points
+        self.m_inner = m_inner
+        self.out = out
+        self.cols = max(1, min(rows_max, _GEMM_ONE_THREAD // (k * ambient)))
+        self.block = np.empty(k * self.cols)
+        self.hits = np.empty((k, rows_max), dtype=bool)
+        self.counts = np.zeros((max(1, rows_max // m_inner), k), dtype=np.intp)
+
+    def add(self, g: np.ndarray, done: int, batch: int, span: int, last: bool):
+        """Count the hits of trials done .. done + batch in g; write them out if last."""
+        k = len(self.points)
+        rows = len(g)
+        for a in range(0, rows, self.cols):
+            b = min(a + self.cols, rows)
+            block = self.block[: k * (b - a)].reshape(k, b - a)
+            np.matmul(self.points, g[a:b].T, out=block)
+            np.greater_equal(block, 0.0, out=self.hits[:, a:b])
+        counts = self.counts[:batch]
+        # count_nonzero on a contiguous row is far faster than along an axis
+        for t in range(batch):
+            for i, row in enumerate(self.hits[:, t * span : (t + 1) * span]):
+                counts[t, i] += np.count_nonzero(row)
+        if last:
+            self.out[done : done + batch] = (counts - self.m_inner / 2.0) / math.sqrt(self.m_inner)
+            counts[:] = 0
 
 
 def estimate_hemisphere_width_empirical(

@@ -1,5 +1,6 @@
 """Harness and CLI: config resolution, reports, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,9 @@ import sys
 
 import pytest
 
-from onebit import ExperimentConfig, ReportRow, resolve_m, run, run_experiment, summarize
+from onebit import (
+    ExperimentConfig, ReportRow, harness, resolve_m, run, run_experiment, summarize,
+)
 from onebit.cli import main, parse_config
 from onebit.harness import EXPERIMENT_ORDER, MAX_DIRECTION_BYTES, REGISTRY, default_out_path
 
@@ -236,6 +239,25 @@ def test_every_scored_statistic_occurs_in_rows():
         assert not missing, (name, missing)
 
 
+def test_metric_ratio_without_a_pair_fails(monkeypatch):
+    # a packing left with one center measures no pair: that trial must not pass
+    real_packing = harness.greedy_packing
+
+    def one_center(points, delta, rng):
+        report = real_packing(points, delta, rng)
+        return dataclasses.replace(
+            report, packing_size=1, covering_size=1,
+            centers=report.centers.subset([0]), center_indices=report.center_indices[:1],
+        )
+
+    monkeypatch.setattr(harness, "greedy_packing", one_center)
+    cfg = ExperimentConfig(experiment="metric-ratio", delta=0.2, m=200, trials=2, net_size=20)
+    rows, verdict = run_experiment("metric-ratio", cfg)
+    assert [r.value for r in rows if r.statistic == "net_points"] == [1.0, 1.0]
+    assert [r.passed for r in rows if r.statistic == "sup_ratio"] == [False, False]
+    assert not verdict
+
+
 # --- CLI -------------------------------------------------------------------------
 
 
@@ -378,6 +400,8 @@ def no_runs(monkeypatch):
         ["embed", "--delta", "0.2", "--safety", "1e308"],  # the trial's own budget
         ["embed", "--delta", "0.2", "--net-size", "1"],  # no pair to measure
         ["all", "--delta", "0.2", "--net-size", "1", "--m", "100", "--trials", "1"],
+        ["nets", "--delta", "0.2", "--net-size", "1"],  # one point packs and covers trivially
+        ["metric-ratio", "--delta", "0.2", "--net-size", "1", "--trials", "3"],
     ],
 )
 def test_main_rejects_unrunnable_experiments_before_any_work(argv, tmp_path, capsys, no_runs):
@@ -409,6 +433,24 @@ def test_direction_limit_is_inclusive():
     ExperimentConfig(experiment="crofton", m=most).validate()
     with pytest.raises(ValueError, match="direction limit"):
         ExperimentConfig(experiment="crofton", m=most + 1).validate()
+
+
+def test_python_dash_m_runs_the_cli():
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+
+    def onebit(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "onebit", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    bad = onebit("crofton", "--trials", "0")
+    assert bad.returncode == 2, bad.stderr
+    assert "error" in bad.stderr
+    helped = onebit("--help")
+    assert helped.returncode == 0, helped.stderr
+    assert "usage" in helped.stdout
 
 
 def test_run_all_script_matches_combined_report(tmp_path):

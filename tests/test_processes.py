@@ -1,7 +1,10 @@
 """Process layer: widths, hemisphere covariance, symmetrization, minoration."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -237,27 +240,89 @@ def _hemisphere_samples_reference(points, m_inner, trials, rng):
     return out
 
 
-def _assert_samples_match_reference(k: int, trials: int, seed: int):
+class _DrawSpy:
+    """A generator stand-in that records the number of rows of every draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.rows = []
+
+    def standard_normal(self, *args, **kwargs):
+        g = self.rng.standard_normal(*args, **kwargs)
+        self.rows.append(len(g))
+        return g
+
+
+def _assert_samples_match_reference(k: int, trials: int, seed: int) -> list[int]:
+    """Compare bitwise with the reference sampler; return the rows of every draw."""
     pts = PointSet.uniform(3, k, substream(seed, "test-emp-ref-pts", k))
-    rng = substream(seed, "test-emp-ref-draws", k)
-    samples = hemisphere_empirical_samples(pts, 10_000, trials, rng)
+    spy = _DrawSpy(substream(seed, "test-emp-ref-draws", k))
+    samples = hemisphere_empirical_samples(pts, 10_000, trials, spy)
     ref_rng = substream(seed, "test-emp-ref-draws", k)
     expected = _hemisphere_samples_reference(pts, 10_000, trials, ref_rng)
     assert samples.tobytes() == expected.tobytes()  # bitwise, not approximately
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert spy.rng.bit_generator.state == ref_rng.bit_generator.state
+    return spy.rows
 
 
-# trials per chunk at the default budget: 40 (k = 1), 17 (k = 7), 4 (k = 40), 1 (k = 100)
+# trials per chunk at the default budget: 25 (k = 1), 23 (k = 7), 16 (k = 40), 10 (k = 100)
 @pytest.mark.parametrize("k, trials", [(1, 41), (7, 18), (40, 10), (100, 3)])
 def test_empirical_samples_match_reference(k, trials):
-    _assert_samples_match_reference(k, trials, seed=17)
+    rows = _assert_samples_match_reference(k, trials, seed=17)
+    per_chunk = processes.HEMISPHERE_CHUNK_BYTES // (16 * 4 + k) // 10_000
+    chunks = range(0, trials, per_chunk)
+    assert rows == [min(per_chunk, trials - done) * 10_000 for done in chunks]
 
 
 @pytest.mark.parametrize("k", [1, 7, 40])
 def test_empirical_samples_match_reference_in_pieces(k, monkeypatch):
-    # a budget of 3000 directions splits every trial into pieces of 3000, 3000, 3000, 1000
-    monkeypatch.setattr(processes, "HEMISPHERE_CHUNK_BYTES", 3_000 * (8 * 4 + 9 * k))
-    _assert_samples_match_reference(k, 2, seed=18)
+    # two draw buffers of 4 float64 coordinates and a bool hit per point, per direction
+    monkeypatch.setattr(processes, "HEMISPHERE_CHUNK_BYTES", 3_000 * (16 * 4 + k))
+    rows = _assert_samples_match_reference(k, 2, seed=18)
+    assert rows == [3_000, 3_000, 3_000, 1_000] * 2
+
+
+def _sampler_args(seed: int):
+    pts = PointSet.uniform(3, 40, substream(seed, "test-emp-thread-pts"))
+    return pts, 10_000, 40, substream(seed, "test-emp-thread-draws")  # chunks of 16, 16, 8
+
+
+def test_empirical_samples_raise_helper_errors(monkeypatch):
+    threads = []
+
+    def broken(self, *args):
+        threads.append(threading.current_thread())
+        raise RuntimeError("helper failed")
+
+    monkeypatch.setattr(processes._HitCounter, "add", broken)
+    with pytest.raises(RuntimeError, match="helper failed"):
+        hemisphere_empirical_samples(*_sampler_args(20))
+    assert threads and threading.current_thread() not in threads
+
+
+def test_empirical_samples_leave_no_thread_behind():
+    before = threading.active_count()
+    hemisphere_empirical_samples(*_sampler_args(21))
+    assert threading.active_count() == before
+
+
+def test_empirical_samples_are_unchanged_inside_worker_threads(monkeypatch):
+    # four samplers at once on two cores, each in 160 pieces of at most 3000
+    # directions, with frequent thread switches: a draw buffer reused while
+    # the helper still reads it would change the counts
+    expected = hemisphere_empirical_samples(*_sampler_args(22))
+    monkeypatch.setattr(processes, "HEMISPHERE_CHUNK_BYTES", 3_000 * (16 * 4 + 40))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [
+                pool.submit(hemisphere_empirical_samples, *_sampler_args(22)) for _ in range(4)
+            ]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r.tobytes() == expected.tobytes() for r in results)
 
 
 def test_empirical_samples_memory_follows_budget():
