@@ -93,14 +93,18 @@ def first_uncovered_cover(dist: np.ndarray, radius: float) -> list[int]:
     Scans indices in order, opens a center at the first uncovered index, and
     marks everything within ``radius`` covered.  Deterministic given the
     matrix, which keeps covering-number curves reproducible.
+
+    Centers open in index order, so every index up to the newest center is
+    already decided: each center marks and searches only the indices after it.
     """
     k = dist.shape[0]
-    uncovered = np.ones(k, dtype=bool)
+    uncovered = np.ones(k + 1, dtype=bool)  # index k stays True and ends the scan
     centers: list[int] = []
-    while uncovered.any():
-        c = int(np.flatnonzero(uncovered)[0])
+    c = 0
+    while c < k:
         centers.append(c)
-        uncovered &= dist[c] > radius
+        uncovered[c + 1 : k] &= dist[c, c + 1 :] > radius
+        c += 1 + int(uncovered[c + 1 :].argmax())  # the first uncovered index after c
     return centers
 
 

@@ -22,6 +22,8 @@ from .measurements import EnsembleKind, MeasurementEnsemble
 from .sphere import PointSet, UnitVector, geodesic_distance, pairwise_geodesic
 
 CHOLESKY_MAX_POINTS = 2000
+# output columns per product with the Cholesky factor's lower triangle
+CHOLESKY_BLOCK_COLUMNS = 256
 _JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # a factorization at this jitter or below proves the covariance PSD
 CERTIFIED_JITTER = 1e-9
@@ -152,6 +154,13 @@ def estimate_hemisphere_width_cholesky(
     jitter, escalated tenfold on failure) that :class:`CovarianceMatrix`
     keeps, and averages the range of the resulting gaussian vector.  The
     exact factorization limits the set to ``CHOLESKY_MAX_POINTS`` points.
+
+    The product with the factor runs in blocks of ``CHOLESKY_BLOCK_COLUMNS``
+    output columns and skips the factor's upper triangle, which is zero.  A
+    set of at most that many points takes one product of the full operands,
+    so its estimate is bitwise that of ``y @ factor.T``; a larger set sums
+    each entry in different pieces, and its estimate can move in the last
+    bits.  The generator draws the same normals either way.
     """
     if len(points) > CHOLESKY_MAX_POINTS:
         raise FeasibilityError(
@@ -165,7 +174,14 @@ def estimate_hemisphere_width_cholesky(
             f"cholesky failed for every jitter up to {_JITTERS[-1]:g}; "
             "covariance is badly conditioned"
         )
-    z = rng.standard_normal((trials, len(points))) @ cov.factor.T
+    k = len(points)
+    y = rng.standard_normal((trials, k))
+    z = np.empty((trials, k))
+    # column block [a, b) of y @ factor^T reads only factor[a:b, :b]: the
+    # factor is lower-triangular, so the columns of y past b meet zeros
+    for a in range(0, k, CHOLESKY_BLOCK_COLUMNS):
+        b = min(a + CHOLESKY_BLOCK_COLUMNS, k)
+        np.matmul(y[:, :b], cov.factor[a:b, :b].T, out=z[:, a:b])
     sups = z.max(axis=1) - z.min(axis=1)
     return WidthEstimate(
         value=float(sups.mean()),

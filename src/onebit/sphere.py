@@ -379,7 +379,10 @@ def sparse_net(
 
 def signs(values: np.ndarray) -> np.ndarray:
     """Elementwise sign with sign(0) = +1, as int8."""
-    return np.where(np.asarray(values) >= 0, np.int8(1), np.int8(-1))
+    out = np.greater_equal(values, 0, out=np.empty(np.shape(values), dtype=bool)).view(np.int8)
+    out *= 2
+    out -= 1
+    return out
 
 
 def in_wedge(theta: UnitVector, x: UnitVector, y: UnitVector) -> bool:

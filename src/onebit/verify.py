@@ -181,16 +181,29 @@ def one_bit_rip(points: PointSet, ens: MeasurementEnsemble, delta_target: float)
 def sign_product_rip(
     points: PointSet, ens: MeasurementEnsemble, delta_target: float
 ) -> RipReport:
-    """Sup over ordered pairs (diagonal included) of the centered sign product."""
+    """Sup over ordered pairs (diagonal included) of the centered sign product.
+
+    The product sgn(P) P^T / m with P = X G^T (points X, directions G) is
+    summed through the ambient dimension as (sgn(P) G) X^T / m: it skips the
+    k^2 m multiply-adds of the (k, k) product over the m measurements for
+    k m (n + 1) + k^2 (n + 1).  The signs overwrite P, so one (k, m) array
+    is alive at a time.  The reassociated sums round differently, so
+    ``sup_discrepancy`` can move in its last bits, and ``argmax_pair`` only
+    between pairs that tie to within that rounding.
+    """
     if ens.kind is not EnsembleKind.GAUSSIAN:
         raise EnsembleKindError("the sign-product statistic requires a gaussian ensemble")
     _check_dims(points, ens)
     if ens.m < 1:
         raise ValueError("need at least one measurement")
-    proj = points.points @ ens.directions.T  # (k, m)
-    stats = np.where(proj >= 0, 1.0, -1.0) @ proj.T
-    del proj
-    # in place, the same operations in the same order: the bits are unchanged
+    sgn = points.points @ ens.directions.T  # (k, m)
+    # 1.0 where the projection is >= 0, else 0.0, then +-1: sign(0) = +1
+    np.greater_equal(sgn, 0.0, out=sgn)
+    sgn *= 2.0
+    sgn -= 1.0
+    summed = sgn @ ens.directions  # (k, n + 1)
+    del sgn
+    stats = summed @ points.points.T
     stats /= ens.m
     gram = points.points @ points.points.T
     gram *= HALF_NORMAL_MEAN

@@ -107,6 +107,46 @@ def test_first_uncovered_cover_covers(seed):
     assert centers == first_uncovered_cover(dist, 0.3)
 
 
+def _first_uncovered_cover_reference(dist, radius):
+    """Each center marks its whole row over the whole mask, as first written."""
+    uncovered = np.ones(dist.shape[0], dtype=bool)
+    centers = []
+    while uncovered.any():
+        c = int(np.flatnonzero(uncovered)[0])
+        centers.append(c)
+        uncovered &= dist[c] > radius
+    return centers
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_first_uncovered_cover_matches_full_mask_reference(seed):
+    rng = substream(seed, "test-cover-ref")
+    k = int(rng.integers(2, 300))
+    geodesic = PointSet.uniform(3, k, rng).pairwise_geodesic()
+    # an asymmetric matrix too: only its zero diagonal is assumed
+    asymmetric = rng.random((k, k))
+    np.fill_diagonal(asymmetric, 0.0)
+    for dist in (geodesic, asymmetric):
+        for radius in (0.0, 0.05, 0.2, 0.5, 1.0):
+            assert first_uncovered_cover(dist, radius) == _first_uncovered_cover_reference(
+                dist, radius
+            )
+
+
+def test_first_uncovered_cover_edge_cases():
+    dist = PointSet.uniform(2, 25, substream(7, "test-cover-edges")).pairwise_geodesic()
+    cases = [
+        (np.zeros((0, 0)), 0.1, []),
+        (np.zeros((1, 1)), 0.1, [0]),
+        (dist, 1.0, [0]),  # every point covered by the first
+        (dist, float(dist[0].max()), [0]),  # the farthest exactly at the radius
+        (dist, 0.0, list(range(25))),  # no point covering another
+    ]
+    for matrix, radius, centers in cases:
+        assert first_uncovered_cover(matrix, radius) == centers
+        assert _first_uncovered_cover_reference(matrix, radius) == centers
+
+
 def test_nearest_center_ties_resolve_low():
     centers = PointSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
     midpoint = np.array([1.0, 1.0]) / math.sqrt(2.0)

@@ -204,6 +204,36 @@ def test_hemisphere_width_of_antipodal_pair():
     assert abs(est.value - target) <= 0.015
 
 
+def _cholesky_width_reference(points, trials, rng):
+    """The range of y @ factor^T, one product of the full operands: (value, std_error)."""
+    z = rng.standard_normal((trials, len(points))) @ covariance_matrix(points).factor.T
+    sups = z.max(axis=1) - z.min(axis=1)
+    return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(trials))
+
+
+def _cholesky_width_pair(k: int):
+    points = PointSet.uniform(7, k, substream(k, "test-hw-blocks"))
+    rng, ref_rng = substream(k, "test-hw-draws"), substream(k, "test-hw-draws")
+    est = estimate_hemisphere_width_cholesky(points, 500, rng)
+    ref = _cholesky_width_reference(points, 500, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return (est.value, est.std_error), ref
+
+
+@pytest.mark.parametrize("k", [1, 100, 256])
+def test_cholesky_width_in_one_block_is_the_full_product(k):
+    assert k <= processes.CHOLESKY_BLOCK_COLUMNS
+    est, ref = _cholesky_width_pair(k)
+    assert est == ref  # bitwise, not approximately
+
+
+@pytest.mark.parametrize("k", [257, 600])
+def test_cholesky_width_in_blocks_matches_the_full_product(k):
+    assert k > processes.CHOLESKY_BLOCK_COLUMNS
+    est, ref = _cholesky_width_pair(k)
+    assert est == pytest.approx(ref, rel=0, abs=1e-12)
+
+
 def test_empirical_samples_validation():
     rng = substream(6, "test-emp-val")
     pts = PointSet.uniform(2, 4, rng)

@@ -335,6 +335,24 @@ def test_sign_of_zero_is_positive():
     assert out.tolist() == [1, 1, 1, -1]
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.5, -0.0, 0.0, -3.0],  # a list
+        2.0,  # a scalar
+        np.array([[1.0, -1.0, np.nan], [0.0, -0.0, -np.inf]]),
+        np.arange(-3, 3),  # integers
+        np.linspace(-1.0, 1.0, 12).reshape(3, 4)[:, ::2],  # a strided view
+        np.array([], dtype=float),
+    ],
+)
+def test_signs_match_a_select_on_every_input_kind(values):
+    expected = np.where(np.asarray(values) >= 0, np.int8(1), np.int8(-1))
+    out = signs(values)
+    assert out.dtype == np.int8 and out.shape == expected.shape
+    assert np.array_equal(out, expected)
+
+
 def test_wedge_explicit_cases():
     x, y = unit(1, 0, 0), unit(0, 1, 0)
     assert in_wedge(unit(1, -1, 0), x, y)

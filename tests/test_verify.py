@@ -450,3 +450,28 @@ def test_hamming_matrix_matches_float64_product(m, block_columns, monkeypatch):
 def test_hamming_blocks_count_exactly_in_float32():
     # every partial sum of a block's +-1 products must be a float32 integer
     assert verify.HAMMING_BLOCK_COLUMNS < 2**24
+
+
+# --- sign-product audit against the product over the measurements ------------------
+
+
+def _sign_product_rip_reference(points, ens):
+    """sgn(P) P^T / m with P = X G^T, a (k, m) by (m, k) product: (sup, pair)."""
+    proj = points.points @ ens.directions.T
+    stats = np.where(proj >= 0, 1.0, -1.0) @ proj.T / ens.m
+    gap = np.abs(stats - HALF_NORMAL_MEAN * (points.points @ points.points.T))
+    i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    return float(gap[i, j]), (int(i), int(j))
+
+
+@pytest.mark.parametrize("seed, net_size", [(1, 200), (2, 200), (3, 200), (4, 200), (5, 600)])
+def test_sign_product_rip_matches_measurement_space_product(seed, net_size):
+    # the sign-product experiment's shape (m = 2773 in R^65), and a wider net
+    rng = substream(seed, "test-sprip-ref")
+    net = sparse_net(SparseSpec(64, 4), net_size, rng)
+    ens = MeasurementEnsemble(rng.standard_normal((2773, 65)), EnsembleKind.GAUSSIAN)
+    assert len(net) >= net_size
+    report = sign_product_rip(net, ens, 0.2)
+    worst, pair = _sign_product_rip_reference(net, ens)
+    assert abs(report.sup_discrepancy - worst) <= 1e-12
+    assert report.argmax_pair == pair
