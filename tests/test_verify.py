@@ -1,6 +1,7 @@
 """Verification layer: tessellation cells, distortion audits, embeddings."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from onebit import (
     embedding_size,
     finite_embedding,
     greedy_packing,
-    linear_l1_distance,
     linear_l1_rip,
     margin_separation_count,
     metric_ratio_check,
@@ -249,6 +249,26 @@ def test_linear_l1_rip_validation():
         linear_l1_rip(pts, MeasurementEnsemble.gaussian(2, 0, seed=12), 0.2)
 
 
+def linear_l1_distance(ens, x, y):
+    """Scalar twin of the audit's statistic: sum_j |g_j . (x - y)| / (m sqrt(2/pi))."""
+    return float(np.abs(ens.directions @ (x.coords - y.coords)).sum() / (ens.m * HALF_NORMAL_MEAN))
+
+
+def test_linear_l1_identical_points_is_zero():
+    ens = MeasurementEnsemble.gaussian(3, 64, seed=4)
+    x = unit(0, 1, 0, 0)
+    assert linear_l1_distance(ens, x, x) == 0.0
+
+
+def test_linear_l1_estimates_euclidean_distance():
+    ens = MeasurementEnsemble.gaussian(5, 100_000, seed=21)
+    rng = substream(21, "test-l1-pair")
+    x = UnitVector.normalized(rng.standard_normal(6))
+    y = UnitVector.normalized(rng.standard_normal(6))
+    chord = float(np.linalg.norm(x.coords - y.coords))
+    assert math.isclose(linear_l1_distance(ens, x, y), chord, abs_tol=0.02)
+
+
 def test_linear_l1_rip_matches_scalar_statistic():
     rng = substream(13, "test-l1rip-pts")
     pts = PointSet.uniform(3, 5, rng)
@@ -373,6 +393,7 @@ def _assert_matches_reference(points, ens):
 def test_linear_l1_rip_two_points_matches_reference():
     rng = substream(15, "test-l1rip-ref2")
     pair = PointSet.uniform(5, 2, rng)
+    assert verify._l1_tile(2, 300) == (1, 1)
     _assert_matches_reference(pair, MeasurementEnsemble.gaussian(5, 300, seed=15))
     same = PointSet(np.array([[0.6, 0.8, 0.0], [0.6, 0.8, 0.0]]))
     _assert_matches_reference(same, MeasurementEnsemble.gaussian(2, 40, seed=15))
@@ -388,13 +409,16 @@ def test_linear_l1_rip_rip_shape_matches_reference(seed):
     _assert_matches_reference(net, ens)
 
 
-def test_linear_l1_rip_tied_pairs_match_reference():
-    # three copies of each point: every pair distance, statistic and gap
-    # repeats nine times, so the first maximum decides the witness
+def _tied_set():
+    """Three copies of 6 points: every pair distance, statistic and gap repeats nine times."""
     rng = substream(16, "test-l1rip-ties")
     base = PointSet.uniform(3, 6, rng).points
-    pts = PointSet(np.vstack([base, base, base]))
-    ens = MeasurementEnsemble.gaussian(3, 64, seed=16)
+    return PointSet(np.vstack([base, base, base])), MeasurementEnsemble.gaussian(3, 64, seed=16)
+
+
+def test_linear_l1_rip_tied_pairs_match_reference():
+    # the first maximum decides the witness
+    pts, ens = _tied_set()
     worst, _ = _linear_l1_rip_reference(pts, ens)
     proj = pts.points @ ens.directions.T
     stat = np.abs(proj[:, None, :] - proj[None, :, :]).mean(axis=2) / HALF_NORMAL_MEAN
@@ -403,31 +427,81 @@ def test_linear_l1_rip_tied_pairs_match_reference():
     _assert_matches_reference(pts, ens)
 
 
-@pytest.mark.parametrize("rows_per_block", [1, 2, 7, 64])
-def test_linear_l1_rip_blocks_match_reference(rows_per_block, monkeypatch):
-    # a budget of a few rows splits every scan of j > i into several blocks
+@pytest.mark.parametrize("pairs_per_tile", [1, 2, 7, 64])
+def test_linear_l1_rip_blocks_match_reference(pairs_per_tile, monkeypatch):
+    # a budget of a few pairs splits the scan into many tiles; 64 pairs make 5 x 12
     rng = substream(17, "test-l1rip-blocks")
     net = sparse_net(SparseSpec(16, 3), 60, rng)
     ens = MeasurementEnsemble(rng.standard_normal((500, 17)), EnsembleKind.GAUSSIAN)
-    monkeypatch.setattr(verify, "L1_SCAN_BYTES", rows_per_block * 8 * ens.m)
+    monkeypatch.setattr(verify, "L1_TILE_BYTES", pairs_per_tile * 8 * ens.m)
     assert len(net) > 64
+    rows, cols = verify._l1_tile(len(net), ens.m)
+    assert rows * cols <= pairs_per_tile
     _assert_matches_reference(net, ens)
 
 
-@pytest.mark.parametrize("rows_per_block", [1, 4])
-def test_linear_l1_rip_blocked_ties_match_reference(rows_per_block, monkeypatch):
-    rng = substream(16, "test-l1rip-ties")
-    base = PointSet.uniform(3, 6, rng).points
-    pts = PointSet(np.vstack([base, base, base]))
-    ens = MeasurementEnsemble.gaussian(3, 64, seed=16)
-    monkeypatch.setattr(verify, "L1_SCAN_BYTES", rows_per_block * 8 * ens.m)
+@pytest.mark.parametrize("pairs_per_tile", [1, 4])
+def test_linear_l1_rip_blocked_ties_match_reference(pairs_per_tile, monkeypatch):
+    pts, ens = _tied_set()
+    monkeypatch.setattr(verify, "L1_TILE_BYTES", pairs_per_tile * 8 * ens.m)
     _assert_matches_reference(pts, ens)
 
 
-def test_linear_l1_rip_rip_shape_is_one_block():
-    # the battery's linear-rip shape (210 points, m = 2773) scans each row in one block
-    assert verify.L1_SCAN_BYTES // (8 * 2773) >= 209
+# rows i x rows j per tile, None for the default; in 5 x 3 a diagonal tile
+# fills pairs j < i whose entries a later tile of the same rows must not read
+TILES = pytest.mark.parametrize(
+    "tile", [(1, 1), (1, 7), (3, 5), (5, 3), None], ids=["1x1", "1x7", "3x5", "5x3", "default"]
+)
 
+
+def _fix_tile(monkeypatch, tile):
+    if tile is not None:
+        monkeypatch.setattr(verify, "_l1_tile", lambda k, m: tile)
+
+
+@TILES
+def test_linear_l1_rip_tiles_match_reference(tile, monkeypatch):
+    # k - 1 = 61 is a multiple of no tile side above 1, so every row and
+    # column sweep ends in a partial tile
+    rng = substream(18, "test-l1rip-tiles")
+    pts = PointSet.uniform(4, 62, rng)
+    ens = MeasurementEnsemble.gaussian(4, 300, seed=18)
+    _fix_tile(monkeypatch, tile)
+    _assert_matches_reference(pts, ens)
+
+
+@TILES
+def test_linear_l1_rip_tiled_ties_match_reference(tile, monkeypatch):
+    # k - 1 = 17: tied pairs fall in different tiles
+    _fix_tile(monkeypatch, tile)
+    _assert_matches_reference(*_tied_set())
+
+
+def test_linear_l1_rip_row_above_budget_is_one_pair_tiles():
+    m = verify.L1_TILE_BYTES // 8 + 1
+    rng = substream(19, "test-l1rip-wide")
+    pts = PointSet.uniform(2, 6, rng)
+    ens = MeasurementEnsemble.gaussian(2, m, seed=19)
+    assert verify._l1_tile(len(pts), m) == (1, 1)
+    _assert_matches_reference(pts, ens)
+
+
+def test_linear_l1_rip_rip_shape_memory_stays_in_budget():
+    # the battery's linear-rip shape: beyond the tile buffer the audit holds
+    # the (k, m) projections and (k, k) arrays, never a (k - 1, m) row block
+    k, m = 210, 2773
+    rng = substream(20, "test-l1rip-mem")
+    pts = PointSet.uniform(64, k, rng)
+    ens = MeasurementEnsemble.gaussian(64, m, seed=20)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        linear_l1_rip(pts, ens, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verify._l1_tile(k, m) == (4, 8)
+    assert peak - base <= verify.L1_TILE_BYTES + 2 * 8 * k * k + 8 * k * m
 
 
 # --- Hamming matrix against the float64 product ---------------------------------
