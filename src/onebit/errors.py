@@ -13,10 +13,6 @@ class DegenerateGeodesicError(ValueError):
     """Endpoints coincide or are antipodal; the connecting arc is not unique."""
 
 
-class NotSeparatingError(ValueError):
-    """Direction does not separate the pair, so no crossing point exists."""
-
-
 class EnsembleKindError(ValueError):
     """Operation requires a different measurement ensemble kind."""
 

@@ -99,60 +99,12 @@ class MeasurementEnsemble:
         return self.m
 
 
-class SignPattern:
-    """Vector of one-bit measurements, entries in {-1, +1}."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        arr = np.asarray(bits)
-        if arr.ndim != 1:
-            raise ValueError("sign pattern must be one-dimensional")
-        if arr.size and not np.all(np.isin(arr, (-1, 1))):
-            raise ValueError("sign pattern entries must be -1 or +1")
-        arr = arr.astype(np.int8)
-        arr.flags.writeable = False
-        self.bits = arr
-
-    def __len__(self):
-        return self.bits.size
-
-    def __eq__(self, other):
-        if not isinstance(other, SignPattern):
-            return NotImplemented
-        return self.bits.size == other.bits.size and bool(np.all(self.bits == other.bits))
-
-    def __hash__(self):
-        return hash(self.bits.tobytes())
-
-    def to_string(self) -> str:
-        """Serialize as a '+'/'-' string, one character per measurement."""
-        return "".join("+" if b > 0 else "-" for b in self.bits)
-
-    @classmethod
-    def from_string(cls, text: str) -> "SignPattern":
-        lookup = {"+": 1, "-": -1}
-        try:
-            return cls([lookup[c] for c in text])
-        except KeyError as exc:
-            raise ValueError(f"invalid sign character {exc.args[0]!r}") from None
-
-    def __repr__(self):
-        return f"SignPattern({self.to_string()!r})"
-
-
 def _check_point(ens: MeasurementEnsemble, *points: UnitVector):
     for p in points:
         if p.ambient != ens.ambient:
             raise DimensionMismatchError(
                 f"point ambient dimension {p.ambient} != ensemble {ens.ambient}"
             )
-
-
-def one_bit_map(ens: MeasurementEnsemble, x: UnitVector) -> SignPattern:
-    """Signs of the inner products against every direction; sign(0) = +1."""
-    _check_point(ens, x)
-    return SignPattern(signs(ens.directions @ x.coords))
 
 
 def sign_matrix(ens: MeasurementEnsemble, points: PointSet) -> np.ndarray:
@@ -162,25 +114,6 @@ def sign_matrix(ens: MeasurementEnsemble, points: PointSet) -> np.ndarray:
             f"points ambient dimension {points.ambient} != ensemble {ens.ambient}"
         )
     return signs(points.points @ ens.directions.T)
-
-
-def hamming_distance(p: SignPattern, q: SignPattern) -> float:
-    """Fraction of disagreeing measurements; a pseudometric on patterns."""
-    if len(p) != len(q):
-        raise DimensionMismatchError(f"pattern lengths differ: {len(p)} != {len(q)}")
-    if len(p) == 0:
-        return 0.0
-    return float(np.mean(p.bits != q.bits))
-
-
-def conditional_metric_sq(ens: MeasurementEnsemble, x: UnitVector, y: UnitVector) -> float:
-    """Empirical wedge frequency of the pair under the ensemble.
-
-    This is the squared conditional metric of the symmetrized process and is
-    bit-identical to the Hamming distance of the two one-bit maps.
-    """
-    _check_point(ens, x, y)
-    return hamming_distance(one_bit_map(ens, x), one_bit_map(ens, y))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Packing and covering nets, cap shattering, and entropy estimates.
+"""Packing and covering nets and cap shattering.
 
 The central construction is randomized greedy packing: scan the points in a
 seeded random order and keep every point further than delta from everything
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError
-from .sphere import PointSet, pairwise_geodesic
+from .sphere import PointSet
 
 SHATTER_MAX_POINTS = 22
 _CONSTRUCTIVE_ENUM_LIMIT = 12  # constructive per-dichotomy candidates up to 2^12 splits
@@ -27,16 +27,13 @@ _DIRECTION_BLOCK = 256  # candidate directions projected and registered together
 class NetReport:
     """Result of one greedy net construction at scale delta.
 
-    ``packing_size`` lower-bounds the maximal delta-separated cardinality;
-    ``covering_size`` upper-bounds the delta-covering number.  For greedy
-    maximal packings the same centers serve both roles, so the two counts
-    coincide; the sandwich inequality across scales is what makes the pair
-    informative.
+    ``packing_size`` lower-bounds the maximal delta-separated cardinality
+    and, since a maximal packing's centers also cover the input at radius
+    delta, upper-bounds the delta-covering number.
     """
 
     delta: float
     packing_size: int
-    covering_size: int
     centers: PointSet
     center_indices: tuple[int, ...]
 
@@ -73,18 +70,9 @@ def greedy_packing(points: PointSet, delta: float, rng: np.random.Generator) -> 
     return NetReport(
         delta=float(delta),
         packing_size=len(kept),
-        covering_size=len(kept),
         centers=points.subset(kept_arr),
         center_indices=tuple(int(i) for i in kept),
     )
-
-
-def nearest_center_projection(point, centers: PointSet) -> int:
-    """Index of the geodesically nearest center; ties resolve to the lowest index."""
-    coords = np.asarray(point, dtype=float)
-    dots = np.clip(centers.points @ coords, -1.0, 1.0)
-    dist = np.arccos(dots) / math.pi
-    return int(np.argmin(dist))
 
 
 def first_uncovered_cover(dist: np.ndarray, radius: float) -> list[int]:
@@ -111,19 +99,20 @@ def first_uncovered_cover(dist: np.ndarray, radius: float) -> list[int]:
 def sandwich_check(points: PointSet, delta: float, rng: np.random.Generator) -> dict:
     """Packing/covering sandwich at scales delta and 2*delta.
 
-    Checks |packing(2 delta)| <= |covering(delta)| <= |packing(delta)| using
-    greedy constructions, where the covering is the one induced by the
-    maximal delta-packing.
+    The sandwich is |packing(2 delta)| <= |covering(delta)| <= |packing(delta)|
+    with greedy constructions.  The delta-covering is the one the maximal
+    delta-packing induces, so its size equals |packing(delta)| and only the
+    outer inequality can fail; ``ok`` scores that one.
     """
     if not (0.0 < 2.0 * delta < 1.0):
         raise ValueError(f"need 0 < 2*delta < 1 for the sandwich, got delta={delta}")
     fine = greedy_packing(points, delta, rng)
     coarse = greedy_packing(points, 2.0 * delta, rng)
-    ok = coarse.packing_size <= fine.covering_size <= fine.packing_size
+    ok = coarse.packing_size <= fine.packing_size
     return {
         "delta": float(delta),
         "packing_2delta": coarse.packing_size,
-        "covering_delta": fine.covering_size,
+        "covering_delta": fine.packing_size,
         "packing_delta": fine.packing_size,
         "ok": bool(ok),
     }
@@ -262,85 +251,3 @@ def canonical_witness(n: int) -> PointSet:
     rows = np.eye(n)
     diag = np.ones((1, n)) / math.sqrt(n)
     return PointSet(np.vstack([rows, diag]))
-
-
-@dataclass(frozen=True)
-class VcEntropyReport:
-    """Monte Carlo covering estimates of an indicator class in the d_P metric."""
-
-    vc_dim: int
-    class_kind: str
-    class_size: int
-    trials: int
-    deltas: tuple[float, ...]
-    covering_numbers: tuple[int, ...]
-    ratios: tuple[float, ...]
-
-
-def vc_entropy_check(
-    vc_dim: int,
-    deltas,
-    sample: PointSet,
-    trials: int,
-    rng: np.random.Generator,
-    class_kind: str = "wedge",
-) -> VcEntropyReport:
-    """Covering numbers of the wedge (or hemisphere) class over a sample.
-
-    The probability metric d_P(C1, C2) = P(C1 symmetric-difference C2) is
-    estimated by the disagreement frequency of indicator columns over
-    ``trials`` uniform directions; covering numbers come from deterministic
-    first-uncovered greedy passes.  Ratios are against the entropy envelope
-    (delta / 2) ** (-4 vc_dim).
-    """
-    deltas = tuple(float(d) for d in deltas)
-    if not deltas or any(not (0.0 < d < 1.0) for d in deltas):
-        raise ValueError("deltas must be a nonempty list inside (0, 1)")
-    if vc_dim < 1:
-        raise ValueError("vc_dim must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if class_kind not in ("wedge", "hemisphere"):
-        raise ValueError(f"unknown class kind {class_kind!r}")
-
-    thetas = rng.standard_normal((trials, sample.ambient))
-    norms = np.linalg.norm(thetas, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    thetas /= norms
-    hemi = thetas @ sample.points.T >= 0  # (trials, k)
-
-    if class_kind == "hemisphere":
-        cols = hemi
-    else:
-        k = len(sample)
-        i_idx, j_idx = np.triu_indices(k, 1)
-        cols = hemi[:, i_idx] ^ hemi[:, j_idx]
-    if cols.shape[1] == 0:
-        raise ValueError("sample is too small to induce any class member")
-
-    count = cols.shape[1]
-
-    def dist_from(c):
-        return np.mean(cols != cols[:, c : c + 1], axis=0)
-
-    coverings = []
-    for delta in deltas:
-        uncovered = np.ones(count, dtype=bool)
-        centers = 0
-        while uncovered.any():
-            c = int(np.flatnonzero(uncovered)[0])
-            centers += 1
-            uncovered &= dist_from(c) > delta
-        coverings.append(centers)
-    ratios = tuple(
-        coverings[i] * (deltas[i] / 2.0) ** (4 * vc_dim) for i in range(len(deltas))
-    )
-    return VcEntropyReport(
-        vc_dim=int(vc_dim),
-        class_kind=class_kind,
-        class_size=count,
-        trials=int(trials),
-        deltas=deltas,
-        covering_numbers=tuple(int(c) for c in coverings),
-        ratios=ratios,
-    )

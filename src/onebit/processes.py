@@ -17,9 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EnsembleKindError, FeasibilityError, NumericalError
-from .measurements import EnsembleKind, MeasurementEnsemble
-from .sphere import PointSet, UnitVector, geodesic_distance, pairwise_geodesic
+from .errors import FeasibilityError, NumericalError
+from .sphere import PointSet, pairwise_geodesic
 
 CHOLESKY_MAX_POINTS = 2000
 # output columns per product with the Cholesky factor's lower triangle
@@ -47,11 +46,6 @@ class WidthEstimate:
     std_error: float
     trials: int
     method: WidthMethod
-
-
-def hemisphere_covariance(x: UnitVector, y: UnitVector) -> float:
-    """Covariance 1/4 - d(x, y)/2 of the centered hemisphere indicators."""
-    return 0.25 - 0.5 * geodesic_distance(x, y)
 
 
 def _jitter_ladder(entries: np.ndarray) -> tuple[np.ndarray | None, float | None]:
@@ -290,29 +284,6 @@ def estimate_hemisphere_width_empirical(
         trials=int(trials),
         method=WidthMethod.HEMISPHERE_EMPIRICAL,
     )
-
-
-def symmetrized_process_sup(
-    points: PointSet, ens: MeasurementEnsemble, rng: np.random.Generator
-) -> float:
-    """Sup over pairs of the Rademacher-symmetrized wedge process.
-
-    Z_{x,y} = (1/sqrt(m)) sum_j eps_j 1{theta_j in W_{x,y}} for one draw of
-    signs eps.  Wedge indicators decompose through hemisphere bits b as
-    b_x + b_y - 2 b_x b_y, which turns the pair sup into two matrix products.
-    """
-    if ens.kind is not EnsembleKind.UNIFORM_SPHERE:
-        raise EnsembleKindError("the symmetrized process is defined for uniform ensembles")
-    if points.ambient != ens.ambient:
-        raise ValueError("points and ensemble dimensions differ")
-    if ens.m == 0:
-        raise ValueError("need at least one direction")
-    bits = (ens.directions @ points.points.T >= 0).astype(float).T  # (k, m)
-    eps = np.where(rng.random(ens.m) < 0.5, -1.0, 1.0)
-    u = bits @ eps
-    cross = (bits * eps) @ bits.T
-    z = (u[:, None] + u[None, :] - 2.0 * cross) / math.sqrt(ens.m)
-    return float(np.abs(z).max())
 
 
 class ProcessMetric(str, Enum):

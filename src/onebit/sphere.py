@@ -17,17 +17,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeodesicError,
-    DimensionMismatchError,
-    InvalidDimensionError,
-    NotSeparatingError,
-)
+from .errors import DegenerateGeodesicError, DimensionMismatchError, InvalidDimensionError
 
 UNIT_NORM_TOL = 1e-9
 ANTIPODAL_TOL = 1e-12
-
-_MAX_REJECTION_ATTEMPTS = 10_000
 
 
 class UnitVector:
@@ -85,7 +78,7 @@ class UnitVector:
 
 @dataclass(frozen=True)
 class SparseSpec:
-    """Sparsity regime: s-sparse (or l1-constrained) unit vectors in R^(n+1).
+    """Sparsity regime: s-sparse unit vectors in R^(n+1).
 
     ``n`` is the sphere dimension, ``s`` the sparsity level; 0 < s < n + 1.
     """
@@ -171,7 +164,11 @@ def uniform_sphere_rows(n: int, count: int, rng: np.random.Generator) -> np.ndar
 
 
 def _sparse_row(spec: SparseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Coordinates of :func:`sample_sparse_unit`'s draw, without validation."""
+    """Uniform s-sparse unit row: uniform support, uniform subsphere direction.
+
+    Exactly ``spec.s`` coordinates are nonzero.  The row is not validated;
+    :class:`PointSet` checks its rows.
+    """
     support = rng.choice(spec.ambient, size=spec.s, replace=False)
     while True:
         g = rng.standard_normal(spec.s)
@@ -183,62 +180,6 @@ def _sparse_row(spec: SparseSpec, rng: np.random.Generator) -> np.ndarray:
     out = np.zeros(spec.ambient)
     out[support] = g
     return out
-
-
-def sample_sparse_unit(spec: SparseSpec, rng: np.random.Generator) -> UnitVector:
-    """Uniform s-sparse unit vector: uniform support, uniform subsphere direction.
-
-    Exactly ``spec.s`` coordinates are nonzero.
-    """
-    return UnitVector(_sparse_row(spec, rng))
-
-
-def sample_convex_sparse(spec: SparseSpec, rng: np.random.Generator) -> UnitVector:
-    """Sample from the l1-constrained spherical set {|x|_2 = 1, |x|_1 <= s}.
-
-    Mixture sampler: with probability 1/2 draw a k-sparse unit vector with a
-    uniformly random k <= floor(s^2) and rejection on the l1 constraint, and
-    with probability 1/2 draw a dense direction inside a uniformly random
-    floor(s^2)-coordinate subspace, again rejecting until |x|_1 <= s.  Both
-    routes terminate quickly because k = 1 is always feasible and a dense
-    direction in a d-dimensional subspace has expected l1 norm about
-    sqrt(2 d / pi) < s for d = s^2.
-    """
-    k_cap = min(int(spec.s) * int(spec.s), spec.ambient)
-    for _ in range(_MAX_REJECTION_ATTEMPTS):
-        if rng.random() < 0.5:
-            k = int(rng.integers(1, k_cap + 1))
-        else:
-            k = k_cap
-        support = rng.choice(spec.ambient, size=k, replace=False)
-        g = rng.standard_normal(k)
-        norm = np.linalg.norm(g)
-        if norm == 0.0:
-            continue
-        g /= norm
-        if np.abs(g).sum() <= spec.s:
-            out = np.zeros(spec.ambient)
-            out[support] = g
-            return UnitVector(out)
-    raise RuntimeError("rejection sampler failed to produce an admissible point")
-
-
-def in_sparse_set(x: UnitVector, spec: SparseSpec) -> bool:
-    """Membership in the s-sparse unit sphere (at most s nonzero coordinates)."""
-    if x.ambient != spec.ambient:
-        raise DimensionMismatchError(
-            f"point has ambient dimension {x.ambient}, spec expects {spec.ambient}"
-        )
-    return int(np.count_nonzero(x.coords)) <= spec.s
-
-
-def in_convex_sparse_set(x: UnitVector, spec: SparseSpec, tol: float = 1e-9) -> bool:
-    """Membership in {|x|_2 = 1, |x|_1 <= s} within tolerance."""
-    if x.ambient != spec.ambient:
-        raise DimensionMismatchError(
-            f"point has ambient dimension {x.ambient}, spec expects {spec.ambient}"
-        )
-    return float(np.abs(x.coords).sum()) <= spec.s + tol
 
 
 # --- point sets --------------------------------------------------------------
@@ -390,18 +331,6 @@ def signs(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def in_wedge(theta: UnitVector, x: UnitVector, y: UnitVector) -> bool:
-    """True when the hyperplane normal to theta separates x from y.
-
-    Membership is a sign disagreement of the two inner products, with the
-    sign of 0 taken as +1, so tangent hyperplanes count as non-separating.
-    """
-    _check_same_ambient(theta.coords, x.coords, y.coords)
-    a = float(theta.coords @ x.coords)
-    b = float(theta.coords @ y.coords)
-    return (a >= 0) != (b >= 0)
-
-
 def wedge_mask(thetas: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vectorized wedge membership for direction rows."""
     thetas = np.asarray(thetas, dtype=float)
@@ -432,28 +361,6 @@ class Geodesic:
         return self.angle / math.pi
 
 
-def geodesic_point(geo: Geodesic, t: float) -> UnitVector:
-    """Constant-speed parametrization of the arc; t in [0, 1]."""
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    a = geo.angle
-    s = math.sin(a)
-    coords = (math.sin((1.0 - t) * a) * geo.x.coords + math.sin(t * a) * geo.y.coords) / s
-    return UnitVector.normalized(coords)
-
-
-def _tangent_component(geo: Geodesic, theta: np.ndarray, t) -> np.ndarray:
-    """theta . gamma'(t) / |gamma'(t)| for the constant-speed parametrization.
-
-    gamma'(t) = (-a cos((1-t)a) x + a cos(ta) y) / sin(a) has norm a, so the
-    normalized tangent component is the bracket divided by sin(a).
-    """
-    a = geo.angle
-    ax = theta @ geo.x.coords
-    ay = theta @ geo.y.coords
-    return (-np.cos((1.0 - t) * a) * ax + np.cos(t * a) * ay) / math.sin(a)
-
-
 def _crossing_fraction(fa, fb, angle: float):
     """Arc fraction in [0, 1] where the hyperplane with these endpoint values cuts the arc.
 
@@ -470,41 +377,14 @@ def _crossing_fraction(fa, fb, angle: float):
     return np.clip(t, 0.0, 1.0)
 
 
-def transversal_separation(theta: UnitVector, x: UnitVector, y: UnitVector) -> bool:
-    """Does the hyperplane normal to theta cut the arc x..y transversally?
+def transversal_mask(thetas: np.ndarray, x: UnitVector, y: UnitVector) -> np.ndarray:
+    """Does the hyperplane normal to each direction row cut the arc x..y transversally?
 
     The crossing must make an angle of at least pi/4 with the arc and sit at
-    geodesic distance at least d(x, y) / 4 from both endpoints.  Raises
-    :class:`NotSeparatingError` when theta is not in the wedge of the pair,
-    and :class:`DegenerateGeodesicError` when the arc itself is degenerate.
-    """
-    geo = Geodesic(x, y)
-    if not in_wedge(theta, x, y):
-        raise NotSeparatingError("direction does not separate the pair")
-    th = theta.coords
-    fa = float(th @ x.coords)
-    fb = float(th @ y.coords)
-    if fa == 0.0 or fb == 0.0:
-        # crossing at an endpoint: the distance condition cannot hold
-        return False
-
-    t_star = float(_crossing_fraction(fa, fb, geo.angle))
-    z = geodesic_point(geo, t_star)
-    d_xy = geodesic_distance(x, y)
-    d_min = min(geodesic_distance(z, x), geodesic_distance(z, y))
-    if d_min < d_xy / 4.0:
-        return False
-    sin_angle = abs(float(_tangent_component(geo, th, t_star)))
-    angle = math.asin(min(1.0, sin_angle))
-    return angle >= math.pi / 4.0
-
-
-def transversal_mask(thetas: np.ndarray, x: UnitVector, y: UnitVector) -> np.ndarray:
-    """Vectorized transversal separation over direction rows.
-
-    Directions outside the wedge are reported False rather than raising,
+    geodesic distance at least d(x, y) / 4 from both endpoints.  Directions
+    outside the wedge, and crossings at an endpoint, are reported False,
     which is the convention Monte Carlo frequency estimates need.  The
-    crossing point comes from the same closed form as the scalar routine,
+    crossing point comes from the closed form of :func:`_crossing_fraction`,
     evaluated on all wedge members at once.
     """
     geo = Geodesic(x, y)

@@ -21,7 +21,7 @@ from .measurements import (
     MeasurementEnsemble,
     sign_matrix,
 )
-from .sphere import PointSet, UnitVector, uniform_sphere_rows
+from .sphere import PointSet, uniform_sphere_rows
 
 # working memory of linear_l1_rip's pair tile: 4 x 8 pairs at the battery's m = 2773,
 # well inside one core's L2
@@ -121,27 +121,6 @@ def small_cells_check(points: PointSet, ens: MeasurementEnsemble, delta: float) 
         max_cell_diameter=worst,
         violating_pair=worst_pair if worst >= delta else None,
     )
-
-
-def margin_separation_count(
-    x: UnitVector, y: UnitVector, ens: MeasurementEnsemble, margin: float
-) -> int:
-    """Directions that separate x from y with a two-sided margin.
-
-    Counts j with <x, theta_j> < -t and <y, theta_j> > t in either
-    orientation.  For gaussian ensembles the margin is scaled by sqrt(n) to
-    match the magnitude of unnormalized measurements.
-    """
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    if x.ambient != ens.ambient or y.ambient != ens.ambient:
-        raise DimensionMismatchError("point and ensemble dimensions differ")
-    t = margin * math.sqrt(ens.ambient - 1) if ens.kind is EnsembleKind.GAUSSIAN else margin
-    px = ens.directions @ x.coords
-    py = ens.directions @ y.coords
-    one_way = (px < -t) & (py > t)
-    other = (py < -t) & (px > t)
-    return int(one_way.sum() + other.sum())
 
 
 def _hamming_matrix(points: PointSet, ens: MeasurementEnsemble) -> np.ndarray:

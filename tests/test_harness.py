@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from onebit import (
-    ExperimentConfig, ReportRow, harness, resolve_m, run, run_experiment, summarize,
+    ExperimentConfig, ReportRow, harness, nets, resolve_m, run, run_experiment, summarize,
 )
 from onebit.cli import main, parse_config
 from onebit.harness import EXPERIMENT_ORDER, MAX_DIRECTION_BYTES, REGISTRY, default_out_path
@@ -246,7 +246,7 @@ def test_metric_ratio_without_a_pair_fails(monkeypatch):
     def one_center(points, delta, rng):
         report = real_packing(points, delta, rng)
         return dataclasses.replace(
-            report, packing_size=1, covering_size=1,
+            report, packing_size=1,
             centers=report.centers.subset([0]), center_indices=report.center_indices[:1],
         )
 
@@ -255,6 +255,24 @@ def test_metric_ratio_without_a_pair_fails(monkeypatch):
     rows, verdict = run_experiment("metric-ratio", cfg)
     assert [r.value for r in rows if r.statistic == "net_points"] == [1.0, 1.0]
     assert [r.passed for r in rows if r.statistic == "sup_ratio"] == [False, False]
+    assert not verdict
+
+
+def test_nets_fails_when_the_coarse_packing_outgrows_the_fine(monkeypatch):
+    # sandwich_ok scores |packing(2 delta)| <= |packing(delta)|, the one inequality that can fail
+    real_packing = nets.greedy_packing
+
+    def inflated_coarse(points, delta, rng):
+        report = real_packing(points, delta, rng)
+        if delta == 0.4:  # the 2 delta scale: more centers than any packing of the points
+            return dataclasses.replace(report, packing_size=len(points) + 1)
+        return report
+
+    monkeypatch.setattr(nets, "greedy_packing", inflated_coarse)
+    cfg = ExperimentConfig(experiment="nets", delta=0.2, trials=2, net_size=20)
+    rows, verdict = run_experiment("nets", cfg)
+    assert [r.value for r in rows if r.statistic == "packing_2delta"] == [21.0, 21.0]
+    assert [r.passed for r in rows if r.statistic == "sandwich_ok"] == [False, False]
     assert not verdict
 
 

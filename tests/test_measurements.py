@@ -1,4 +1,4 @@
-"""Measurement layer: ensembles, sign patterns, Hamming and sign-product statistics."""
+"""Measurement layer: ensembles, one-bit maps and sign-product statistics."""
 
 import math
 
@@ -16,13 +16,10 @@ from onebit import (
     InvalidDimensionError,
     MeasurementEnsemble,
     PointSet,
-    SignPattern,
     UnitVector,
-    conditional_metric_sq,
-    hamming_distance,
-    one_bit_map,
     sign_matrix,
     sign_product_statistic,
+    signs,
     substream,
 )
 
@@ -63,9 +60,7 @@ def test_ensemble_rejects_non_finite():
 def test_empty_ensemble_allowed():
     ens = MeasurementEnsemble(np.empty((0, 3)), EnsembleKind.UNIFORM_SPHERE)
     assert ens.m == 0 and len(ens) == 0
-    pattern = one_bit_map(ens, unit(1, 0, 0))
-    assert len(pattern) == 0
-    assert hamming_distance(pattern, pattern) == 0.0
+    assert sign_matrix(ens, PointSet([[1.0, 0.0, 0.0]])).shape == (1, 0)
 
 
 def test_ensemble_directions_are_read_only():
@@ -122,20 +117,19 @@ def test_gaussian_constructor_validates():
 # --- one_bit_map and sign conventions --------------------------------------------
 
 
+def one_bit_map(ens: MeasurementEnsemble, x: UnitVector) -> np.ndarray:
+    """Scalar oracle for ``sign_matrix``: the signs of one point's measurements."""
+    return signs(ens.directions @ x.coords)
+
+
 def test_one_bit_map_zero_dot_counts_positive():
     directions = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / np.array(
         [1.0, 1.0, math.sqrt(2.0)]
     ).reshape(3, 1)
     ens = MeasurementEnsemble(directions, EnsembleKind.UNIFORM_SPHERE)
-    assert one_bit_map(ens, unit(1, 0)).to_string() == "+++"
+    assert one_bit_map(ens, unit(1, 0)).tolist() == [1, 1, 1]
     # first direction is orthogonal to -e2: the zero dot still reads +
-    assert one_bit_map(ens, unit(0, -1)).to_string() == "+--"
-
-
-def test_one_bit_map_dimension_mismatch():
-    ens = MeasurementEnsemble.uniform(2, 4, seed=3)
-    with pytest.raises(DimensionMismatchError):
-        one_bit_map(ens, unit(1, 0))
+    assert one_bit_map(ens, unit(0, -1)).tolist() == [1, -1, -1]
 
 
 def test_sign_matrix_rows_match_one_bit_map():
@@ -145,7 +139,7 @@ def test_sign_matrix_rows_match_one_bit_map():
     matrix = sign_matrix(ens, pts)
     assert matrix.shape == (6, 32)
     for i in range(6):
-        assert np.array_equal(matrix[i], one_bit_map(ens, pts.unit(i)).bits)
+        assert np.array_equal(matrix[i], one_bit_map(ens, pts.unit(i)))
 
 
 def test_sign_matrix_dimension_mismatch():
@@ -164,70 +158,7 @@ def test_positive_row_scaling_never_flips_signs():
         ens.directions * scales[:, None], EnsembleKind.GAUSSIAN
     )
     x = UnitVector.normalized(rng.standard_normal(5))
-    assert one_bit_map(ens, x) == one_bit_map(scaled, x)
-
-
-# --- SignPattern -----------------------------------------------------------------
-
-
-def test_sign_pattern_string_round_trip():
-    text = "+-++-"
-    p = SignPattern.from_string(text)
-    assert p.to_string() == text
-    assert np.array_equal(p.bits, [1, -1, 1, 1, -1])
-
-
-def test_sign_pattern_rejects_invalid():
-    with pytest.raises(ValueError):
-        SignPattern.from_string("+0-")
-    with pytest.raises(ValueError):
-        SignPattern([1, 2, -1])
-    with pytest.raises(ValueError):
-        SignPattern(np.ones((2, 2)))
-
-
-def test_sign_pattern_eq_and_hash():
-    a = SignPattern([1, -1, 1])
-    b = SignPattern.from_string("+-+")
-    c = SignPattern([1, 1, 1])
-    assert a == b and hash(a) == hash(b)
-    assert a != c
-    assert a != SignPattern([1, -1])
-    assert (a == "+-+") is False
-    assert len({a, b, c}) == 2
-
-
-def test_sign_pattern_bits_read_only():
-    p = SignPattern([1, -1])
-    with pytest.raises(ValueError):
-        p.bits[0] = -1
-
-
-# --- Hamming distance ------------------------------------------------------------
-
-
-def test_hamming_one_of_four():
-    p = SignPattern.from_string("++++")
-    q = SignPattern.from_string("+++-")
-    assert hamming_distance(p, q) == 0.25
-    assert hamming_distance(p, p) == 0.0
-    assert hamming_distance(SignPattern.from_string("++"), SignPattern.from_string("--")) == 1.0
-
-
-def test_hamming_length_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        hamming_distance(SignPattern([1, -1]), SignPattern([1]))
-
-
-@given(seed=seeds)
-@settings(max_examples=25, deadline=None)
-def test_conditional_metric_equals_hamming_of_maps(seed):
-    rng = substream(seed, "test-cond-metric")
-    ens = MeasurementEnsemble.uniform(3, 48, seed=seed)
-    pts = PointSet.uniform(3, 2, rng)
-    x, y = pts.unit(0), pts.unit(1)
-    expected = hamming_distance(one_bit_map(ens, x), one_bit_map(ens, y))
-    assert conditional_metric_sq(ens, x, y) == expected
+    assert np.array_equal(one_bit_map(ens, x), one_bit_map(scaled, x))
 
 
 # --- half-normal mean oracle -----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Nets layer: greedy packings, covers, cap shattering, entropy estimates."""
+"""Nets layer: greedy packings, covers, cap shattering."""
 
 import math
 
@@ -10,17 +10,14 @@ from hypothesis import strategies as st
 from onebit import (
     FeasibilityError,
     PointSet,
-    VcEntropyReport,
     VcReport,
     canonical_witness,
     first_uncovered_cover,
     greedy_packing,
-    nearest_center_projection,
     sandwich_check,
     sauer_bound,
     shatter_check,
     substream,
-    vc_entropy_check,
 )
 from onebit.nets import _constructive_directions
 
@@ -49,7 +46,7 @@ def test_greedy_packing_invariants(seed):
     rng = substream(seed, "test-pack-inv")
     pts = PointSet.uniform(2, 60, rng)
     report = greedy_packing(pts, 0.2, rng)
-    assert report.packing_size == report.covering_size == len(report.centers)
+    assert report.packing_size == len(report.centers)
     # separation, recomputed from scratch
     dist = report.centers.pairwise_geodesic()
     if len(report.centers) > 1:
@@ -145,13 +142,6 @@ def test_first_uncovered_cover_edge_cases():
     for matrix, radius, centers in cases:
         assert first_uncovered_cover(matrix, radius) == centers
         assert _first_uncovered_cover_reference(matrix, radius) == centers
-
-
-def test_nearest_center_ties_resolve_low():
-    centers = PointSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    midpoint = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    assert nearest_center_projection(midpoint, centers) == 0
-    assert nearest_center_projection(np.array([0.0, 1.0]), centers) == 1
 
 
 # --- sandwich --------------------------------------------------------------------
@@ -340,55 +330,3 @@ def test_shatter_small_budgets_match_reference(budget):
     pts = PointSet.uniform(2, 8, substream(2, "test-shatter-ref-pts"))
     _assert_shatter_matches_reference(pts, 2, budget)
     _assert_shatter_matches_reference(canonical_witness(5), 3, budget)
-
-
-# --- entropy of indicator classes ------------------------------------------------
-
-
-def test_vc_entropy_wedge_class_size():
-    rng = substream(8, "test-entropy-size")
-    sample = PointSet.uniform(2, 10, rng)
-    report = vc_entropy_check(3, [0.1, 0.2], sample, trials=500, rng=rng)
-    assert isinstance(report, VcEntropyReport)
-    assert report.class_kind == "wedge"
-    assert report.class_size == math.comb(10, 2)
-    assert report.trials == 500
-
-
-def test_vc_entropy_hemisphere_class_size():
-    rng = substream(9, "test-entropy-hemi")
-    sample = PointSet.uniform(2, 10, rng)
-    report = vc_entropy_check(3, [0.1], sample, trials=500, rng=rng, class_kind="hemisphere")
-    assert report.class_kind == "hemisphere"
-    assert report.class_size == 10
-
-
-def test_vc_entropy_coverings_monotone_in_delta():
-    rng = substream(10, "test-entropy-mono")
-    sample = PointSet.uniform(2, 14, rng)
-    deltas = (0.05, 0.1, 0.2, 0.4)
-    report = vc_entropy_check(3, deltas, sample, trials=2_000, rng=rng)
-    covers = report.covering_numbers
-    assert all(covers[i] >= covers[i + 1] for i in range(len(covers) - 1))
-    assert covers[0] <= report.class_size
-    assert covers[-1] >= 1
-    for i, d in enumerate(deltas):
-        assert math.isclose(report.ratios[i], covers[i] * (d / 2.0) ** 12, rel_tol=1e-12)
-
-
-def test_vc_entropy_validation():
-    rng = substream(11, "test-entropy-val")
-    sample = PointSet.uniform(2, 6, rng)
-    with pytest.raises(ValueError):
-        vc_entropy_check(3, [], sample, trials=100, rng=rng)
-    with pytest.raises(ValueError):
-        vc_entropy_check(3, [1.5], sample, trials=100, rng=rng)
-    with pytest.raises(ValueError):
-        vc_entropy_check(0, [0.1], sample, trials=100, rng=rng)
-    with pytest.raises(ValueError):
-        vc_entropy_check(3, [0.1], sample, trials=0, rng=rng)
-    with pytest.raises(ValueError):
-        vc_entropy_check(3, [0.1], sample, trials=100, rng=rng, class_kind="cap")
-    lone = PointSet(np.array([[1.0, 0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        vc_entropy_check(3, [0.1], lone, trials=100, rng=rng)

@@ -1,4 +1,4 @@
-"""Process layer: widths, hemisphere covariance, symmetrization, minoration."""
+"""Process layer: widths, hemisphere covariance, minoration."""
 
 import math
 import sys
@@ -11,29 +11,24 @@ import pytest
 
 from onebit import (
     CovarianceMatrix,
-    EnsembleKind,
-    EnsembleKindError,
     FeasibilityError,
-    MeasurementEnsemble,
     NumericalError,
     PointSet,
     ProcessMetric,
     SparseSpec,
     UnitVector,
     WidthMethod,
-    conditional_metric_sq,
+    geodesic_distance,
     covariance_matrix,
     estimate_gaussian_width,
     estimate_hemisphere_width_cholesky,
     estimate_hemisphere_width_empirical,
-    hemisphere_covariance,
     hemisphere_empirical_samples,
     metric_distances,
     processes,
     sparse_net,
     substream,
     sudakov_check,
-    symmetrized_process_sup,
 )
 
 
@@ -47,6 +42,11 @@ def circle_points(k: int) -> PointSet:
 
 
 # --- covariance ------------------------------------------------------------------
+
+
+def hemisphere_covariance(x: UnitVector, y: UnitVector) -> float:
+    """Scalar oracle for ``covariance_matrix``: 1/4 - d(x, y)/2 for one pair."""
+    return 0.25 - 0.5 * geodesic_distance(x, y)
 
 
 def test_hemisphere_covariance_oracles():
@@ -378,40 +378,6 @@ def test_cholesky_and_empirical_widths_agree():
     assert emp.method is WidthMethod.HEMISPHERE_EMPIRICAL
     joint = math.hypot(chol.std_error, emp.std_error)
     assert abs(chol.value - emp.value) <= 4.0 * joint
-
-
-# --- symmetrized process ---------------------------------------------------------
-
-
-def test_symmetrized_requires_uniform_kind():
-    rng = substream(9, "test-symm-kind")
-    pts = PointSet.uniform(2, 4, rng)
-    gauss = MeasurementEnsemble.gaussian(2, 16, seed=9)
-    with pytest.raises(EnsembleKindError):
-        symmetrized_process_sup(pts, gauss, rng)
-
-
-def test_symmetrized_validation():
-    rng = substream(10, "test-symm-val")
-    pts = PointSet.uniform(2, 4, rng)
-    with pytest.raises(ValueError):
-        symmetrized_process_sup(pts, MeasurementEnsemble.uniform(3, 8, seed=1), rng)
-    empty = MeasurementEnsemble(np.empty((0, 3)), EnsembleKind.UNIFORM_SPHERE)
-    with pytest.raises(ValueError):
-        symmetrized_process_sup(pts, empty, rng)
-
-
-def test_symmetrized_second_moment_matches_wedge_frequency():
-    # for a two point set, E_eps sup^2 equals the empirical wedge frequency
-    ens = MeasurementEnsemble.uniform(3, 500, seed=11)
-    pts = PointSet.uniform(3, 2, substream(11, "test-symm-pts"))
-    wedge_freq = conditional_metric_sq(ens, pts.unit(0), pts.unit(1))
-    rng = substream(11, "test-symm-eps")
-    draws = np.array([symmetrized_process_sup(pts, ens, rng) for _ in range(4_000)])
-    second_moment = float(np.mean(draws**2))
-    w = wedge_freq * ens.m
-    se = math.sqrt(2.0 * w * (w - 1.0)) / ens.m / math.sqrt(4_000)
-    assert abs(second_moment - wedge_freq) <= 4.0 * se
 
 
 # --- process metrics and minoration ----------------------------------------------

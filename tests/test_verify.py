@@ -23,7 +23,6 @@ from onebit import (
     finite_embedding,
     greedy_packing,
     linear_l1_rip,
-    margin_separation_count,
     metric_ratio_check,
     one_bit_rip,
     sign_product_rip,
@@ -33,7 +32,6 @@ from onebit import (
     sparse_net,
     substream,
     verify,
-    wedge_mask,
 )
 
 
@@ -108,49 +106,6 @@ def test_small_cells_prefix_monotone(seed):
     full = small_cells_check(pts, ens, 0.3)
     assert full.max_cell_diameter <= half.max_cell_diameter
     assert full.num_cells >= half.num_cells
-
-
-# --- margin separation -----------------------------------------------------------
-
-
-def test_margin_zero_matches_strict_wedge_count():
-    seed = 3
-    ens = MeasurementEnsemble.uniform(3, 500, seed=seed)
-    rng = substream(seed, "test-margin-pts")
-    pts = PointSet.uniform(3, 2, rng)
-    x, y = pts.unit(0), pts.unit(1)
-    count = margin_separation_count(x, y, ens, 0.0)
-    wedge = int(wedge_mask(ens.directions, x.coords, y.coords).sum())
-    assert count == wedge
-
-
-def test_margin_count_monotone_in_margin():
-    ens = MeasurementEnsemble.uniform(3, 400, seed=4)
-    rng = substream(4, "test-margin-mono")
-    pts = PointSet.uniform(3, 2, rng)
-    x, y = pts.unit(0), pts.unit(1)
-    counts = [margin_separation_count(x, y, ens, t) for t in (0.0, 0.1, 0.2, 0.4)]
-    assert all(counts[i] >= counts[i + 1] for i in range(len(counts) - 1))
-
-
-def test_margin_gaussian_scaling():
-    # gaussian margins are scaled by sqrt(ambient - 1) = 2 here
-    ens = MeasurementEnsemble(
-        np.array([[4.0, 0.0, 0.0, 0.0, 0.0]]), EnsembleKind.GAUSSIAN
-    )
-    x = unit(1, 0, 0, 0, 0)
-    y = unit(-1, 0, 0, 0, 0)
-    assert margin_separation_count(x, y, ens, 1.0) == 1  # threshold 2 < 4
-    assert margin_separation_count(x, y, ens, 2.5) == 0  # threshold 5 > 4
-
-
-def test_margin_validation():
-    ens = MeasurementEnsemble.uniform(2, 8, seed=5)
-    x = unit(1, 0, 0)
-    with pytest.raises(ValueError):
-        margin_separation_count(x, x, ens, -0.1)
-    with pytest.raises(DimensionMismatchError):
-        margin_separation_count(unit(1, 0), unit(0, 1), ens, 0.1)
 
 
 # --- one-bit distortion ----------------------------------------------------------
