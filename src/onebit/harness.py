@@ -241,6 +241,11 @@ def _embed_limits(eff: _Effective):
     _check_directions(budget, eff.n, "the embedding budget m")
 
 
+def _small_cells_limits(eff: _Effective):
+    if eff.net_size < 2:
+        raise ValueError("small-cells needs net_size >= 2: one point is one cell of diameter 0")
+
+
 def _nets_limits(eff: _Effective):
     if eff.net_size < 2:
         raise ValueError("nets needs net_size >= 2: a single point packs and covers trivially")
@@ -503,7 +508,7 @@ REGISTRY: dict[str, Experiment] = {
         Experiment(
             "small-cells", "sign-pattern cell diameters under a random tessellation",
             _trial_small_cells, ("max_cell_diameter",), _rate_verdict, _cells_budget,
-            needs_delta=True,
+            needs_delta=True, limits=_small_cells_limits,
         ),
         Experiment(
             "rip", "sup |hamming - geodesic| over a sparse net",

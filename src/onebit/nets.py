@@ -21,6 +21,7 @@ from .sphere import PointSet
 SHATTER_MAX_POINTS = 22
 _CONSTRUCTIVE_ENUM_LIMIT = 12  # constructive per-dichotomy candidates up to 2^12 splits
 _DIRECTION_BLOCK = 256  # candidate directions projected and registered together
+_COVER_BLOCK = 256  # columns per block of the nearest-earlier-index pass
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,17 @@ def greedy_packing(points: PointSet, delta: float, rng: np.random.Generator) -> 
             available &= dist[i] > delta
     kept_arr = np.array(kept, dtype=int)
 
-    sub = dist[np.ix_(kept_arr, kept_arr)]
-    off = sub[~np.eye(len(kept_arr), dtype=bool)]
-    if off.size and off.min() <= delta:
+    # one boolean pass counts, for each point i, the centers c with dist[i, c] <= delta
+    is_center = np.zeros(k, dtype=bool)
+    is_center[kept_arr] = True
+    near = dist <= delta
+    near &= is_center
+    near_centers = np.count_nonzero(near, axis=1)
+    # a center counts itself when its diagonal entry, which need not be zero, is <= delta
+    counts_itself = dist.diagonal()[kept_arr] <= delta
+    if (near_centers[kept_arr] > counts_itself).any():
         raise RuntimeError("greedy packing produced a non-separated set")
-    cover_gap = dist[:, kept_arr].min(axis=1)
-    if cover_gap.max() > delta:
+    if not near_centers.all():
         raise RuntimeError("greedy packing centers fail to cover the input")
 
     return NetReport(
@@ -75,25 +81,59 @@ def greedy_packing(points: PointSet, delta: float, rng: np.random.Generator) -> 
     )
 
 
-def first_uncovered_cover(dist: np.ndarray, radius: float) -> list[int]:
-    """Greedy covering of a finite metric space given its distance matrix.
+def _nearest_earlier(dist: np.ndarray) -> np.ndarray:
+    """min(dist[:j, j]) for every index j (inf at j = 0), one column block at a time.
 
-    Scans indices in order, opens a center at the first uncovered index, and
-    marks everything within ``radius`` covered.  Deterministic given the
-    matrix, which keeps covering-number curves reproducible.
-
-    Centers open in index order, so every index up to the newest center is
-    already decided: each center marks and searches only the indices after it.
+    Each block reduces the rows above it straight into the output and masks
+    its own diagonal square, so no temporary is larger than a block square.
     """
     k = dist.shape[0]
-    uncovered = np.ones(k + 1, dtype=bool)  # index k stays True and ends the scan
-    centers: list[int] = []
-    c = 0
-    while c < k:
-        centers.append(c)
-        uncovered[c + 1 : k] &= dist[c, c + 1 :] > radius
-        c += 1 + int(uncovered[c + 1 :].argmax())  # the first uncovered index after c
-    return centers
+    nearest = np.full(k, np.inf)
+    for j0 in range(0, k, _COVER_BLOCK):
+        j1 = min(j0 + _COVER_BLOCK, k)
+        if j0:
+            np.min(dist[:j0, j0:j1], axis=0, out=nearest[j0:j1])
+        square = np.where(np.tri(j1 - j0, dtype=bool), np.inf, dist[j0:j1, j0:j1])
+        np.minimum(nearest[j0:j1], square.min(axis=0), out=nearest[j0:j1])
+    return nearest
+
+
+def first_uncovered_cover(dist: np.ndarray, radii) -> list[list[int]]:
+    """Greedy coverings of a finite metric space given its distance matrix.
+
+    For each radius: scan indices in order, open a center at the first
+    uncovered index, and mark everything within the radius covered, reading
+    row c for center c.  Returns one center list per radius, in the order of
+    ``radii``.  Deterministic given the matrix, which keeps covering-number
+    curves reproducible.
+
+    Index j is a center iff no earlier center lies within the radius.  One
+    pass finds each index's nearest earlier index; an index whose nearest
+    earlier index lies beyond the radius is a center outright.  When fewer
+    than half the indices are contested, only those are decided, in index
+    order, against the earlier centers.  Otherwise the centers open in index
+    order, each marking and searching only the indices after it.
+    """
+    k = dist.shape[0]
+    nearest = _nearest_earlier(dist)
+    covers = []
+    for radius in radii:
+        is_center = nearest > radius
+        contested = np.flatnonzero(~is_center)
+        if 2 * len(contested) < k:
+            for j in contested:
+                is_center[j] = np.all(dist[:j, j][is_center[:j]] > radius)
+            covers.append(np.flatnonzero(is_center).tolist())
+            continue
+        uncovered = np.ones(k + 1, dtype=bool)  # index k stays True and ends the scan
+        centers: list[int] = []
+        c = 0
+        while c < k:
+            centers.append(c)
+            uncovered[c + 1 : k] &= dist[c, c + 1 :] > radius
+            c += 1 + int(uncovered[c + 1 :].argmax())  # the first uncovered index after c
+        covers.append(centers)
+    return covers
 
 
 def sandwich_check(points: PointSet, delta: float, rng: np.random.Generator) -> dict:

@@ -330,19 +330,20 @@ def sudakov_check(
 ) -> SudakovReport:
     """delta * sqrt(log N(T, delta)) against the width, for each scale.
 
-    Covering numbers come from deterministic first-uncovered greedy passes
-    in the chosen process metric; ratios near or below a small constant are
-    the expected outcome of the minoration.
+    Covering numbers come from deterministic first-uncovered greedy covers
+    in the chosen process metric, every scale from one distance matrix;
+    ratios near or below a small constant are the expected outcome of the
+    minoration.
     """
     from .nets import first_uncovered_cover
 
     deltas = tuple(float(d) for d in deltas)
     if not deltas or any(d <= 0.0 for d in deltas):
         raise ValueError("deltas must be positive")
-    dist = metric_distances(points, metric)
+    covers = first_uncovered_cover(metric_distances(points, metric), deltas)
     ns, lows, ratios = [], [], []
-    for delta in deltas:
-        n_cover = len(first_uncovered_cover(dist, delta))
+    for delta, centers in zip(deltas, covers):
+        n_cover = len(centers)
         low = delta * math.sqrt(math.log(n_cover)) if n_cover > 1 else 0.0
         ns.append(n_cover)
         lows.append(low)

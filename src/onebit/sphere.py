@@ -194,6 +194,8 @@ class PointSet:
         arr = np.array(points, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
             raise ValueError(f"need a nonempty (k, n+1) array with n >= 1, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("sphere point coordinates must be finite")
         norms = np.linalg.norm(arr, axis=1)
         worst = float(np.abs(norms - 1.0).max())
         if worst > UNIT_NORM_TOL:

@@ -235,7 +235,9 @@ def linear_l1_rip(
         for j0 in range(i0 + 1, k, cols):
             j1 = min(j0 + cols, k)
             tile = buf[: i1 - i0, : j1 - j0]
-            np.subtract(proj[i0:i1, None], proj[None, j0:j1], out=tile)
+            # |p_j - p_i| is bitwise |p_i - p_j|; subtracting in place is the cheaper pass
+            tile[...] = proj[None, j0:j1]
+            tile -= proj[i0:i1, None]
             np.abs(tile, out=tile)
             gap = tile.sum(axis=2)
             gap /= ens.m

@@ -419,6 +419,7 @@ def no_runs(monkeypatch):
         ["embed", "--delta", "0.2", "--net-size", "1"],  # no pair to measure
         ["all", "--delta", "0.2", "--net-size", "1", "--m", "100", "--trials", "1"],
         ["nets", "--delta", "0.2", "--net-size", "1"],  # one point packs and covers trivially
+        ["small-cells", "--delta", "0.2", "--net-size", "1", "--m", "50", "--trials", "3"],
         ["metric-ratio", "--delta", "0.2", "--net-size", "1", "--trials", "3"],
     ],
 )

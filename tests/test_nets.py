@@ -10,14 +10,19 @@ from hypothesis import strategies as st
 from onebit import (
     FeasibilityError,
     PointSet,
+    ProcessMetric,
+    SparseSpec,
     VcReport,
     canonical_witness,
+    estimate_gaussian_width,
     first_uncovered_cover,
     greedy_packing,
+    metric_distances,
     sandwich_check,
     sauer_bound,
     shatter_check,
     substream,
+    sudakov_check,
 )
 from onebit.nets import _constructive_directions
 
@@ -76,6 +81,90 @@ def test_greedy_packing_idempotent_on_separated_set():
     assert sorted(again.center_indices) == list(range(first.packing_size))
 
 
+def _greedy_packing_reference(points, delta, rng):
+    """The fancy-index audit as first written: center indices, or the audit's error."""
+    k = len(points)
+    order = rng.permutation(k)
+    dist = points.pairwise_geodesic()
+    available = np.ones(k, dtype=bool)
+    kept = []
+    for idx in order:
+        i = int(idx)
+        if available[i]:
+            kept.append(i)
+            available &= dist[i] > delta
+    kept_arr = np.array(kept, dtype=int)
+    sub = dist[np.ix_(kept_arr, kept_arr)]
+    off = sub[~np.eye(len(kept_arr), dtype=bool)]
+    if off.size and off.min() <= delta:
+        raise RuntimeError("greedy packing produced a non-separated set")
+    cover_gap = dist[:, kept_arr].min(axis=1)
+    if cover_gap.max() > delta:
+        raise RuntimeError("greedy packing centers fail to cover the input")
+    return tuple(kept)
+
+
+def _packing_outcome(packing, points, delta, seed):
+    try:
+        return packing(points, delta, substream(seed, "test-pack-audit"))
+    except RuntimeError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_packing_matches_fancy_index_reference(seed):
+    rng = substream(seed, "test-pack-ref")
+    k = int(rng.integers(2, 301))
+    sets = (PointSet.uniform(3, k, rng), PointSet.sparse(SparseSpec(40, 3), k, rng))
+    for points in sets:
+        for delta in (0.05, 0.2, 0.4):
+            report = greedy_packing(points, delta, substream(seed, "test-pack-order"))
+            reference = _greedy_packing_reference(points, delta, substream(seed, "test-pack-order"))
+            assert report.center_indices == reference
+
+
+def _crafted(order, off=0.9, diagonal=0.0, first_to_second=None, second_to_first=None):
+    """Distances 'off' apart, with the first two points of the scan order set apart."""
+    k = len(order)
+    dist = np.full((k, k), off)
+    np.fill_diagonal(dist, diagonal)
+    a, b = order[0], order[1]
+    if first_to_second is not None:
+        dist[a, b] = first_to_second
+    if second_to_first is not None:
+        dist[b, a] = second_to_first
+    return dist
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_packing_audit_raises_as_the_reference(seed, monkeypatch):
+    points = PointSet.uniform(2, 6, substream(seed, "test-pack-points"))
+    order = substream(seed, "test-pack-audit").permutation(len(points))
+    not_separated = "greedy packing produced a non-separated set"
+    not_covering = "greedy packing centers fail to cover the input"
+    cases = [
+        # the second point stays available but lies within delta of the first
+        (_crafted(order, first_to_second=0.9, second_to_first=0.1), not_separated),
+        # the first point rules out the second, which lies beyond delta of every center
+        (_crafted(order, first_to_second=0.1, second_to_first=0.9), not_covering),
+        # every point kept, none within delta of itself
+        (_crafted(order, diagonal=0.5), not_covering),
+        (_crafted(order, diagonal=0.5, second_to_first=0.1), not_separated),
+        # a center within delta of itself alone is still separated
+        (_crafted(order, diagonal=0.1), tuple(int(i) for i in order)),
+    ]
+    rng = substream(seed, "test-pack-asym")
+    cases += [(rng.random((6, 6)), None) for _ in range(20)]  # any outcome, as the reference's
+    for matrix, expected in cases:
+        monkeypatch.setattr(PointSet, "pairwise_geodesic", lambda self, d=matrix: d.copy())
+        reference = _packing_outcome(_greedy_packing_reference, points, 0.3, seed)
+        outcome = _packing_outcome(greedy_packing, points, 0.3, seed)
+        if not isinstance(outcome, str):
+            outcome = outcome.center_indices
+        assert expected is None or reference == expected
+        assert outcome == reference
+
+
 # --- covers and projections ------------------------------------------------------
 
 
@@ -87,9 +176,8 @@ def test_first_uncovered_cover_known_matrix():
             [0.9, 0.8, 0.0],
         ]
     )
-    assert first_uncovered_cover(dist, 0.2) == [0, 2]
-    assert first_uncovered_cover(dist, 0.95) == [0]
-    assert first_uncovered_cover(dist, 0.05) == [0, 1, 2]
+    assert first_uncovered_cover(dist, [0.2, 0.95, 0.05]) == [[0, 2], [0], [0, 1, 2]]
+    assert first_uncovered_cover(dist, []) == []
 
 
 @given(seed=seeds)
@@ -98,10 +186,10 @@ def test_first_uncovered_cover_covers(seed):
     rng = substream(seed, "test-cover")
     pts = PointSet.uniform(2, 40, rng)
     dist = pts.pairwise_geodesic()
-    centers = first_uncovered_cover(dist, 0.3)
+    [centers] = first_uncovered_cover(dist, [0.3])
     assert dist[:, centers].min(axis=1).max() <= 0.3
     # deterministic in the matrix
-    assert centers == first_uncovered_cover(dist, 0.3)
+    assert [centers] == first_uncovered_cover(dist, [0.3])
 
 
 def _first_uncovered_cover_reference(dist, radius):
@@ -124,10 +212,17 @@ def test_first_uncovered_cover_matches_full_mask_reference(seed):
     asymmetric = rng.random((k, k))
     np.fill_diagonal(asymmetric, 0.0)
     for dist in (geodesic, asymmetric):
-        for radius in (0.0, 0.05, 0.2, 0.5, 1.0):
-            assert first_uncovered_cover(dist, radius) == _first_uncovered_cover_reference(
-                dist, radius
-            )
+        # index j is contested at radius r when some earlier index lies within r;
+        # radii at quantiles of the nearest earlier distances (ties included) put
+        # fewer than k/2 contested indices on one side and at least k/2 on the other
+        nearest = np.array([dist[:j, j].min() for j in range(1, k)])
+        quantiles = np.quantile(nearest, (0.1, 0.3, 0.45, 0.55, 0.7, 0.9), method="lower")
+        radii = sorted({0.0, 0.05, 0.2, 0.5, 1.0, *quantiles.tolist()})
+        contested = [int(np.count_nonzero(nearest <= r)) for r in radii]
+        assert any(0 < c < k / 2 for c in contested)
+        assert any(c >= k / 2 for c in contested)
+        expected = [_first_uncovered_cover_reference(dist, r) for r in radii]
+        assert first_uncovered_cover(dist, radii) == expected
 
 
 def test_first_uncovered_cover_edge_cases():
@@ -140,8 +235,22 @@ def test_first_uncovered_cover_edge_cases():
         (dist, 0.0, list(range(25))),  # no point covering another
     ]
     for matrix, radius, centers in cases:
-        assert first_uncovered_cover(matrix, radius) == centers
+        assert first_uncovered_cover(matrix, [radius]) == [centers]
         assert _first_uncovered_cover_reference(matrix, radius) == centers
+
+
+def test_sudakov_covering_numbers_match_the_reference():
+    rng = substream(21, "test-sudakov-ref")
+    points = PointSet.sparse(SparseSpec(40, 3), 300, rng)
+    width = estimate_gaussian_width(points, 200, rng)
+    grid = tuple(round(0.05 * i, 2) for i in range(1, 11))
+    for metric, radii in (
+        (ProcessMetric.GAUSSIAN, grid),
+        (ProcessMetric.HEMISPHERE, tuple(math.sqrt(d) for d in grid)),
+    ):
+        dist = metric_distances(points, metric)
+        expected = tuple(len(_first_uncovered_cover_reference(dist, r)) for r in radii)
+        assert sudakov_check(points, metric, radii, width).covering_numbers == expected
 
 
 # --- sandwich --------------------------------------------------------------------

@@ -64,6 +64,87 @@ def test_library_modules_load_every_name_they_import():
     assert not found
 
 
+# module-level containers a library module may hold: the export list and the registry
+STATE_ALLOWED = ("__all__", "REGISTRY")
+_MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_MUTABLE_CONSTRUCTORS = ("dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque")
+
+
+def _module_statements(body):
+    """Statements run at import, including those under module-level if/try/with."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _module_statements(getattr(node, field, []))
+
+
+def _is_mutable_container(value) -> bool:
+    if isinstance(value, ast.Tuple):
+        return any(_is_mutable_container(element) for element in value.elts)
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in _MUTABLE_CONSTRUCTORS
+    return isinstance(value, _MUTABLE_DISPLAYS)
+
+
+def module_state(source: str) -> list[str]:
+    """Module-level names bound to a dict, list or set display, comprehension or constructor.
+
+    Such a container is shared by every caller in the process, so a cache
+    kept there outlives the call that filled it.
+    """
+    found = []
+    for node in _module_statements(ast.parse(source).body):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names = [ast.unparse(target) for target in targets]
+        if node.value is not None and _is_mutable_container(node.value):
+            found += [f"{name} (line {node.lineno})" for name in names if name not in STATE_ALLOWED]
+    return found
+
+
+def test_module_state_check_catches_a_planted_cache():
+    source = (
+        "import collections\n"
+        "_CACHE = {}\n"
+        "_SEEN: set = set()\n"
+        "_PAIRS = ([], 1)\n"
+        "if True:\n"
+        "    _LOG = collections.deque()\n"
+        "_ROWS = [i for i in range(3)]\n"
+        "__all__ = ['f']\n"
+        "REGISTRY = {'a': 1}\n"
+        "_NAMES = frozenset({'a', 'b'})\n"
+        "_GRID = tuple(i for i in range(3))\n"
+        "def f():\n"
+        "    local = {}\n"
+        "    return local\n"
+    )
+    assert module_state(source) == [
+        "_CACHE (line 2)",
+        "_SEEN (line 3)",
+        "_PAIRS (line 4)",
+        "_LOG (line 6)",
+        "_ROWS (line 7)",
+    ]
+
+
+def test_library_modules_hold_no_module_level_containers():
+    found = {
+        path.name: state
+        for path in sorted(SRC.glob("*.py"))
+        if (state := module_state(path.read_text(encoding="utf-8")))
+    }
+    assert not found
+
+
 def test_public_surface_is_sorted_unique_and_resolves():
     names = onebit.__all__
     assert names == sorted(names)

@@ -183,6 +183,15 @@ def test_point_set_validation_and_tags():
         PointSet(np.ones((3, 4)))
 
 
+def test_point_set_rejects_non_finite_rows():
+    # NaN > UNIT_NORM_TOL is False, so only an explicit check catches these
+    rows = PointSet.uniform(3, 50, substream(5, "ps-nan")).points.copy()
+    rows[17, 2] = np.nan
+    for bad in ([[np.nan, np.nan]], rows, [[1.0, 0.0], [np.inf, 0.0]]):
+        with pytest.raises(ValueError, match="sphere point coordinates must be finite"):
+            PointSet(bad)
+
+
 def test_point_set_subset_preserves_rows():
     rng = substream(6, "subset")
     ps = PointSet.uniform(2, 8, rng)
