@@ -19,8 +19,7 @@ from .errors import FeasibilityError
 from .sphere import PointSet
 
 SHATTER_MAX_POINTS = 22
-_CONSTRUCTIVE_ENUM_LIMIT = 12  # constructive per-dichotomy candidates up to 2^12 splits
-_DIRECTION_BLOCK = 256  # candidate directions projected and registered together
+_ON_PLANE_TOL = 1e-9  # a lifted point this close to a hyperplane lies on it
 _COVER_BLOCK = 256  # columns per block of the nearest-earlier-index pass
 
 
@@ -158,129 +157,94 @@ def sandwich_check(points: PointSet, delta: float, rng: np.random.Generator) -> 
     }
 
 
-def sauer_bound(num_points: int, vc_dim: int) -> float:
-    """Growth-function bound (num_points * e / vc_dim) ** vc_dim."""
-    if num_points <= 1:
-        raise ValueError("the bound needs num_points > 1")
-    if vc_dim < 1:
-        raise ValueError("vc_dim must be >= 1")
-    return float((num_points * math.e / vc_dim) ** vc_dim)
-
-
 @dataclass(frozen=True)
 class VcReport:
-    """Cap-shattering search outcome for one witness point set.
+    """Cap dichotomies of one point set, counted by :func:`shatter_check`.
 
-    ``shattered`` False means the search budget was exhausted before every
-    dichotomy was realized, never that a dichotomy is impossible.
+    ``dichotomies_realized`` is exact for points in general position within
+    their span and never exceeds the true count, so ``shattered`` False means
+    that some dichotomy is impossible.
     """
 
     n: int
     witness_points: PointSet
     shattered: bool
     dichotomies_realized: int
-    sauer_bound: float | None
 
 
-def _register_cuts(proj: np.ndarray, realized: np.ndarray, weights: np.ndarray):
-    """Record every dichotomy realized by caps along each row's projections.
+def _span_coordinates(rows: np.ndarray) -> np.ndarray:
+    """The rows' coordinates in an orthonormal basis of their span.
 
-    Caps along a direction c are threshold sets {i : proj_i > t}; sweeping t
-    through a row's sorted distinct projections enumerates all of them as
-    suffixes of the sorted order, and the reversed direction contributes the
-    complementary prefixes.  ``proj`` is a (directions, points) block.
+    Gram-Schmidt with one reorthogonalization pass: a row within
+    ``_ON_PLANE_TOL`` of the rows before it adds no basis vector.  It avoids
+    LAPACK's SVD, whose code a process would page in for this call alone
+    (about 1 MB of resident memory with numpy 2.4's OpenBLAS).
     """
-    order = np.argsort(proj, axis=1, kind="stable")
-    sorted_proj = np.take_along_axis(proj, order, axis=1)
-    suffix = np.cumsum(weights[order][:, ::-1], axis=1)[:, ::-1]  # mask of {order[i:]}
-    distinct = np.ones(proj.shape, dtype=bool)
-    distinct[:, 1:] = sorted_proj[:, 1:] != sorted_proj[:, :-1]
-    cuts = suffix[distinct]
-    realized[cuts] = True
-    realized[suffix[0, 0] ^ cuts] = True  # suffix[:, 0] is the full set
+    basis = np.empty((0, rows.shape[1]))
+    for row in rows:
+        for _ in range(2):
+            row = row - (basis @ row) @ basis
+        norm = np.linalg.norm(row)
+        if norm > _ON_PLANE_TOL:
+            basis = np.vstack([basis, row / norm])
+    return rows @ basis.T
 
 
-def _constructive_directions(points: np.ndarray):
-    """Deterministic candidate directions tried before random search.
+def shatter_check(points: PointSet, budget: int = 100_000) -> VcReport:
+    """Count the subsets that spherical caps {x : <c, x> > t} cut from the points.
 
-    Per-dichotomy candidates separate the two groups when the witness set is
-    coordinate-like (standard basis vectors plus a diagonal direction): the
-    indicator of one side, optionally with a heavily negative weight on the
-    other side, followed by group-mean differences as a generic fallback.
-    """
-    k = points.shape[0]
-    yield from points
-    yield from -points
-    for i in range(k):
-        for j in range(i + 1, k):
-            diff = points[i] - points[j]
-            if np.linalg.norm(diff) > 0:
-                yield diff
-            s = points[i] + points[j]
-            if np.linalg.norm(s) > 0:
-                yield s
-    if k > _CONSTRUCTIVE_ENUM_LIMIT:
-        return
-    penalty = 4.0 * k
-    for mask in range(1, 2**k - 1):
-        inside = np.array([(mask >> i) & 1 for i in range(k)], dtype=bool)
-        mean_in = points[inside].mean(axis=0)
-        mean_out = points[~inside].mean(axis=0)
-        yield mean_in - mean_out
-        yield points[inside].sum(axis=0) - penalty * points[~inside].sum(axis=0)
+    Lifting x to (x, 1) makes each cap a homogeneous halfspace, so the count
+    is Cover's (1965) count of linearly separable dichotomies in the span of
+    the lifted points, of rank r.  Independent lifted points (k <= r) admit
+    all 2^k.  Otherwise, in general position, every dichotomy or its
+    complement is cut by a hyperplane through some r - 1 of the lifted
+    points, tilted to put each of them on a chosen side; all such tilts are
+    enumerated.  A point within ``_ON_PLANE_TOL`` of the hyperplane takes the
+    side of the tilt, and a point on both stays outside, so every counted
+    dichotomy is cut by a real cap and the count never exceeds the truth.
 
-
-def _projection_blocks(P: np.ndarray, rng: np.random.Generator, budget: int):
-    """Candidate projections in blocks of ``_DIRECTION_BLOCK`` rows, ``budget`` rows in all.
-
-    The constructive family comes first; random gaussian directions follow
-    once it is exhausted.  Blocks are produced lazily, so a caller that stops
-    early draws nothing more from ``rng``.
-    """
-    constructive = _constructive_directions(P)
-    spent = 0
-    while spent < budget:
-        size = min(_DIRECTION_BLOCK, budget - spent)
-        chunk = list(itertools.islice(constructive, size))
-        if chunk:
-            block = np.stack([P @ cand for cand in chunk])
-        else:
-            block = rng.standard_normal((size, P.shape[1])) @ P.T
-        yield block
-        spent += block.shape[0]
-
-
-def shatter_check(
-    points: PointSet, rng: np.random.Generator, budget: int = 100_000
-) -> VcReport:
-    """Search for spherical caps realizing every dichotomy of the points.
-
-    Tries a deterministic constructive family first, then random directions,
-    counting each candidate direction against ``budget``.  All threshold
-    cuts of a candidate are registered at once, so a single direction can
-    realize many dichotomies.
+    ``budget`` caps the candidate hyperplanes, C(k, r-1) * 2^(r-1); a larger
+    enumeration raises FeasibilityError before any of it runs.  It remains
+    an argument because perfbench's tracer counts it (ROADMAP item 4).
     """
     k = len(points)
     if k > SHATTER_MAX_POINTS:
         raise FeasibilityError(
-            f"exhaustive dichotomy tracking supports at most {SHATTER_MAX_POINTS} points, got {k}"
+            f"exact dichotomy counting supports at most {SHATTER_MAX_POINTS} points, got {k}"
         )
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    weights = (1 << np.arange(k)).astype(np.int64)
-    realized = np.zeros(2**k, dtype=bool)
-    for block in _projection_blocks(points.points, rng, budget):
-        _register_cuts(block, realized, weights)
-        if realized.all():
-            break
-    count = int(realized.sum())
-    bound = sauer_bound(k, points.n + 1) if k > 1 else None
+    coords = _span_coordinates(np.hstack([points.points, np.ones((k, 1))]))
+    r = coords.shape[1]
+    if k <= r:
+        count = 2**k
+    else:
+        candidates = math.comb(k, r - 1) * 2 ** (r - 1)
+        if candidates > budget:
+            raise FeasibilityError(f"{candidates} candidate hyperplanes exceed the budget {budget}")
+        through = coords[np.array(list(itertools.combinations(range(k), r - 1)), dtype=int)]
+        # each hyperplane's normal by cofactors: (-1)^i times the minor without column i
+        minors = through[:, :, [[j for j in range(r) if j != i] for i in range(r)]]
+        normal = np.linalg.det(minors.transpose(0, 2, 1, 3)) * (-1.0) ** np.arange(r)
+        volume = np.linalg.norm(normal, axis=1)
+        spans = volume > _ON_PLANE_TOL  # the r - 1 points are independent
+        unit = normal[spans] / volume[spans, None]
+        # each point's coefficients on the hyperplane's points and its unit normal
+        frame = np.concatenate([through[spans], unit[:, None]], axis=1).transpose(0, 2, 1)
+        coef = np.linalg.solve(frame, np.broadcast_to(coords.T, (len(frame), r, k)))
+        at_plane = coef[:, -1:]  # (planes, 1, k): offsets from the hyperplane
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=r - 1)))
+        at_tilt = signs @ coef[:, :-1]  # (planes, 2^(r-1), k): <p, tilt> = sign on the plane
+        inside = np.where(
+            np.abs(at_plane) <= _ON_PLANE_TOL, at_tilt > _ON_PLANE_TOL, at_plane > 0
+        )
+        codes = inside @ (1 << np.arange(k))
+        realized = np.zeros(2**k, dtype=bool)
+        realized[codes] = True
+        realized[(2**k - 1) ^ codes] = True
+        count = int(np.count_nonzero(realized))
     return VcReport(
-        n=points.n,
-        witness_points=points,
-        shattered=bool(realized.all()),
-        dichotomies_realized=count,
-        sauer_bound=bound,
+        n=points.n, witness_points=points, shattered=count == 2**k, dichotomies_realized=count
     )
 
 

@@ -26,7 +26,6 @@ from onebit import (
     run,
     sample_uniform_sphere,
     sandwich_check,
-    sauer_bound,
     shatter_check,
     sign_product_rip,
     sign_product_statistic,
@@ -226,19 +225,18 @@ def test_criterion_09_sudakov_and_entropy_chain():
 
 def test_criterion_10_vc_dimension_of_caps():
     for n in (2, 3, 4, 5):
-        rng = substream(ACCEPT_SEED, "acceptance-vc", n)
-        report = shatter_check(canonical_witness(n), rng, budget=20_000)
+        report = shatter_check(canonical_witness(n), budget=20_000)
         assert report.shattered, f"witness for n={n} not shattered"
-    bound = sauer_bound(8, 3)
-    worst = 0
+    # Cover (1965): 8 points in general position on S^2, lifted into R^4
+    cover = 2 * sum(math.comb(7, i) for i in range(4))
+    assert cover == 128
     for i in range(10):
         rng = substream(ACCEPT_SEED, "acceptance-vc-random", i)
         pts = PointSet.uniform(2, 8, rng)
-        report = shatter_check(pts, rng, budget=20_000)
-        worst = max(worst, report.dichotomies_realized)
-        assert report.sauer_bound == bound
-        assert report.dichotomies_realized <= bound
-    print(f"criterion 10: witnesses shattered; max dichotomies {worst} <= {bound:.1f}")
+        report = shatter_check(pts, budget=20_000)
+        assert report.dichotomies_realized == cover
+        assert not report.shattered
+    print(f"criterion 10: witnesses shattered; 10 random 8-point sets realize {cover}")
 
 
 def test_criterion_11_packing_covering_sandwich():

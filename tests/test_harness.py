@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from onebit import (
@@ -225,7 +226,7 @@ def test_run_experiment_row_structure():
     stats = [r.statistic for r in rows]
     assert stats == [
         "shatter_n2", "shatter_n3", "shatter_n4", "shatter_n5",
-        "dichotomies_8pts", "sauer_bound_8pts", "sauer_ok",
+        "dichotomies_8pts", "cover_count_ok",
     ]
     assert verdict
 
@@ -273,6 +274,21 @@ def test_nets_fails_when_the_coarse_packing_outgrows_the_fine(monkeypatch):
     rows, verdict = run_experiment("nets", cfg)
     assert [r.value for r in rows if r.statistic == "packing_2delta"] == [21.0, 21.0]
     assert [r.passed for r in rows if r.statistic == "sandwich_ok"] == [False, False]
+    assert not verdict
+
+
+def test_vc_fails_on_coplanar_points(monkeypatch):
+    # 8 points on the small circle z = 0.3 lift into a 3-dimensional span, where
+    # Cover's count is 2 * (1 + 7 + 21) = 58 instead of 128
+    angles = 2.0 * math.pi * np.arange(8) / 8
+    radius = math.sqrt(1.0 - 0.3**2)
+    ring = np.column_stack([radius * np.cos(angles), radius * np.sin(angles), np.full(8, 0.3)])
+    monkeypatch.setattr(harness.PointSet, "uniform", classmethod(lambda cls, n, k, rng: cls(ring)))
+    cfg = ExperimentConfig(experiment="vc", trials=2)
+    rows, verdict = run_experiment("vc", cfg)
+    assert [r.value for r in rows if r.statistic == "dichotomies_8pts"] == [58.0, 58.0]
+    assert [r.passed for r in rows if r.statistic == "cover_count_ok"] == [False, False]
+    assert all(r.passed for r in rows if r.statistic.startswith("shatter_n"))
     assert not verdict
 
 
@@ -421,6 +437,8 @@ def no_runs(monkeypatch):
         ["nets", "--delta", "0.2", "--net-size", "1"],  # one point packs and covers trivially
         ["small-cells", "--delta", "0.2", "--net-size", "1", "--m", "50", "--trials", "3"],
         ["metric-ratio", "--delta", "0.2", "--net-size", "1", "--trials", "3"],
+        ["widths", "--net-size", "1", "--trials", "2"],  # a single point has width 0
+        ["sudakov", "--net-size", "1", "--trials", "2"],
     ],
 )
 def test_main_rejects_unrunnable_experiments_before_any_work(argv, tmp_path, capsys, no_runs):

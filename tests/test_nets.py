@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from onebit import (
     FeasibilityError,
@@ -19,12 +20,10 @@ from onebit import (
     greedy_packing,
     metric_distances,
     sandwich_check,
-    sauer_bound,
     shatter_check,
     substream,
     sudakov_check,
 )
-from onebit.nets import _constructive_directions
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -273,44 +272,29 @@ def test_sandwich_holds(seed, delta):
     assert result["packing_2delta"] <= result["covering_delta"] <= result["packing_delta"]
 
 
-# --- Sauer bound -----------------------------------------------------------------
-
-
-def test_sauer_bound_oracles():
-    assert math.isclose(sauer_bound(3, 1), 3.0 * math.e, rel_tol=1e-15)
-    assert sauer_bound(3, 1) == 8.154845485377136
-    assert math.isclose(sauer_bound(8, 3), (8.0 * math.e / 3.0) ** 3, rel_tol=1e-15)
-
-
-def test_sauer_bound_validation():
-    with pytest.raises(ValueError):
-        sauer_bound(1, 2)
-    with pytest.raises(ValueError):
-        sauer_bound(5, 0)
-
-
 # --- cap shattering --------------------------------------------------------------
 
 
+def cover_count(k: int, dim: int) -> int:
+    """Cover (1965): dichotomies of k points in general position cut by halfspaces of R^dim."""
+    return 2 * sum(math.comb(k - 1, i) for i in range(dim))
+
+
 def test_shatter_single_point():
-    rng = substream(0, "test-shatter-1")
-    report = shatter_check(PointSet(np.array([[1.0, 0.0]])), rng, budget=10)
+    report = shatter_check(PointSet(np.array([[1.0, 0.0]])), budget=10)
     assert report.shattered
     assert report.dichotomies_realized == 2
-    assert report.sauer_bound is None
 
 
 def test_shatter_canonical_witness_plane():
-    rng = substream(1, "test-shatter-w2")
-    report = shatter_check(canonical_witness(2), rng, budget=5_000)
+    report = shatter_check(canonical_witness(2))
     assert report.shattered
     assert report.dichotomies_realized == 8
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_shatter_canonical_witness_higher(n):
-    rng = substream(n, "test-shatter-wn")
-    report = shatter_check(canonical_witness(n), rng, budget=20_000)
+    report = shatter_check(canonical_witness(n))
     assert report.shattered
     assert report.dichotomies_realized == 2 ** (n + 1)
 
@@ -322,21 +306,17 @@ def test_canonical_witness_validation():
 
 def test_four_equally_spaced_circle_points_not_shatterable():
     # arcs realize exactly k(k-1)+2 dichotomies; opposite pairs are impossible
-    rng = substream(2, "test-shatter-c4")
-    report = shatter_check(circle_points(4), rng, budget=3_000)
+    report = shatter_check(circle_points(4))
     assert not report.shattered
     assert report.dichotomies_realized == 14
 
 
 def test_eight_circle_points_realize_arc_count():
-    rng = substream(3, "test-shatter-c8")
-    report = shatter_check(circle_points(8), rng, budget=3_000)
+    report = shatter_check(circle_points(8))
     assert not report.shattered
-    assert report.dichotomies_realized == 8 * 7 + 2
+    assert report.dichotomies_realized == 8 * 7 + 2 == cover_count(8, 3)
     # tighter binomial-sum growth bound for arcs (vc dim 3) still holds
-    binom_sum = sum(math.comb(8, i) for i in range(4))
-    assert report.dichotomies_realized <= binom_sum
-    assert report.dichotomies_realized <= report.sauer_bound
+    assert report.dichotomies_realized <= sum(math.comb(8, i) for i in range(4))
 
 
 def test_equatorial_square_not_shatterable():
@@ -351,8 +331,7 @@ def test_equatorial_square_not_shatterable():
             ]
         )
     )
-    rng = substream(4, "test-shatter-eq")
-    report = shatter_check(square, rng, budget=3_000)
+    report = shatter_check(square)
     assert not report.shattered
     assert report.dichotomies_realized == 14
 
@@ -360,22 +339,112 @@ def test_equatorial_square_not_shatterable():
 def test_shatter_point_cap_and_budget_validation():
     rng = substream(5, "test-shatter-val")
     with pytest.raises(FeasibilityError):
-        shatter_check(PointSet.uniform(2, 23, rng), rng)
+        shatter_check(PointSet.uniform(2, 23, rng))
     with pytest.raises(ValueError):
-        shatter_check(circle_points(3), rng, budget=0)
+        shatter_check(circle_points(3), budget=0)
 
 
-def test_shatter_report_sauer_field():
-    rng = substream(6, "test-shatter-field")
-    pts = PointSet.uniform(2, 6, rng)
-    report = shatter_check(pts, rng, budget=2_000)
+def test_shatter_enumeration_over_budget_raises():
+    # 8 points on S^2 lift to rank 4: C(8, 3) * 2^3 = 448 candidate hyperplanes
+    pts = PointSet.uniform(2, 8, substream(5, "test-shatter-budget"))
+    with pytest.raises(FeasibilityError, match="448 candidate hyperplanes"):
+        shatter_check(pts, budget=447)
+    assert shatter_check(pts, budget=448).dichotomies_realized == 128
+    # independent lifted points need no candidates at all
+    assert shatter_check(canonical_witness(5), budget=1).dichotomies_realized == 64
+
+
+def test_shatter_report_fields():
+    pts = PointSet.uniform(2, 6, substream(6, "test-shatter-field"))
+    report = shatter_check(pts)
     assert isinstance(report, VcReport)
     assert report.n == 2
-    assert report.sauer_bound == sauer_bound(6, 3)
     assert report.witness_points is pts
+    assert report.dichotomies_realized == cover_count(6, 4)
 
 
-# --- batched cut registration against the per-direction reference ---------------
+@pytest.mark.parametrize("n, k", [(1, 3), (1, 7), (2, 5), (2, 12), (3, 9), (4, 10), (5, 7)])
+def test_random_points_realize_cover_count(n, k):
+    # generic points on S^n lift to general position in R^(n+2)
+    for seed in range(3):
+        pts = PointSet.uniform(n, k, substream(seed, "test-shatter-cover", n, k))
+        report = shatter_check(pts)
+        assert report.dichotomies_realized == cover_count(k, min(k, n + 2))
+        assert report.shattered == (k <= n + 2)
+
+
+# --- the exact count against linear programs and the budgeted search -------------
+
+
+def _separable_count(points):
+    """Dichotomies S with some w: <(x, 1), w> >= 1 on S and <= -1 off it, one LP each."""
+    lifted = np.hstack([points.points, np.ones((len(points), 1))])
+    count = 0
+    for mask in range(2 ** len(points)):
+        side = np.where((mask >> np.arange(len(points))) & 1, 1.0, -1.0)
+        result = linprog(
+            np.zeros(lifted.shape[1]), A_ub=-side[:, None] * lifted, b_ub=-np.ones(len(points)),
+            bounds=(None, None), method="highs",
+        )
+        count += result.status == 0
+    return count
+
+
+def _small_circle(k, z):
+    angles = 2.0 * math.pi * np.arange(k) / k
+    radius = math.sqrt(1.0 - z * z)
+    return np.column_stack([radius * np.cos(angles), radius * np.sin(angles), np.full(k, z)])
+
+
+def _linear_program_sets():
+    square = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    generic = PointSet.uniform(2, 7, substream(1, "test-shatter-lp")).points
+    return {
+        "generic": generic,  # Cover's count, 2 * (1 + 6 + 15 + 20) = 84
+        # exactness is promised for general position; the sets below are not in it
+        "small circle": _small_circle(6, 0.3),  # 6 coplanar points
+        "square and a pole": np.vstack([square, poles[:1]]),  # 4 coplanar of 5
+        "square and both poles": np.vstack([square, poles]),
+        "repeated points": np.vstack([generic[:5], generic[:2]]),
+        "antipodal pairs": np.vstack([generic[:3], -generic[:3]]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_linear_program_sets()))
+def test_shatter_counts_match_linear_programs(name):
+    points = PointSet(_linear_program_sets()[name])
+    assert shatter_check(points).dichotomies_realized == _separable_count(points)
+
+
+def _constructive_directions(points: np.ndarray):
+    """Deterministic candidate directions tried before random search.
+
+    Per-dichotomy candidates separate the two groups when the witness set is
+    coordinate-like (standard basis vectors plus a diagonal direction): the
+    indicator of one side, optionally with a heavily negative weight on the
+    other side, followed by group-mean differences as a generic fallback.
+    """
+    k = points.shape[0]
+    yield from points
+    yield from -points
+    for i in range(k):
+        for j in range(i + 1, k):
+            diff = points[i] - points[j]
+            if np.linalg.norm(diff) > 0:
+                yield diff
+            s = points[i] + points[j]
+            if np.linalg.norm(s) > 0:
+                yield s
+    if k > 12:
+        return
+    penalty = 4.0 * k
+    for mask in range(1, 2**k - 1):
+        inside = np.array([(mask >> i) & 1 for i in range(k)], dtype=bool)
+        mean_in = points[inside].mean(axis=0)
+        mean_out = points[~inside].mean(axis=0)
+        yield mean_in - mean_out
+        yield points[inside].sum(axis=0) - penalty * points[~inside].sum(axis=0)
 
 
 def _register_direction_reference(proj, realized, weights):
@@ -391,7 +460,12 @@ def _register_direction_reference(proj, realized, weights):
 
 
 def _shatter_reference(points, rng, budget):
-    """(dichotomies realized, shattered) by the per-direction search loop."""
+    """(dichotomies realized, shattered) by a search over ``budget`` cap directions.
+
+    The constructive family comes first, then gaussian directions; the search
+    stops once every dichotomy is realized.  Each dichotomy it counts is cut
+    by a real cap, so it can only undercount.
+    """
     P = points.points
     weights = (1 << np.arange(len(points))).astype(np.int64)
     realized = np.zeros(2 ** len(points), dtype=bool)
@@ -409,26 +483,22 @@ def _shatter_reference(points, rng, budget):
     return int(realized.sum()), bool(realized.all())
 
 
-def _assert_shatter_matches_reference(points, seed, budget):
-    rng = substream(seed, "test-shatter-ref", budget)
-    ref_rng = substream(seed, "test-shatter-ref", budget)
-    report = shatter_check(points, rng, budget=budget)
-    expected = _shatter_reference(points, ref_rng, budget)
-    assert (report.dichotomies_realized, report.shattered) == expected
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_shatter_canonical_witness_matches_reference(n):
-    _assert_shatter_matches_reference(canonical_witness(n), n, 20_000)
+    report = shatter_check(canonical_witness(n))
+    found = _shatter_reference(canonical_witness(n), substream(n, "test-shatter-ref"), 20_000)
+    assert found == (report.dichotomies_realized, report.shattered) == (2 ** (n + 1), True)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_shatter_random_points_match_reference(seed):
-    # 8 generic points on S^2 are never shattered, so the whole budget is
-    # spent and the random phase draws from rng
-    pts = PointSet.uniform(2, 8, substream(seed, "test-shatter-ref-pts"))
-    _assert_shatter_matches_reference(pts, seed, 20_000)
+    # the search misses dichotomies of 8 generic points on S^2 (124 at seed 0,
+    # set 1) but never adds one
+    for i in range(2):
+        pts = PointSet.uniform(2, 8, substream(seed, "test-shatter-ref-pts", i))
+        found, shattered = _shatter_reference(pts, substream(seed, "test-shatter-ref", i), 20_000)
+        assert found <= shatter_check(pts).dichotomies_realized == 128
+        assert not shattered
 
 
 @pytest.mark.parametrize("budget", [1, 7, 300, 600])
@@ -437,5 +507,11 @@ def test_shatter_small_budgets_match_reference(budget):
     # 16 + 56 + 2 * 254 = 580 candidates, the 6-point witness 166) or end
     # in a partial random batch just past it
     pts = PointSet.uniform(2, 8, substream(2, "test-shatter-ref-pts"))
-    _assert_shatter_matches_reference(pts, 2, budget)
-    _assert_shatter_matches_reference(canonical_witness(5), 3, budget)
+    found, _ = _shatter_reference(pts, substream(2, "test-shatter-ref", budget), budget)
+    assert found <= shatter_check(pts).dichotomies_realized
+    witness = canonical_witness(5)
+    found, _ = _shatter_reference(witness, substream(3, "test-shatter-ref", budget), budget)
+    if budget >= 166:
+        assert found == shatter_check(witness).dichotomies_realized
+    else:
+        assert found < shatter_check(witness).dichotomies_realized

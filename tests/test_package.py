@@ -24,6 +24,7 @@ REMOVED = (
     "one_bit_map",
     "sample_convex_sparse",
     "sample_sparse_unit",
+    "sauer_bound",
     "symmetrized_process_sup",
     "transversal_separation",
     "vc_entropy_check",
@@ -62,6 +63,72 @@ def test_library_modules_load_every_name_they_import():
         and (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not found
+
+
+def _private_definitions(node) -> list[str]:
+    """Private names (one leading underscore, not dunder) a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _names_read(node) -> set[str]:
+    """Names a statement loads, reads as an attribute, or imports."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            read.update(alias.name for alias in sub.names)
+    return read
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no statement but their own definition reads."""
+    statements = [
+        (module, node) for module, source in sources.items() for node in ast.parse(source).body
+    ]
+    reads = [_names_read(node) for _, node in statements]
+    return [
+        f"{module}: {name} (line {node.lineno})"
+        for i, (module, node) in enumerate(statements)
+        for name in _private_definitions(node)
+        if not any(name in read for j, read in enumerate(reads) if j != i)
+    ]
+
+
+def test_private_name_check_catches_a_leftover_constant():
+    sources = {
+        "a.py": (
+            "_USED = 1\n"
+            "_DEAD: int = 2\n"
+            "def _self_only(n):\n"
+            "    return _self_only(n - 1)\n"
+            "def f():\n"
+            "    return _USED + _helper()\n"
+            "def _helper():\n"
+            "    return 0\n"
+            "def _exported():\n"
+            "    return 1\n"
+        ),
+        "b.py": "from .a import _exported\n__all__ = []\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        "a.py: _DEAD (line 2)",
+        "a.py: _self_only (line 3)",
+    ]
+
+
+def test_library_private_names_are_all_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
 
 
 # module-level containers a library module may hold: the export list and the registry
