@@ -48,7 +48,10 @@ def main() -> int:
     failures = []
     for name in EXPERIMENT_ORDER:
         t0 = time.time()
-        batch, verdict = run_experiment(name, combined, workers=args.workers)
+        try:
+            batch, verdict = run_experiment(name, combined, workers=args.workers)
+        except ValueError as exc:  # a bad --workers, rejected before any trial
+            ap.error(str(exc))
         per_experiment = dataclasses.replace(
             combined, experiment=name, out_path=str(out / f"{name}.csv"), format="csv"
         )

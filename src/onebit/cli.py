@@ -16,39 +16,15 @@ import dataclasses
 import json
 import os
 import sys
-import typing
 
 from .harness import ENV_SEED, REGISTRY, ExperimentConfig, default_out_path, run
 
-
-def _config_keys() -> dict:
-    """Config-file keys and their JSON types, from ExperimentConfig's fields.
-
-    The subcommand names the experiment, ``out_path`` is spelled ``out``,
-    and ``workers`` is a run option rather than a field.  A field of
-    several types (``m``: an integer or "auto") maps to None.
-    """
-    hints = typing.get_type_hints(ExperimentConfig)
-    keys = {}
-    for field in dataclasses.fields(ExperimentConfig):
-        if field.name == "experiment":
-            continue
-        hint = hints[field.name]
-        types = [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
-        keys["out" if field.name == "out_path" else field.name] = (
-            types[0] if len(types) == 1 else None
-        )
-    return {**keys, "workers": int}
-
-
-_CONFIG_KEYS = _config_keys()
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+# config-file keys: the fields but experiment (the subcommand), out_path as "out", and workers
+_CONFIG_KEYS = tuple(
+    "out" if field.name == "out_path" else field.name
+    for field in dataclasses.fields(ExperimentConfig)
+    if field.name != "experiment"
+) + ("workers",)
 
 
 def _auto_or_int(text: str):
@@ -70,18 +46,18 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text in helps + [("all", "run every experiment with shared settings")]:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument("--n", type=_positive_int, help="sphere dimension (ambient n+1)")
-        p.add_argument("--s", type=_positive_int, help="sparsity level")
+        p.add_argument("--n", type=int, help="sphere dimension (ambient n+1)")
+        p.add_argument("--s", type=int, help="sparsity level")
         p.add_argument("--m", type=_auto_or_int, help='measurement count or "auto"')
         p.add_argument("--delta", type=float, help="target tolerance in (0, 1)")
-        p.add_argument("--trials", type=_positive_int, help="number of seeded trials")
+        p.add_argument("--trials", type=int, help="number of seeded trials")
         p.add_argument("--seed", type=int, help="master seed (default: $ONEBIT_SEED or 0)")
         p.add_argument("--safety", type=float, help="oversampling factor for auto m")
-        p.add_argument("--net-size", type=_positive_int, dest="net_size",
+        p.add_argument("--net-size", type=int, dest="net_size",
                        help="points per sampled net")
         p.add_argument("--out", help="report path (default onebit-<experiment>.<format>)")
         p.add_argument("--format", choices=("csv", "json"), help="report format")
-        p.add_argument("--workers", type=_positive_int, help="trial-level thread count")
+        p.add_argument("--workers", type=int, help="trial-level thread count")
     return parser
 
 
@@ -93,20 +69,12 @@ def _load_config_file(path: str) -> dict:
     unknown = sorted(set(raw) - set(_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    out = {}
-    for key, value in raw.items():
-        want = _CONFIG_KEYS[key]
-        if key == "m":
-            if not (value == "auto" or (isinstance(value, int) and not isinstance(value, bool))):
-                raise ValueError('config key "m" must be an integer or "auto"')
-        elif want is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"config key {key!r} must be a number")
-            value = float(value)
-        elif not isinstance(value, want) or isinstance(value, bool):
-            raise ValueError(f"config key {key!r} must be {want.__name__}")
-        out[key] = value
-    return out
+    # a JSON integer delta or safety echoes as a float, as the flag's value does;
+    # one past the float range stays an int for validate to reject
+    for key in ("delta", "safety"):
+        if type(raw.get(key)) is int and abs(raw[key]) <= sys.float_info.max:
+            raw[key] = float(raw[key])
+    return raw
 
 
 def _resolve_seed(explicit) -> int:
@@ -163,7 +131,7 @@ def main(argv=None) -> int:
         print(f"onebit: report write failed: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        print(f"onebit: {exc}", file=sys.stderr)
+        print(f"onebit: error: {exc}", file=sys.stderr)
         return 2
     out_path = cfg.out_path or default_out_path(cfg)
     verdict = "pass" if status == 0 else "FAIL"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
@@ -40,6 +41,7 @@ from .sphere import (
     wedge_mask,
 )
 from .verify import (
+    embedding_size,
     finite_embedding,
     linear_l1_rip,
     metric_ratio_check,
@@ -86,15 +88,22 @@ class ExperimentConfig:
     format: str = "csv"
 
     def validate(self):
-        """Reject bad fields, then resolve every selected experiment.
+        """Reject a field of the wrong type or range, then resolve every selected experiment.
 
-        Resolving surfaces every per-experiment error (a missing delta, an
-        out-of-range s, an auto m below 1) before any trial runs.
+        The one home of the config rules: the CLI only parses.  Resolving
+        surfaces every per-experiment error (a missing delta, an out-of-range
+        s, an auto m below 1 or past the direction limit) before any trial runs.
         """
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.n is not None and self.n < 1:
-            raise ValueError("n must be >= 1")
+        for name, types, what in _FIELD_TYPES:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+        for name in ("n", "trials", "net_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
         if isinstance(self.m, str):
             if self.m != "auto":
                 raise ValueError(f'm must be an integer or "auto", got {self.m!r}')
@@ -102,18 +111,30 @@ class ExperimentConfig:
             raise ValueError("m must be >= 1")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if not (0.0 < self.safety < math.inf):
+        if not (0.0 < self.safety <= sys.float_info.max):
             raise ValueError("safety must be positive and finite")
-        if self.net_size < 1:
-            raise ValueError("net_size must be >= 1")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         for name in _selected_experiments(self):
             _effective(name, self)
+
+
+# the types each config field takes: a bool or a numpy integer is never an
+# int here, and None means "unset" where a field allows it
+_FIELD_TYPES = (
+    ("n", (int, type(None)), "an integer"),
+    ("s", (int, type(None)), "an integer"),
+    ("m", (int, str), 'an integer or "auto"'),
+    ("delta", (int, float, type(None)), "a number"),
+    ("trials", int, "an integer"),
+    ("seed", int, "an integer"),
+    ("safety", (int, float), "a number"),
+    ("net_size", int, "an integer"),
+    ("out_path", (str, type(None)), "a string"),
+    ("format", str, "a string"),
+)
 
 
 @dataclass(frozen=True)
@@ -184,19 +205,25 @@ def resolve_m(experiment: str, cfg: ExperimentConfig, n: int, s: int | None) -> 
 
 
 def _resolve_m(spec: Experiment, cfg: ExperimentConfig, n, s, delta) -> int:
-    if isinstance(cfg.m, int):
-        return cfg.m
-    if spec.auto_m is None:
-        return 0  # the trial sizes its own draws
-    if delta is None and spec.needs_delta:
-        raise ValueError(f"--delta is required for {spec.name}")
-    m = spec.auto_m(cfg.safety, delta, n, s, cfg.net_size)
-    if not math.isfinite(m) or math.ceil(m) < 1:
-        raise ValueError(
-            f"{spec.name}: m resolves to {m} at n={n}, s={s}, "
-            f"net_size={cfg.net_size}; pass an explicit --m or change these"
-        )
-    return math.ceil(m)
+    if spec.auto_m is None:  # the trial sizes its own draws
+        return cfg.m if isinstance(cfg.m, int) else 0
+    if cfg.m != "auto":
+        m = cfg.m
+    else:
+        if delta is None and spec.needs_delta:
+            raise ValueError(f"--delta is required for {spec.name}")
+        try:
+            budget = spec.auto_m(cfg.safety, delta, n, s, cfg.net_size)
+        except OverflowError:  # delta**-2 or n / s past the float range
+            budget = math.inf
+        if not budget > 0:  # 0 at log(n/s) = 0, or nan
+            raise ValueError(
+                f"{spec.name}: m resolves to {budget} at n={n}, s={s}, "
+                f"net_size={cfg.net_size}; pass an explicit --m or change these"
+            )
+        m = math.ceil(budget) if math.isfinite(budget) else budget
+    _check_directions(m, n, f"{spec.name}: m")
+    return m
 
 
 def _effective(experiment: str, cfg: ExperimentConfig) -> _Effective:
@@ -214,8 +241,6 @@ def _effective(experiment: str, cfg: ExperimentConfig) -> _Effective:
         n=n, s=s, m=_resolve_m(spec, cfg, n, s, delta), delta=delta,
         net_size=cfg.net_size, safety=cfg.safety,
     )
-    if spec.auto_m is not None:  # self-sized trials draw no eff.m directions
-        _check_directions(eff.m, n, f"{experiment}: m")
     if spec.limits is not None:
         spec.limits(eff)
     return eff
@@ -225,9 +250,8 @@ def _check_directions(m, n: int, label: str):
     """Reject m directions of dimension n + 1 that overflow MAX_DIRECTION_BYTES."""
     most = MAX_DIRECTION_BYTES // (8 * (n + 1))
     if m > most:
-        shown = f"{m:.4g}" if isinstance(m, float) else str(m)
         raise ValueError(
-            f"{label} = {shown} directions of dimension {n + 1} exceed the "
+            f"{label} = {m} directions of dimension {n + 1} exceed the "
             f"{MAX_DIRECTION_BYTES // 2**30} GiB direction limit (at most {most}); "
             "lower --m or --safety"
         )
@@ -236,9 +260,13 @@ def _check_directions(m, n: int, label: str):
 def _embed_limits(eff: _Effective):
     if eff.net_size < 2:
         raise ValueError("embed needs net_size >= 2: distortion is measured over pairs")
-    # finite_embedding sizes its own ensemble: safety * delta^-2 * log(net_size)
-    budget = eff.safety * eff.delta**-2 * math.log(eff.net_size)
-    _check_directions(budget, eff.n, "the embedding budget m")
+    # finite_embedding sizes its own ensemble; with net_size, delta and safety
+    # already checked, the one ValueError left is a budget past the float range
+    try:
+        m = embedding_size(eff.net_size, eff.delta, eff.safety)
+    except ValueError:
+        m = math.inf
+    _check_directions(m, eff.n, "the embedding budget m")
 
 
 def _small_cells_limits(eff: _Effective):
@@ -571,6 +599,8 @@ _DISCREPANCY_STATISTICS = frozenset(
 
 def run_experiment(experiment: str, cfg: ExperimentConfig, workers: int = 1):
     """Rows and verdict for a single experiment under cfg's master seed."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     spec = REGISTRY[experiment]
     eff = _effective(experiment, cfg)
 

@@ -10,14 +10,13 @@ the normalized geodesic distance of the pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EnsembleKindError, InvalidDimensionError
+from .errors import DimensionMismatchError, InvalidDimensionError
 from .rng import substream
-from .sphere import UNIT_NORM_TOL, PointSet, UnitVector, signs, uniform_sphere_rows
+from .sphere import UNIT_NORM_TOL, PointSet, signs, uniform_sphere_rows
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 
@@ -99,14 +98,6 @@ class MeasurementEnsemble:
         return self.m
 
 
-def _check_point(ens: MeasurementEnsemble, *points: UnitVector):
-    for p in points:
-        if p.ambient != ens.ambient:
-            raise DimensionMismatchError(
-                f"point ambient dimension {p.ambient} != ensemble {ens.ambient}"
-            )
-
-
 def sign_matrix(ens: MeasurementEnsemble, points: PointSet) -> np.ndarray:
     """(k, m) int8 matrix of one-bit measurements for every point row."""
     if points.ambient != ens.ambient:
@@ -114,37 +105,3 @@ def sign_matrix(ens: MeasurementEnsemble, points: PointSet) -> np.ndarray:
             f"points ambient dimension {points.ambient} != ensemble {ens.ambient}"
         )
     return signs(points.points @ ens.directions.T)
-
-
-@dataclass(frozen=True)
-class SignProductReport:
-    """Centered sign-product statistic for one pair.
-
-    ``statistic`` is (1/m) sum_j sign(x . g_j) (y . g_j) minus lam * (x . y),
-    where ``lam`` = sqrt(2/pi) is the exact expectation factor, so the report
-    value fluctuates around zero.
-    """
-
-    lam: float
-    statistic: float
-    m: int
-    x: UnitVector
-    y: UnitVector
-
-
-def sign_product_statistic(
-    ens: MeasurementEnsemble, x: UnitVector, y: UnitVector
-) -> SignProductReport:
-    """Centered estimator of lam * (x . y) from signed first measurements."""
-    if ens.kind is not EnsembleKind.GAUSSIAN:
-        raise EnsembleKindError("sign-product statistic requires a gaussian ensemble")
-    _check_point(ens, x, y)
-    if ens.m == 0:
-        raise ValueError("need at least one measurement")
-    px = ens.directions @ x.coords
-    py = ens.directions @ y.coords
-    raw = float(np.mean(np.where(px >= 0, 1.0, -1.0) * py))
-    centered = raw - HALF_NORMAL_MEAN * float(x.coords @ y.coords)
-    return SignProductReport(
-        lam=HALF_NORMAL_MEAN, statistic=centered, m=ens.m, x=x, y=y
-    )

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import FeasibilityError, NumericalError
-from .sphere import PointSet, pairwise_geodesic
+from .sphere import PointSet, pairwise_chord, pairwise_geodesic
 
 CHOLESKY_MAX_POINTS = 2000
 # output columns per product with the Cholesky factor's lower triangle
@@ -34,18 +34,11 @@ HEMISPHERE_CHUNK_BYTES = 16 * 2**20
 _GEMM_ONE_THREAD = 2**18 - 1
 
 
-class WidthMethod(str, Enum):
-    GAUSSIAN = "gaussian-width"
-    HEMISPHERE_CHOLESKY = "hemisphere-cholesky"
-    HEMISPHERE_EMPIRICAL = "hemisphere-empirical"
-
-
 @dataclass(frozen=True)
 class WidthEstimate:
     value: float
     std_error: float
     trials: int
-    method: WidthMethod
 
 
 def _jitter_ladder(entries: np.ndarray) -> tuple[np.ndarray | None, float | None]:
@@ -135,7 +128,6 @@ def estimate_gaussian_width(
         value=float(sups.mean()),
         std_error=float(sups.std(ddof=1) / math.sqrt(trials)),
         trials=int(trials),
-        method=WidthMethod.GAUSSIAN,
     )
 
 
@@ -181,7 +173,6 @@ def estimate_hemisphere_width_cholesky(
         value=float(sups.mean()),
         std_error=float(sups.std(ddof=1) / math.sqrt(trials)),
         trials=int(trials),
-        method=WidthMethod.HEMISPHERE_CHOLESKY,
     )
 
 
@@ -282,7 +273,6 @@ def estimate_hemisphere_width_empirical(
         value=float(sups.mean()),
         std_error=se,
         trials=int(trials),
-        method=WidthMethod.HEMISPHERE_EMPIRICAL,
     )
 
 
@@ -315,10 +305,7 @@ def metric_distances(points: PointSet, metric: ProcessMetric) -> np.ndarray:
     """
     metric = ProcessMetric(metric)
     if metric is ProcessMetric.GAUSSIAN:
-        gram = np.clip(points.points @ points.points.T, -1.0, 1.0)
-        sq = np.maximum(2.0 - 2.0 * gram, 0.0)
-        np.fill_diagonal(sq, 0.0)
-        return np.sqrt(sq)
+        return pairwise_chord(points.points)
     return np.sqrt(pairwise_geodesic(points.points))
 
 

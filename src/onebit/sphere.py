@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,6 +20,10 @@ from .errors import DegenerateGeodesicError, DimensionMismatchError, InvalidDime
 
 UNIT_NORM_TOL = 1e-9
 ANTIPODAL_TOL = 1e-12
+# sparse_net appends one companion per nearest pair, this many of them, each the
+# pair's lower-index endpoint moved along a gaussian tangent scaled by CLOSE_SCALE
+CLOSE_PAIRS = 10
+CLOSE_SCALE = 0.05
 
 
 class UnitVector:
@@ -99,12 +102,6 @@ class SparseSpec:
         return self.n + 1
 
 
-class GeneratorTag(str, Enum):
-    SPARSE = "sparse"
-    UNIFORM = "uniform"
-    EXPLICIT = "explicit"
-
-
 def _check_same_ambient(*arrs):
     sizes = {a.shape[-1] for a in arrs}
     if len(sizes) != 1:
@@ -131,6 +128,23 @@ def pairwise_geodesic(points: np.ndarray) -> np.ndarray:
     dist /= np.pi
     np.fill_diagonal(dist, 0.0)
     return dist
+
+
+def pairwise_chord(points: np.ndarray) -> np.ndarray:
+    """Euclidean chord |x - y|_2 matrix for rows of a (k, n+1) array of unit rows.
+
+    Computed in place as sqrt(2 - 2 <x, y>) with the inner product clipped
+    to [-1, 1]; scaling by -2 is exact, so the bits equal those of the
+    out-of-place formula.  The diagonal is set to exactly 0.
+    """
+    points = np.asarray(points, dtype=float)
+    chord = points @ points.T
+    np.clip(chord, -1.0, 1.0, out=chord)
+    chord *= -2.0
+    chord += 2.0
+    np.fill_diagonal(chord, 0.0)
+    np.sqrt(chord, out=chord)
+    return chord
 
 
 # --- samplers ---------------------------------------------------------------
@@ -186,11 +200,11 @@ def _sparse_row(spec: SparseSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 class PointSet:
-    """A finite collection of sphere points stored as rows, with a generator tag."""
+    """A finite collection of sphere points stored as rows."""
 
-    __slots__ = ("points", "generator")
+    __slots__ = ("points",)
 
-    def __init__(self, points: np.ndarray, generator: GeneratorTag = GeneratorTag.EXPLICIT):
+    def __init__(self, points: np.ndarray):
         arr = np.array(points, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
             raise ValueError(f"need a nonempty (k, n+1) array with n >= 1, got {arr.shape}")
@@ -202,7 +216,6 @@ class PointSet:
             raise ValueError(f"rows must be unit vectors: worst |norm - 1| = {worst:.3e}")
         arr.flags.writeable = False
         self.points = arr
-        self.generator = GeneratorTag(generator)
 
     def __len__(self):
         return self.points.shape[0]
@@ -219,7 +232,7 @@ class PointSet:
         return UnitVector(self.points[i])
 
     def subset(self, indices) -> "PointSet":
-        return PointSet(self.points[np.asarray(indices, dtype=int)], self.generator)
+        return PointSet(self.points[np.asarray(indices, dtype=int)])
 
     def pairwise_geodesic(self) -> np.ndarray:
         return pairwise_geodesic(self.points)
@@ -228,7 +241,7 @@ class PointSet:
     def uniform(cls, n: int, count: int, rng: np.random.Generator) -> "PointSet":
         if count < 1:
             raise ValueError("count must be >= 1")
-        return cls(uniform_sphere_rows(n, count, rng), GeneratorTag.UNIFORM)
+        return cls(uniform_sphere_rows(n, count, rng))
 
     @classmethod
     def sparse(cls, spec: SparseSpec, count: int, rng: np.random.Generator) -> "PointSet":
@@ -239,7 +252,7 @@ class PointSet:
         # preallocated form shifted glibc's heap layout and raised the wide-net
         # benchmark's peak RSS from 177 to 201 MB (2-core x86-64 VM)
         rows = np.stack([_sparse_row(spec, rng) for _ in range(count)])
-        return cls(rows, GeneratorTag.SPARSE)
+        return cls(rows)
 
 
 def _close_pair_rows(dist: np.ndarray, count: int) -> list[int]:
@@ -284,28 +297,20 @@ def _close_pair_rows(dist: np.ndarray, count: int) -> list[int]:
     return chosen + list(range(min(k, count - len(chosen))))
 
 
-def sparse_net(
-    spec: SparseSpec,
-    size: int,
-    rng: np.random.Generator,
-    close_pairs: int = 10,
-    close_scale: float = 0.05,
-) -> PointSet:
+def sparse_net(spec: SparseSpec, size: int, rng: np.random.Generator) -> PointSet:
     """Finite stand-in for the s-sparse sphere used by sup-over-pairs checks.
 
     Draws ``size`` independent s-sparse points, then appends one companion
-    per nearest pair (``close_pairs`` of them): a small in-support tangent
-    perturbation of the pair's lower-index endpoint, so the net does not
-    depend on how a sort breaks ties.  Companions stay inside the s-sparse set
-    and guarantee the net exercises small geodesic distances, where relative
-    distortion checks are hardest.
+    per nearest pair (``CLOSE_PAIRS`` of them): a small in-support tangent
+    perturbation (scaled by ``CLOSE_SCALE``) of the pair's lower-index
+    endpoint, so the net does not depend on how a sort breaks ties.
+    Companions stay inside the s-sparse set and guarantee the net exercises
+    small geodesic distances, where relative distortion checks are hardest.
     """
     base = PointSet.sparse(spec, size, rng)
-    if close_pairs <= 0:
-        return base
     dist = base.pairwise_geodesic()
     np.fill_diagonal(dist, np.inf)  # a point is not its own close pair
-    chosen = _close_pair_rows(dist, close_pairs)
+    chosen = _close_pair_rows(dist, CLOSE_PAIRS)
     extras = []
     for idx in chosen:
         x = base.points[idx]
@@ -313,13 +318,13 @@ def sparse_net(
         t = rng.standard_normal(support.size)
         local = x[support]
         t -= (t @ local) * local  # tangent within the support subsphere
-        perturbed = local + close_scale * t
+        perturbed = local + CLOSE_SCALE * t
         perturbed /= np.linalg.norm(perturbed)
         row = np.zeros_like(x)
         row[support] = perturbed
         extras.append(row)
     rows = np.vstack([base.points, np.stack(extras)])
-    return PointSet(rows, GeneratorTag.SPARSE)
+    return PointSet(rows)
 
 
 # --- wedges and geodesics ----------------------------------------------------

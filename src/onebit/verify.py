@@ -21,7 +21,7 @@ from .measurements import (
     MeasurementEnsemble,
     sign_matrix,
 )
-from .sphere import PointSet, uniform_sphere_rows
+from .sphere import PointSet, pairwise_chord, uniform_sphere_rows
 
 # working memory of linear_l1_rip's pair tile: 4 x 8 pairs at the battery's m = 2773,
 # well inside one core's L2
@@ -221,13 +221,7 @@ def linear_l1_rip(
         raise ValueError("need at least two points")
     proj = points.points @ ens.directions.T  # (k, m)
     k = len(points)
-    # chord = sqrt(max(2 - 2 gram, 0)) in place, one (k, k) array; scaling by
-    # -2 is exact, so the bits equal those of the out-of-place formula
-    chord = points.points @ points.points.T
-    chord *= -2.0
-    chord += 2.0
-    np.maximum(chord, 0.0, out=chord)
-    np.sqrt(chord, out=chord)
+    chord = pairwise_chord(points.points)
     rows, cols = _l1_tile(k, ens.m)
     buf = np.empty((rows, cols, ens.m))
     for i0 in range(0, k - 1, rows):
@@ -291,7 +285,13 @@ def embedding_size(num_points: int, delta: float, safety: float) -> int:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if safety <= 0.0:
         raise ValueError("safety must be positive")
-    return int(math.ceil(safety * delta**-2 * math.log(num_points)))
+    try:
+        budget = safety * delta**-2 * math.log(num_points)
+    except OverflowError:  # delta**-2 past the float range
+        budget = math.inf
+    if not math.isfinite(budget):
+        raise ValueError(f"the embedding budget safety * delta^-2 * log k = {budget} is not finite")
+    return int(math.ceil(budget))
 
 
 def finite_embedding(

@@ -28,7 +28,6 @@ from onebit import (
     sandwich_check,
     shatter_check,
     sign_product_rip,
-    sign_product_statistic,
     small_cells_check,
     substream,
     sudakov_check,
@@ -36,6 +35,7 @@ from onebit import (
     uniform_sphere_rows,
     wedge_mask,
 )
+from oracles import sign_product_statistic
 
 ACCEPT_SEED = 20260817
 

@@ -10,9 +10,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from onebit import (
-    ExperimentConfig, ReportRow, harness, nets, resolve_m, run, run_experiment, summarize,
+    EXPERIMENTS, ExperimentConfig, ReportRow, harness, nets, resolve_m, run, run_experiment,
+    summarize,
 )
 from onebit.cli import main, parse_config
 from onebit.harness import EXPERIMENT_ORDER, MAX_DIRECTION_BYTES, REGISTRY, default_out_path
@@ -85,6 +88,18 @@ def test_config_rejects_unknown_experiment():
         {"experiment": "small-cells", "safety": 1e308},
         {"seed": -1},
         {"seed": 2**64},
+        {"trials": 2.5},
+        {"net_size": 20.0},
+        {"trials": np.int64(2)},
+        {"n": True},
+        {"m": 3.0},
+        {"seed": 1.5},
+        {"delta": "0.2"},
+        {"out_path": 5},
+        {"s": 2.5},
+        {"safety": 10**400},  # past the float range
+        {"format": None},
+        {"delta": 1e-300},  # delta**-2 overflows the auto budget
     ],
 )
 def test_config_rejects_bad_values(kw):
@@ -406,18 +421,18 @@ def test_parse_config_rejects_bool_m(tmp_path, capsys):
     config.write_text(json.dumps({"m": True}), encoding="utf-8")
     out = tmp_path / "r.csv"
     assert main(["crofton", "--config", str(config), "--out", str(out)]) == 2
-    assert 'config key "m" must be an integer or "auto"' in capsys.readouterr().err
+    assert 'm must be an integer or "auto", got True' in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.fixture
 def no_runs(monkeypatch):
-    """Fail the test if an experiment starts."""
+    """Fail the test if a trial starts: each trial first draws its stream."""
 
     def no_trials(*args, **kwargs):
-        raise AssertionError("an experiment ran before validation finished")
+        raise AssertionError("a trial ran before validation finished")
 
-    monkeypatch.setattr("onebit.harness.run_experiment", no_trials)
+    monkeypatch.setattr("onebit.harness.substream", no_trials)
 
 
 @pytest.mark.parametrize(
@@ -439,12 +454,53 @@ def no_runs(monkeypatch):
         ["metric-ratio", "--delta", "0.2", "--net-size", "1", "--trials", "3"],
         ["widths", "--net-size", "1", "--trials", "2"],  # a single point has width 0
         ["sudakov", "--net-size", "1", "--trials", "2"],
+        ["rip", "--delta", "1e-300", "--trials", "1"],  # delta**-2 overflows a float
+        ["embed", "--delta", "1e-200", "--trials", "1"],
+        ["crofton", "--workers", "0"],
+        ["all", "--delta", "0.2", "--workers", "-2", "--trials", "1"],
+        ["crofton", "--n", "0"],
+        ["rip", "--delta", "0.2", "--s", "0"],
     ],
 )
 def test_main_rejects_unrunnable_experiments_before_any_work(argv, tmp_path, capsys, no_runs):
     out = tmp_path / "r.csv"
     assert main(argv + ["--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 2.0, "2", None])
+def test_workers_in_a_config_file_is_checked_like_the_flag(workers, tmp_path, capsys, no_runs):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"workers": workers}), encoding="utf-8")
+    out = tmp_path / "r.csv"
+    assert main(["crofton", "--config", str(config), "--out", str(out)]) == 2
+    assert f"workers must be a positive integer, got {workers!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [0, True, 2.0, np.int64(2)])
+def test_run_and_run_experiment_reject_bad_workers(workers, tmp_path, no_runs):
+    cfg = ExperimentConfig(experiment="crofton", trials=1, out_path=str(tmp_path / "r.csv"))
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        run_experiment("crofton", cfg, workers=workers)
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        run(cfg, workers=workers)
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        (["rip", "--delta", "1e-300"], "rip: m = inf"),
+        (["embed", "--delta", "1e-200"], "the embedding budget m = inf"),
+    ],
+)
+def test_overflowing_budgets_name_the_direction_limit(argv, label, tmp_path, capsys, no_runs):
+    out = tmp_path / "r.csv"
+    assert main(argv + ["--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{label} directions of dimension" in err and "1 GiB direction limit" in err
     assert not out.exists()
 
 
@@ -470,6 +526,68 @@ def test_direction_limit_is_inclusive():
     ExperimentConfig(experiment="crofton", m=most).validate()
     with pytest.raises(ValueError, match="direction limit"):
         ExperimentConfig(experiment="crofton", m=most + 1).validate()
+
+
+_FIELDS = tuple(field.name for field in dataclasses.fields(ExperimentConfig))
+_FIELD_VALUES = st.one_of(
+    st.integers(-3, 300),
+    st.booleans(),
+    st.floats(),  # inf and nan included
+    st.sampled_from([1e-300, 0.2, 2.5, 20.0, 1e308]),
+    st.integers(-3, 300).map(np.int64),
+    st.sampled_from(["auto", "csv", "json", "0.2", "7", "rip", ""]),
+    st.none(),
+    st.sampled_from([2**64, 10**30, 10**400, -(10**400)]),
+)
+
+
+def _has_declared_type(name, value) -> bool:
+    """The field types ExperimentConfig documents, written out independently of validate."""
+    if value is None:
+        return name in ("n", "s", "delta", "out_path")
+    if isinstance(value, bool):
+        return False
+    if name in ("delta", "safety"):
+        return isinstance(value, (int, float))
+    if name == "m":
+        return value == "auto" or isinstance(value, int)
+    if name in ("experiment", "out_path", "format"):
+        return isinstance(value, str)
+    return isinstance(value, int)
+
+
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(experiment=st.sampled_from(EXPERIMENTS), name=st.sampled_from(_FIELDS), value=_FIELD_VALUES)
+def test_config_fields_are_rejected_or_of_their_declared_type(
+    experiment, name, value, tmp_path, monkeypatch, capsys, no_runs
+):
+    # one set of rules: a library config either raises ValueError from validate()
+    # or holds declared types, and the same value in a --config file parses or exits 2
+    monkeypatch.delenv("ONEBIT_SEED", raising=False)
+    cfg = ExperimentConfig(**{"experiment": experiment, "delta": 0.2, name: value})
+    try:
+        cfg.validate()
+        accepted = True
+    except ValueError:
+        accepted = False
+    if accepted:
+        assert all(_has_declared_type(field, getattr(cfg, field)) for field in _FIELDS)
+    if name == "experiment":  # the subcommand, not a file key
+        return
+    config = tmp_path / "cfg.json"
+    key = "out" if name == "out_path" else name
+    config.write_text(json.dumps({"delta": 0.2, key: value}, default=int), encoding="utf-8")
+    try:
+        parsed, _ = parse_config([experiment, "--config", str(config)])
+    except SystemExit as exc:
+        assert exc.code == 2
+        assert not accepted
+    else:
+        assert all(_has_declared_type(field, getattr(parsed, field)) for field in _FIELDS)
+    capsys.readouterr()
 
 
 def test_python_dash_m_runs_the_cli():

@@ -18,10 +18,10 @@ from onebit import (
     PointSet,
     UnitVector,
     sign_matrix,
-    sign_product_statistic,
     signs,
     substream,
 )
+from oracles import sign_product_statistic
 
 
 def unit(*coords):

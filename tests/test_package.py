@@ -9,9 +9,12 @@ SRC = pathlib.Path(onebit.__file__).resolve().parent
 
 # names that left the library: deleted, or moved into the tests as oracles
 REMOVED = (
+    "GeneratorTag",
     "NotSeparatingError",
     "SignPattern",
+    "SignProductReport",
     "VcEntropyReport",
+    "WidthMethod",
     "conditional_metric_sq",
     "geodesic_point",
     "hamming_distance",
@@ -25,6 +28,7 @@ REMOVED = (
     "sample_convex_sparse",
     "sample_sparse_unit",
     "sauer_bound",
+    "sign_product_statistic",
     "symmetrized_process_sup",
     "transversal_separation",
     "vc_entropy_check",

@@ -10,12 +10,12 @@ from scipy import stats
 
 from onebit import (
     DegenerateGeodesicError,
-    GeneratorTag,
     Geodesic,
     PointSet,
     SparseSpec,
     UnitVector,
     geodesic_distance,
+    pairwise_chord,
     pairwise_geodesic,
     sample_uniform_sphere,
     signs,
@@ -25,7 +25,7 @@ from onebit import (
     uniform_sphere_rows,
     wedge_mask,
 )
-from onebit.sphere import _close_pair_rows, _crossing_fraction
+from onebit.sphere import CLOSE_PAIRS, CLOSE_SCALE, _close_pair_rows, _crossing_fraction
 
 
 def unit(*coords):
@@ -168,16 +168,29 @@ def test_sparse_sampler_support(seed):
     assert math.isclose(float(np.linalg.norm(x)), 1.0, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("n, k", [(1, 2), (3, 40), (64, 90)])
+def test_pairwise_chord_matches_the_out_of_place_formula(n, k):
+    rows = uniform_sphere_rows(n, k, substream(n, "test-chord", k))
+    rows[-1] = -rows[0]  # an antipodal pair, whose inner product can round below -1
+    gram = rows @ rows.T
+    expected = np.sqrt(np.maximum(2.0 - 2.0 * np.clip(gram, -1.0, 1.0), 0.0))
+    np.fill_diagonal(expected, 0.0)
+    chord = pairwise_chord(rows)
+    assert np.array_equal(chord, expected)
+    assert np.all(np.diag(chord) == 0.0) and chord.max() <= 2.0
+    assert math.isclose(chord[0, -1], 2.0, abs_tol=1e-7)
+    direct = np.linalg.norm(rows[:, None, :] - rows[None, :, :], axis=2)
+    assert np.allclose(chord, direct, rtol=0.0, atol=1e-7)
+
+
 # --- point sets ----------------------------------------------------------------
 
 
-def test_point_set_validation_and_tags():
+def test_point_set_validation():
     rng = substream(5, "ps")
     ps = PointSet.uniform(3, 10, rng)
     assert len(ps) == 10 and ps.ambient == 4 and ps.n == 3
-    assert ps.generator is GeneratorTag.UNIFORM
     sp = PointSet.sparse(SparseSpec(6, 2), 5, rng)
-    assert sp.generator is GeneratorTag.SPARSE
     assert all(np.count_nonzero(sp.points[i]) == 2 for i in range(5))
     with pytest.raises(ValueError):
         PointSet(np.ones((3, 4)))
@@ -203,19 +216,13 @@ def test_point_set_subset_preserves_rows():
 def test_sparse_net_has_close_companions():
     rng = substream(9, "net")
     spec = SparseSpec(20, 3)
-    net = sparse_net(spec, 60, rng, close_pairs=8, close_scale=0.05)
-    assert len(net) == 68
+    net = sparse_net(spec, 60, rng)
+    assert len(net) == 60 + CLOSE_PAIRS
     for i in range(len(net)):
         assert int(np.count_nonzero(net.points[i])) <= 3
     dist = net.pairwise_geodesic()
     np.fill_diagonal(dist, 2.0)
     assert float(dist.min()) < 0.1
-
-
-def test_sparse_net_zero_companions_is_plain_sample():
-    rng = substream(9, "net0")
-    net = sparse_net(SparseSpec(20, 3), 60, rng, close_pairs=0)
-    assert len(net) == 60
 
 
 # --- close pairs against the full stable sort ----------------------------------
@@ -238,35 +245,45 @@ def _close_rows_reference(dist, count):
     return chosen
 
 
-def _sparse_net_reference(spec, size, rng, close_pairs=10, close_scale=0.05):
+def _sparse_net_reference(spec, size, rng):
     """sparse_net with the companions chosen by _close_rows_reference."""
     base = PointSet.sparse(spec, size, rng)
     extras = []
-    for idx in _close_rows_reference(base.pairwise_geodesic(), close_pairs):
+    for idx in _close_rows_reference(base.pairwise_geodesic(), CLOSE_PAIRS):
         x = base.points[idx]
         support = np.flatnonzero(x)
         t = rng.standard_normal(support.size)
         local = x[support]
         t -= (t @ local) * local
-        perturbed = local + close_scale * t
+        perturbed = local + CLOSE_SCALE * t
         perturbed /= np.linalg.norm(perturbed)
         row = np.zeros_like(x)
         row[support] = perturbed
         extras.append(row)
-    return PointSet(np.vstack([base.points, np.stack(extras)]), GeneratorTag.SPARSE)
+    return PointSet(np.vstack([base.points, np.stack(extras)]))
 
 
-def _assert_same_net(spec, size, seed, close_pairs=10):
-    rng = substream(seed, "test-close-pairs", size, close_pairs)
-    expected_rng = substream(seed, "test-close-pairs", size, close_pairs)
-    net = sparse_net(spec, size, rng, close_pairs=close_pairs)
-    expected = _sparse_net_reference(spec, size, expected_rng, close_pairs=close_pairs)
+def _assert_same_net(spec, size, seed):
+    rng = substream(seed, "test-close-pairs", size, CLOSE_PAIRS)
+    expected_rng = substream(seed, "test-close-pairs", size, CLOSE_PAIRS)
+    net = sparse_net(spec, size, rng)
+    expected = _sparse_net_reference(spec, size, expected_rng)
     assert np.array_equal(net.points, expected.points)
     assert rng.bit_generator.state == expected_rng.bit_generator.state
 
 
+def _assert_same_close_rows(spec, size, seed, count):
+    """_close_pair_rows at any count against the stable sort, on a fresh sparse sample."""
+    dist = PointSet.sparse(spec, size, substream(seed, "test-close-rows", size)).pairwise_geodesic()
+    expected = _close_rows_reference(dist, count)
+    np.fill_diagonal(dist, np.inf)
+    assert _close_pair_rows(dist, count) == expected
+
+
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("spec, size", [(SparseSpec(20, 3), 60), (SparseSpec(64, 4), 300)])
+@pytest.mark.parametrize(
+    "spec, size", [(SparseSpec(20, 3), 60), (SparseSpec(64, 4), 300), (SparseSpec(7, 1), 40)]
+)
 def test_sparse_net_matches_stable_sort_reference(spec, size, seed):
     _assert_same_net(spec, size, seed)
 
@@ -274,14 +291,14 @@ def test_sparse_net_matches_stable_sort_reference(spec, size, seed):
 @pytest.mark.parametrize("close_pairs", [1, 3, 10, 25])
 def test_sparse_net_with_massive_ties_matches_reference(close_pairs):
     # 1-sparse points are +-e_i: exact duplicates, distance-1/2 and antipodal ties
-    _assert_same_net(SparseSpec(7, 1), 40, 0, close_pairs)
+    _assert_same_close_rows(SparseSpec(7, 1), 40, 0, close_pairs)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
 def test_small_sparse_nets_fill_with_self_pairs(size):
-    # 10 companions need more than the size * (size - 1) / 2 pairs below 5 points
+    # below 5 points there are fewer pairs than CLOSE_PAIRS (or 3): self-pairs fill the rest
     _assert_same_net(SparseSpec(10, 2), size, 3)
-    _assert_same_net(SparseSpec(10, 2), size, 3, close_pairs=3)
+    _assert_same_close_rows(SparseSpec(10, 2), size, 3, 3)
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 8, 9, 16, 30, 64, 120, 200])

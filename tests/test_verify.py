@@ -27,12 +27,12 @@ from onebit import (
     one_bit_rip,
     sign_product_rip,
     sign_matrix,
-    sign_product_statistic,
     small_cells_check,
     sparse_net,
     substream,
     verify,
 )
+from oracles import sign_product_statistic
 
 
 def unit(*coords):
@@ -302,6 +302,10 @@ def test_embedding_size_validation():
         embedding_size(10, 1.0, 10.0)
     with pytest.raises(ValueError):
         embedding_size(10, 0.1, 0.0)
+    # budgets past the float range: delta**-2 overflows, or the product does
+    for delta, safety in ((1e-200, 10.0), (1e-100, 1e300), (0.1, math.inf), (0.1, math.nan)):
+        with pytest.raises(ValueError, match="not finite"):
+            embedding_size(10, delta, safety)
 
 
 def test_finite_embedding_round_trip():
