@@ -13,10 +13,6 @@ class DegenerateGeodesicError(ValueError):
     """Endpoints coincide or are antipodal; the connecting arc is not unique."""
 
 
-class EnsembleKindError(ValueError):
-    """Operation requires a different measurement ensemble kind."""
-
-
 class FeasibilityError(ValueError):
     """Input size exceeds what the operation can handle exactly."""
 

@@ -21,9 +21,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .measurements import EnsembleKind, MeasurementEnsemble
+from .measurements import MeasurementEnsemble
 from .nets import canonical_witness, greedy_packing, sandwich_check, shatter_check
 from .processes import (
+    CHOLESKY_MAX_POINTS,
+    MIN_WIDTH_TRIALS,
     ProcessMetric,
     estimate_gaussian_width,
     estimate_hemisphere_width_cholesky,
@@ -31,6 +33,7 @@ from .processes import (
 )
 from .rng import substream
 from .sphere import (
+    CLOSE_PAIRS,
     PointSet,
     SparseSpec,
     geodesic_distance,
@@ -62,7 +65,8 @@ _VC_BUDGET = 20_000  # candidate hyperplanes per shatter_check; 448 suffice for 
 
 ENV_SEED = "ONEBIT_SEED"
 
-# largest m x (n+1) float64 direction matrix a trial may draw
+# largest m x (n+1) float64 direction matrix, and largest (k, k) float64
+# matrix over a net of k points, that a trial may build
 MAX_DIRECTION_BYTES = 2**30
 
 
@@ -92,7 +96,8 @@ class ExperimentConfig:
 
         The one home of the config rules: the CLI only parses.  Resolving
         surfaces every per-experiment error (a missing delta, an out-of-range
-        s, an auto m below 1 or past the direction limit) before any trial runs.
+        s, a net or an m past the 1 GiB limit, an auto m below 1) before any
+        trial runs.
         """
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
@@ -208,7 +213,7 @@ def _resolve_m(spec: Experiment, cfg: ExperimentConfig, n, s, delta) -> int:
     if spec.auto_m is None:  # the trial sizes its own draws
         return cfg.m if isinstance(cfg.m, int) else 0
     if cfg.m != "auto":
-        m = cfg.m
+        m, remedy = cfg.m, "lower --m"
     else:
         if delta is None and spec.needs_delta:
             raise ValueError(f"--delta is required for {spec.name}")
@@ -222,7 +227,9 @@ def _resolve_m(spec: Experiment, cfg: ExperimentConfig, n, s, delta) -> int:
                 f"net_size={cfg.net_size}; pass an explicit --m or change these"
             )
         m = math.ceil(budget) if math.isfinite(budget) else budget
-    _check_directions(m, n, f"{spec.name}: m")
+        levers = "raise --delta, lower --safety" if spec.needs_delta else "lower --n"
+        remedy = f"{levers} or pass an explicit --m"
+    _check_directions(m, n, f"{spec.name}: m", remedy)
     return m
 
 
@@ -232,6 +239,8 @@ def _effective(experiment: str, cfg: ExperimentConfig) -> _Effective:
     s = cfg.s if cfg.s is not None else (_DEFAULT_SPARSITY if spec.needs_s else None)
     if s is not None and not (0 < s < n + 1):
         raise ValueError(f"need 0 < s < n + 1, got s={s}, n={n}")
+    if spec.net_companions is not None:
+        _check_net(experiment, cfg.net_size, spec.net_companions)
     delta = cfg.delta
     if delta is None and spec.needs_delta:
         if cfg.experiment != "all":
@@ -246,14 +255,24 @@ def _effective(experiment: str, cfg: ExperimentConfig) -> _Effective:
     return eff
 
 
-def _check_directions(m, n: int, label: str):
+def _check_directions(m, n: int, label: str, remedy: str):
     """Reject m directions of dimension n + 1 that overflow MAX_DIRECTION_BYTES."""
     most = MAX_DIRECTION_BYTES // (8 * (n + 1))
     if m > most:
         raise ValueError(
             f"{label} = {m} directions of dimension {n + 1} exceed the "
-            f"{MAX_DIRECTION_BYTES // 2**30} GiB direction limit (at most {most}); "
-            "lower --m or --safety"
+            f"{MAX_DIRECTION_BYTES // 2**30} GiB direction limit (at most {most}); {remedy}"
+        )
+
+
+def _check_net(experiment: str, net_size: int, companions: int):
+    """Reject a net whose (k, k) float64 matrices overflow MAX_DIRECTION_BYTES."""
+    k, most = net_size + companions, math.isqrt(MAX_DIRECTION_BYTES // 8)
+    if k > most:
+        raise ValueError(
+            f"{experiment}: --net-size {net_size} builds a net of {k} points, past the "
+            f"{MAX_DIRECTION_BYTES // 2**30} GiB limit on its (k, k) float64 matrices "
+            f"(at most {most} points); lower --net-size"
         )
 
 
@@ -266,7 +285,7 @@ def _embed_limits(eff: _Effective):
         m = embedding_size(eff.net_size, eff.delta, eff.safety)
     except ValueError:
         m = math.inf
-    _check_directions(m, eff.n, "the embedding budget m")
+    _check_directions(m, eff.n, "the embedding budget m", "raise --delta or lower --safety")
 
 
 def _small_cells_limits(eff: _Effective):
@@ -289,10 +308,10 @@ def _metric_ratio_limits(eff: _Effective):
 def _width_limits(eff: _Effective):
     if eff.net_size < 2:
         raise ValueError("width experiments need net_size >= 2: a single point has width 0")
-    if eff.m < 100:
-        raise ValueError("width estimation needs at least 100 Monte Carlo draws")
-    if eff.net_size > 2000:
-        raise ValueError("width experiments support nets of at most 2000 points")
+    if eff.m < MIN_WIDTH_TRIALS:
+        raise ValueError(f"width estimation needs at least {MIN_WIDTH_TRIALS} Monte Carlo draws")
+    if eff.net_size > CHOLESKY_MAX_POINTS:
+        raise ValueError(f"width experiments support nets of at most {CHOLESKY_MAX_POINTS} points")
     if eff.s >= eff.n:
         raise ValueError("width scaling needs s < n")
 
@@ -330,13 +349,9 @@ def _trial_transversal(eff, rng):
     return _trial_crossing(eff, rng, transversal_mask, "transversal_freq", 0.25)
 
 
-def _ensemble(eff: _Effective, rng, kind=EnsembleKind.UNIFORM_SPHERE) -> MeasurementEnsemble:
-    """A fresh ensemble of eff.m directions of the given kind."""
-    if kind is EnsembleKind.UNIFORM_SPHERE:
-        directions = uniform_sphere_rows(eff.n, eff.m, rng)
-    else:
-        directions = rng.standard_normal((eff.m, eff.n + 1))
-    return MeasurementEnsemble(directions, kind)
+def _ensemble(eff: _Effective, rng) -> MeasurementEnsemble:
+    """A fresh ensemble of eff.m iid standard gaussian directions."""
+    return MeasurementEnsemble(rng.standard_normal((eff.m, eff.n + 1)))
 
 
 def _trial_small_cells(eff: _Effective, rng):
@@ -363,23 +378,23 @@ def _distortion_stats(m: int, points: PointSet, report):
     ]
 
 
-def _trial_distortion(eff: _Effective, rng, kind: EnsembleKind, check):
-    """One RIP check of a fresh ensemble of the given kind over a sparse net."""
+def _trial_distortion(eff: _Effective, rng, check):
+    """One RIP check of a fresh ensemble over a sparse net."""
     net = sparse_net(SparseSpec(eff.n, eff.s), eff.net_size, rng)
-    report = check(net, _ensemble(eff, rng, kind), eff.delta)
+    report = check(net, _ensemble(eff, rng), eff.delta)
     return _distortion_stats(eff.m, net, report)
 
 
 def _trial_rip(eff, rng):
-    return _trial_distortion(eff, rng, EnsembleKind.UNIFORM_SPHERE, one_bit_rip)
+    return _trial_distortion(eff, rng, one_bit_rip)
 
 
 def _trial_sign_product(eff, rng):
-    return _trial_distortion(eff, rng, EnsembleKind.GAUSSIAN, sign_product_rip)
+    return _trial_distortion(eff, rng, sign_product_rip)
 
 
 def _trial_linear_rip(eff, rng):
-    return _trial_distortion(eff, rng, EnsembleKind.GAUSSIAN, linear_l1_rip)
+    return _trial_distortion(eff, rng, linear_l1_rip)
 
 
 def _trial_metric_ratio(eff: _Effective, rng):
@@ -401,18 +416,13 @@ def _trial_embed(eff: _Effective, rng):
     return _distortion_stats(ens.m, points, report)
 
 
-def _width_denominators(n: int, s: int) -> tuple[float, float]:
-    ratio = n / s
-    return s * math.log2(ratio), s * math.log(ratio)
-
-
 def _trial_widths(eff: _Effective, rng):
     net = PointSet.sparse(SparseSpec(eff.n, eff.s), eff.net_size, rng)
     gw = estimate_gaussian_width(net, eff.m, rng)
     hw = estimate_hemisphere_width_cholesky(net, eff.m, rng)
-    denom_log2, denom_ln = _width_denominators(eff.n, eff.s)
-    ratio2 = gw.value**2 / denom_log2 if denom_log2 > 0 else math.inf
-    ratio_e = gw.value**2 / denom_ln if denom_ln > 0 else math.inf
+    # _width_limits keeps s < n, so both logs are positive
+    ratio2 = gw.value**2 / (eff.s * math.log2(eff.n / eff.s))
+    ratio_e = gw.value**2 / (eff.s * math.log(eff.n / eff.s))
     lo, hi = _WIDTH_BOX
     return [
         _Stat("gaussian_width", gw.value),
@@ -502,8 +512,10 @@ class Experiment:
     ``trial`` maps the resolved parameters and the trial's generator to its
     statistics; the pass flags of the ``scored`` statistics feed ``verdict``.
     ``auto_m(safety, delta, n, s, net_size)`` is the unrounded auto budget,
-    or None when the trial sizes its own draws.  ``limits`` rejects resolved
-    parameters the trial cannot use.
+    or None when the trial sizes its own draws.  ``net_companions`` counts
+    the points a trial's net adds to net_size (a sparse net's CLOSE_PAIRS
+    close companions), or is None when no trial reads net_size.  ``limits``
+    rejects resolved parameters the trial cannot use.
     """
 
     name: str
@@ -515,6 +527,7 @@ class Experiment:
     needs_delta: bool = False
     needs_s: bool = False
     default_n: int = _FALLBACK_N
+    net_companions: int | None = None
     limits: Callable[[_Effective], None] | None = None
 
 
@@ -540,32 +553,32 @@ REGISTRY: dict[str, Experiment] = {
         Experiment(
             "small-cells", "sign-pattern cell diameters under a random tessellation",
             _trial_small_cells, ("max_cell_diameter",), _rate_verdict, _cells_budget,
-            needs_delta=True, limits=_small_cells_limits,
+            needs_delta=True, net_companions=0, limits=_small_cells_limits,
         ),
         Experiment(
             "rip", "sup |hamming - geodesic| over a sparse net",
             _trial_rip, ("sup_discrepancy",), _rate_verdict, _sparse_budget,
-            needs_delta=True, needs_s=True,
+            needs_delta=True, needs_s=True, net_companions=CLOSE_PAIRS,
         ),
         Experiment(
             "sign-product", "centered one-bit correlation statistic over a sparse net",
             _trial_sign_product, ("sup_discrepancy",), _rate_verdict, _sparse_budget,
-            needs_delta=True, needs_s=True,
+            needs_delta=True, needs_s=True, net_companions=CLOSE_PAIRS,
         ),
         Experiment(
             "linear-rip", "normalized linear l1 distortion over a sparse net",
             _trial_linear_rip, ("sup_discrepancy",), _rate_verdict, _sparse_budget,
-            needs_delta=True, needs_s=True,
+            needs_delta=True, needs_s=True, net_companions=CLOSE_PAIRS,
         ),
         Experiment(
             "widths", "gaussian vs hemisphere mean width of a sparse net",
             _trial_widths, ("width_ratio_log2",), all, _fixed_budget(2000),
-            needs_s=True, limits=_width_limits,
+            needs_s=True, net_companions=0, limits=_width_limits,
         ),
         Experiment(
             "sudakov", "entropy lower bounds against both width estimates",
             _trial_sudakov, _SUDAKOV_SCORED, all, _fixed_budget(2000),
-            needs_s=True, limits=_width_limits,
+            needs_s=True, net_companions=0, limits=_width_limits,
         ),
         Experiment(
             "vc", "cap shattering on canonical witnesses plus Cover's count on 8 random points",
@@ -575,17 +588,17 @@ REGISTRY: dict[str, Experiment] = {
         Experiment(
             "nets", "greedy packing/covering sandwich on a random net",
             _trial_nets, ("sandwich_ok",), all, None,
-            needs_delta=True, limits=_nets_limits,
+            needs_delta=True, net_companions=0, limits=_nets_limits,
         ),
         Experiment(
             "metric-ratio", "relative hamming/geodesic error on a separated net",
             _trial_metric_ratio, ("sup_ratio",), _rate_verdict, _sparse_budget,
-            needs_delta=True, needs_s=True, limits=_metric_ratio_limits,
+            needs_delta=True, needs_s=True, net_companions=0, limits=_metric_ratio_limits,
         ),
         Experiment(
             "embed", "one-bit embedding of a finite set at computed budget",
             _trial_embed, ("sup_discrepancy",), _rate_verdict, None,
-            needs_delta=True, limits=_embed_limits,
+            needs_delta=True, net_companions=0, limits=_embed_limits,
         ),
     )
 }

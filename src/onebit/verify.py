@@ -14,14 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EnsembleKindError, PreconditionError
-from .measurements import (
-    HALF_NORMAL_MEAN,
-    EnsembleKind,
-    MeasurementEnsemble,
-    sign_matrix,
-)
-from .sphere import PointSet, pairwise_chord, uniform_sphere_rows
+from .errors import DimensionMismatchError, PreconditionError
+from .measurements import HALF_NORMAL_MEAN, MeasurementEnsemble, sign_matrix
+from .sphere import PointSet, pairwise_chord
 
 # working memory of linear_l1_rip's pair tile: 4 x 8 pairs at the battery's m = 2773,
 # well inside one core's L2
@@ -93,11 +88,9 @@ def _check_dims(points: PointSet, ens: MeasurementEnsemble):
 def small_cells_check(points: PointSet, ens: MeasurementEnsemble, delta: float) -> CellReport:
     """Group points by sign pattern and measure the widest cell.
 
-    Defined for uniform-sphere ensembles, whose hyperplanes tessellate the
-    sphere; an empty ensemble leaves a single cell covering everything.
+    The hyperplanes normal to the directions tessellate the sphere; an empty
+    ensemble leaves a single cell covering everything.
     """
-    if ens.kind is not EnsembleKind.UNIFORM_SPHERE:
-        raise EnsembleKindError("cell tessellation is defined for uniform-sphere ensembles")
     _check_dims(points, ens)
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -141,11 +134,7 @@ def _hamming_matrix(points: PointSet, ens: MeasurementEnsemble) -> np.ndarray:
 
 
 def one_bit_rip(points: PointSet, ens: MeasurementEnsemble, delta_target: float) -> RipReport:
-    """Sup over pairs of |hamming - geodesic| against an additive target.
-
-    Works for either ensemble kind: signs only depend on directions, so a
-    gaussian ensemble measures exactly like its normalization.
-    """
+    """Sup over pairs of |hamming - geodesic| against an additive target."""
     _check_dims(points, ens)
     if ens.m < 1:
         raise ValueError("need at least one measurement")
@@ -171,8 +160,6 @@ def sign_product_rip(
     ``sup_discrepancy`` can move in its last bits, and ``argmax_pair`` only
     between pairs that tie to within that rounding.
     """
-    if ens.kind is not EnsembleKind.GAUSSIAN:
-        raise EnsembleKindError("the sign-product statistic requires a gaussian ensemble")
     _check_dims(points, ens)
     if ens.m < 1:
         raise ValueError("need at least one measurement")
@@ -212,8 +199,6 @@ def linear_l1_rip(
     audit holds the (k, m) projections and one (k, k) array, which the gaps
     overwrite.  Ties go to the first pair in row-major order.
     """
-    if ens.kind is not EnsembleKind.GAUSSIAN:
-        raise EnsembleKindError("the linear l1 statistic requires a gaussian ensemble")
     _check_dims(points, ens)
     if ens.m < 1:
         raise ValueError("need at least one measurement")
@@ -297,13 +282,12 @@ def embedding_size(num_points: int, delta: float, safety: float) -> int:
 def finite_embedding(
     points: PointSet, delta: float, safety: float, rng: np.random.Generator
 ) -> tuple[MeasurementEnsemble, RipReport]:
-    """Draw a uniform ensemble sized for the point set and audit distortion.
+    """Draw a gaussian ensemble sized for the point set and audit distortion.
 
     The ensemble has m = ceil(safety * delta^-2 * log k) directions; the
     report records whether every pair's Hamming distance is delta-close to
     its geodesic distance.
     """
     m = embedding_size(len(points), delta, safety)
-    dirs = uniform_sphere_rows(points.n, m, rng)
-    ens = MeasurementEnsemble(dirs, EnsembleKind.UNIFORM_SPHERE, seed=None)
+    ens = MeasurementEnsemble(rng.standard_normal((m, points.ambient)))
     return ens, one_bit_rip(points, ens, delta)

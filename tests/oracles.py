@@ -1,4 +1,4 @@
-"""Scalar reference twins shared by several test modules.
+"""Scalar reference twins and seeded ensembles shared by several test modules.
 
 The library computes these statistics only in vectorized form; the one-pair
 versions here are the oracles those kernels and the acceptance criteria are
@@ -12,11 +12,23 @@ import numpy as np
 from onebit import (
     HALF_NORMAL_MEAN,
     DimensionMismatchError,
-    EnsembleKind,
-    EnsembleKindError,
     MeasurementEnsemble,
     UnitVector,
+    substream,
+    uniform_sphere_rows,
 )
+
+
+def gaussian_ensemble(n: int, m: int, seed: int) -> MeasurementEnsemble:
+    """m iid standard gaussian directions in R^(n+1), drawn from seed's "gaussian" stream."""
+    rng = substream(seed, "ensemble", "gaussian")
+    return MeasurementEnsemble(rng.standard_normal((m, n + 1)))
+
+
+def unit_ensemble(n: int, m: int, seed: int) -> MeasurementEnsemble:
+    """m uniform unit directions of S^n, drawn from seed's "uniform-sphere" stream."""
+    rng = substream(seed, "ensemble", "uniform-sphere")
+    return MeasurementEnsemble(uniform_sphere_rows(n, m, rng))
 
 
 def check_point(ens: MeasurementEnsemble, *points: UnitVector):
@@ -51,8 +63,6 @@ def sign_product_statistic(
     The one-pair twin of ``sign_product_rip``, which takes the sup of its
     absolute value over all ordered pairs of a point set.
     """
-    if ens.kind is not EnsembleKind.GAUSSIAN:
-        raise EnsembleKindError("sign-product statistic requires a gaussian ensemble")
     check_point(ens, x, y)
     if ens.m == 0:
         raise ValueError("need at least one measurement")

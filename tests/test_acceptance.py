@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from onebit import (
-    EnsembleKind,
     ExperimentConfig,
     MeasurementEnsemble,
     PointSet,
@@ -93,7 +92,7 @@ def test_criterion_02_transversal_quarter_density():
 def test_criterion_03_sign_product_constant():
     rng = substream(ACCEPT_SEED, "acceptance-signconst")
     x = sample_uniform_sphere(64, rng)
-    ens = MeasurementEnsemble(rng.standard_normal((100_000, 65)), EnsembleKind.GAUSSIAN)
+    ens = MeasurementEnsemble(rng.standard_normal((100_000, 65)))
     # with x = y the centered statistic is (1/m) sum |<x, g_j>| minus sqrt(2/pi)
     gap = abs(sign_product_statistic(ens, x, x).statistic)
     print(f"criterion 3: |mean - 0.7978845608| = {gap:.6f} (tol 0.01)")
@@ -106,17 +105,13 @@ def test_criterion_04_one_bit_rip_rate_and_negative_control():
     for i in range(50):
         rng = substream(ACCEPT_SEED, "acceptance-rip", i)
         net = PointSet.sparse(spec, 200, rng)
-        ens = MeasurementEnsemble(
-            uniform_sphere_rows(64, 2773, rng), EnsembleKind.UNIFORM_SPHERE
-        )
+        ens = MeasurementEnsemble(uniform_sphere_rows(64, 2773, rng))
         passes += one_bit_rip(net, ens, 0.2).passed
     neg_passes = 0
     for i in range(50):
         rng = substream(ACCEPT_SEED, "acceptance-rip-neg", i)
         net = PointSet.sparse(spec, 200, rng)
-        ens = MeasurementEnsemble(
-            uniform_sphere_rows(64, 100, rng), EnsembleKind.UNIFORM_SPHERE
-        )
+        ens = MeasurementEnsemble(uniform_sphere_rows(64, 100, rng))
         neg_passes += one_bit_rip(net, ens, 0.2).passed
     print(f"criterion 4: m=2773 rate {passes}/50, m=100 control rate {neg_passes}/50")
     assert passes >= 45
@@ -129,7 +124,7 @@ def test_criterion_05_sign_product_rip_rate():
     for i in range(50):
         rng = substream(ACCEPT_SEED, "acceptance-signprod", i)
         net = PointSet.sparse(spec, 200, rng)
-        ens = MeasurementEnsemble(rng.standard_normal((2773, 65)), EnsembleKind.GAUSSIAN)
+        ens = MeasurementEnsemble(rng.standard_normal((2773, 65)))
         passes += sign_product_rip(net, ens, 0.2).passed
     print(f"criterion 5: sup statistic <= 0.2 in {passes}/50 seeds")
     assert passes >= 45
@@ -141,11 +136,9 @@ def test_criterion_06_small_cells_rate_and_monotonicity():
     for i in range(50):
         rng = substream(ACCEPT_SEED, "acceptance-cells", i)
         points = PointSet.uniform(16, 300, rng)
-        dirs = MeasurementEnsemble(
-            uniform_sphere_rows(16, 762, rng), EnsembleKind.UNIFORM_SPHERE
-        )
-        base = small_cells_check(points, dirs.prefix(381), 0.3)
-        doubled = small_cells_check(points, dirs, 0.3)
+        dirs = uniform_sphere_rows(16, 762, rng)
+        base = small_cells_check(points, MeasurementEnsemble(dirs[:381]), 0.3)
+        doubled = small_cells_check(points, MeasurementEnsemble(dirs), 0.3)
         small += base.max_cell_diameter < 0.3
         monotone += doubled.max_cell_diameter <= base.max_cell_diameter
     print(f"criterion 6: all-cells-small {small}/50, doubling monotone {monotone}/50")

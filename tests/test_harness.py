@@ -19,6 +19,7 @@ from onebit import (
 )
 from onebit.cli import main, parse_config
 from onebit.harness import EXPERIMENT_ORDER, MAX_DIRECTION_BYTES, REGISTRY, default_out_path
+from onebit.sphere import CLOSE_PAIRS
 
 # --- measurement budget resolution -----------------------------------------------
 
@@ -526,6 +527,47 @@ def test_direction_limit_is_inclusive():
     ExperimentConfig(experiment="crofton", m=most).validate()
     with pytest.raises(ValueError, match="direction limit"):
         ExperimentConfig(experiment="crofton", m=most + 1).validate()
+
+
+@pytest.mark.parametrize(
+    "argv, remedy",
+    [
+        (["rip", "--delta", "1e-300"], "raise --delta, lower --safety or pass an explicit --m"),
+        (["rip", "--delta", "0.2", "--m", str(10**12)], "lower --m"),
+        (["crofton", "--n", "2000"], "lower --n or pass an explicit --m"),  # a fixed auto m
+        (["embed", "--delta", "1e-200"], "raise --delta or lower --safety"),
+    ],
+)
+def test_direction_limit_names_its_cause(argv, remedy, tmp_path, capsys, no_runs):
+    out = tmp_path / "r.csv"
+    assert main(argv + ["--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "1 GiB direction limit" in err and err.rstrip().endswith(remedy)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    ["rip", "sign-product", "linear-rip", "small-cells", "nets", "metric-ratio", "embed"],
+)
+def test_oversized_net_names_net_size(experiment, tmp_path, capsys, no_runs):
+    out = tmp_path / "r.csv"
+    argv = [experiment, "--delta", "0.2", "--net-size", str(10**8), "--trials", "1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{experiment}: --net-size {10**8} builds a net of" in err
+    assert "lower --net-size" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, companions", [("small-cells", 0), ("rip", CLOSE_PAIRS)])
+def test_net_limit_is_inclusive(experiment, companions):
+    # (k, k) float64 matrices fill 1 GiB at k = isqrt(2**27) = 11585 points; a
+    # sparse net adds CLOSE_PAIRS companions to net_size
+    most = math.isqrt(MAX_DIRECTION_BYTES // 8) - companions
+    ExperimentConfig(experiment=experiment, delta=0.2, net_size=most).validate()
+    with pytest.raises(ValueError, match="--net-size"):
+        ExperimentConfig(experiment=experiment, delta=0.2, net_size=most + 1).validate()
 
 
 _FIELDS = tuple(field.name for field in dataclasses.fields(ExperimentConfig))

@@ -4,15 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from onebit import (
     HALF_NORMAL_MEAN,
     DimensionMismatchError,
-    EnsembleKind,
-    EnsembleKindError,
     InvalidDimensionError,
     MeasurementEnsemble,
     PointSet,
@@ -21,97 +17,44 @@ from onebit import (
     signs,
     substream,
 )
-from oracles import sign_product_statistic
+from oracles import gaussian_ensemble, sign_product_statistic, unit_ensemble
 
 
 def unit(*coords):
     return UnitVector.normalized(np.array(coords, dtype=float))
 
 
-seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-
 # --- MeasurementEnsemble validation ---------------------------------------------
 
 
-def test_uniform_ensemble_rejects_non_unit_rows():
-    with pytest.raises(ValueError):
-        MeasurementEnsemble([[1.0, 0.5]], EnsembleKind.UNIFORM_SPHERE)
-
-
 def test_gaussian_ensemble_accepts_unnormalized_rows():
-    ens = MeasurementEnsemble([[3.0, 4.0]], EnsembleKind.GAUSSIAN)
+    ens = MeasurementEnsemble([[3.0, 4.0]])
     assert ens.m == 1 and ens.ambient == 2
 
 
 def test_ensemble_rejects_bad_shapes():
     with pytest.raises(InvalidDimensionError):
-        MeasurementEnsemble([1.0, 0.0], EnsembleKind.GAUSSIAN)
+        MeasurementEnsemble([1.0, 0.0])
     # ambient dimension 1 means the sphere is two points; not supported
     with pytest.raises(InvalidDimensionError):
-        MeasurementEnsemble([[1.0]], EnsembleKind.GAUSSIAN)
+        MeasurementEnsemble([[1.0]])
 
 
 def test_ensemble_rejects_non_finite():
     with pytest.raises(ValueError):
-        MeasurementEnsemble([[np.nan, 0.0]], EnsembleKind.GAUSSIAN)
+        MeasurementEnsemble([[np.nan, 0.0]])
 
 
 def test_empty_ensemble_allowed():
-    ens = MeasurementEnsemble(np.empty((0, 3)), EnsembleKind.UNIFORM_SPHERE)
-    assert ens.m == 0 and len(ens) == 0
+    ens = MeasurementEnsemble(np.empty((0, 3)))
+    assert ens.m == 0
     assert sign_matrix(ens, PointSet([[1.0, 0.0, 0.0]])).shape == (1, 0)
 
 
 def test_ensemble_directions_are_read_only():
-    ens = MeasurementEnsemble.gaussian(2, 4, seed=7)
+    ens = gaussian_ensemble(2, 4, seed=7)
     with pytest.raises(ValueError):
         ens.directions[0, 0] = 99.0
-
-
-def test_prefix_is_nested():
-    ens = MeasurementEnsemble.uniform(3, 50, seed=11)
-    sub = ens.prefix(20)
-    assert sub.m == 20
-    assert np.array_equal(sub.directions, ens.directions[:20])
-    assert sub.kind is ens.kind and sub.seed == ens.seed
-    assert ens.prefix(0).m == 0
-    assert np.array_equal(ens.prefix(50).directions, ens.directions)
-
-
-def test_prefix_rejects_out_of_range():
-    ens = MeasurementEnsemble.uniform(2, 5, seed=1)
-    with pytest.raises(ValueError):
-        ens.prefix(6)
-    with pytest.raises(ValueError):
-        ens.prefix(-1)
-
-
-@given(seed=seeds)
-@settings(max_examples=20, deadline=None)
-def test_seeded_constructors_are_reproducible(seed):
-    a = MeasurementEnsemble.uniform(3, 8, seed)
-    b = MeasurementEnsemble.uniform(3, 8, seed)
-    assert np.array_equal(a.directions, b.directions)
-    g1 = MeasurementEnsemble.gaussian(3, 8, seed)
-    g2 = MeasurementEnsemble.gaussian(3, 8, seed)
-    assert np.array_equal(g1.directions, g2.directions)
-    # the two kinds draw from distinct substreams of the same seed
-    assert not np.allclose(a.directions, g1.directions)
-
-
-def test_seeded_constructor_records_seed():
-    ens = MeasurementEnsemble.uniform(2, 3, seed=42)
-    assert ens.seed == 42
-    explicit = MeasurementEnsemble(np.eye(3), EnsembleKind.UNIFORM_SPHERE)
-    assert explicit.seed is None
-
-
-def test_gaussian_constructor_validates():
-    with pytest.raises(InvalidDimensionError):
-        MeasurementEnsemble.gaussian(0, 5, seed=0)
-    with pytest.raises(ValueError):
-        MeasurementEnsemble.gaussian(2, -1, seed=0)
 
 
 # --- one_bit_map and sign conventions --------------------------------------------
@@ -126,7 +69,7 @@ def test_one_bit_map_zero_dot_counts_positive():
     directions = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / np.array(
         [1.0, 1.0, math.sqrt(2.0)]
     ).reshape(3, 1)
-    ens = MeasurementEnsemble(directions, EnsembleKind.UNIFORM_SPHERE)
+    ens = MeasurementEnsemble(directions)
     assert one_bit_map(ens, unit(1, 0)).tolist() == [1, 1, 1]
     # first direction is orthogonal to -e2: the zero dot still reads +
     assert one_bit_map(ens, unit(0, -1)).tolist() == [1, -1, -1]
@@ -135,7 +78,7 @@ def test_one_bit_map_zero_dot_counts_positive():
 def test_sign_matrix_rows_match_one_bit_map():
     rng = substream(5, "test-sign-matrix")
     pts = PointSet.uniform(3, 6, rng)
-    ens = MeasurementEnsemble.uniform(3, 32, seed=5)
+    ens = unit_ensemble(3, 32, seed=5)
     matrix = sign_matrix(ens, pts)
     assert matrix.shape == (6, 32)
     for i in range(6):
@@ -145,18 +88,16 @@ def test_sign_matrix_rows_match_one_bit_map():
 def test_sign_matrix_dimension_mismatch():
     rng = substream(5, "test-sign-matrix-bad")
     pts = PointSet.uniform(2, 3, rng)
-    ens = MeasurementEnsemble.uniform(3, 8, seed=5)
+    ens = unit_ensemble(3, 8, seed=5)
     with pytest.raises(DimensionMismatchError):
         sign_matrix(ens, pts)
 
 
 def test_positive_row_scaling_never_flips_signs():
-    ens = MeasurementEnsemble.gaussian(4, 64, seed=9)
+    ens = gaussian_ensemble(4, 64, seed=9)
     rng = substream(9, "test-scaling")
     scales = rng.uniform(0.1, 10.0, size=64)
-    scaled = MeasurementEnsemble(
-        ens.directions * scales[:, None], EnsembleKind.GAUSSIAN
-    )
+    scaled = MeasurementEnsemble(ens.directions * scales[:, None])
     x = UnitVector.normalized(rng.standard_normal(5))
     assert np.array_equal(one_bit_map(ens, x), one_bit_map(scaled, x))
 
@@ -175,22 +116,15 @@ def test_half_normal_mean_matches_quadrature():
 # --- sign-product statistic ------------------------------------------------------
 
 
-def test_sign_product_requires_gaussian():
-    ens = MeasurementEnsemble.uniform(3, 16, seed=2)
-    x = unit(1, 0, 0, 0)
-    with pytest.raises(EnsembleKindError):
-        sign_product_statistic(ens, x, x)
-
-
 def test_sign_product_requires_measurements():
-    ens = MeasurementEnsemble.gaussian(3, 0, seed=2)
+    ens = gaussian_ensemble(3, 0, seed=2)
     x = unit(1, 0, 0, 0)
     with pytest.raises(ValueError):
         sign_product_statistic(ens, x, x)
 
 
 def test_sign_product_report_fields():
-    ens = MeasurementEnsemble.gaussian(2, 128, seed=6)
+    ens = gaussian_ensemble(2, 128, seed=6)
     x = unit(1, 0, 0)
     report = sign_product_statistic(ens, x, x)
     assert report.lam == HALF_NORMAL_MEAN
@@ -200,7 +134,7 @@ def test_sign_product_report_fields():
 
 def test_sign_product_centers_on_diagonal():
     # on x = y the raw mean of sign(g.x) (g.x) concentrates at lam
-    ens = MeasurementEnsemble.gaussian(8, 20_000, seed=13)
+    ens = gaussian_ensemble(8, 20_000, seed=13)
     rng = substream(13, "test-signprod-diag")
     x = UnitVector.normalized(rng.standard_normal(9))
     report = sign_product_statistic(ens, x, x)
@@ -209,7 +143,7 @@ def test_sign_product_centers_on_diagonal():
 
 def test_sign_product_tracks_inner_product():
     # E sign(g.x)(g.y) = lam (x.y); check at a 60 degree pair and at right angles
-    ens = MeasurementEnsemble.gaussian(2, 20_000, seed=14)
+    ens = gaussian_ensemble(2, 20_000, seed=14)
     x = unit(1, 0, 0)
     y = unit(1, math.sqrt(3), 0)  # x.y = 1/2
     assert math.isclose(float(x.coords @ y.coords), 0.5, abs_tol=1e-12)

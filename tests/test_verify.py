@@ -10,8 +10,6 @@ from onebit import (
     HALF_NORMAL_MEAN,
     CellReport,
     DimensionMismatchError,
-    EnsembleKind,
-    EnsembleKindError,
     MeasurementEnsemble,
     MetricRatioReport,
     PointSet,
@@ -32,7 +30,7 @@ from onebit import (
     substream,
     verify,
 )
-from oracles import sign_product_statistic
+from oracles import gaussian_ensemble, sign_product_statistic, unit_ensemble
 
 
 def unit(*coords):
@@ -42,22 +40,14 @@ def unit(*coords):
 # --- small cells -----------------------------------------------------------------
 
 
-def test_small_cells_requires_uniform_kind():
-    rng = substream(0, "test-cells-kind")
-    pts = PointSet.uniform(2, 5, rng)
-    gauss = MeasurementEnsemble.gaussian(2, 8, seed=0)
-    with pytest.raises(EnsembleKindError):
-        small_cells_check(pts, gauss, 0.2)
-
-
 def test_small_cells_validation():
     rng = substream(1, "test-cells-val")
     pts = PointSet.uniform(2, 5, rng)
-    ens = MeasurementEnsemble.uniform(2, 8, seed=1)
+    ens = unit_ensemble(2, 8, seed=1)
     for delta in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             small_cells_check(pts, ens, delta)
-    other = MeasurementEnsemble.uniform(3, 8, seed=1)
+    other = unit_ensemble(3, 8, seed=1)
     with pytest.raises(DimensionMismatchError):
         small_cells_check(pts, other, 0.2)
 
@@ -65,7 +55,7 @@ def test_small_cells_validation():
 def test_small_cells_empty_ensemble_single_cell():
     rng = substream(2, "test-cells-empty")
     pts = PointSet.uniform(2, 6, rng)
-    empty = MeasurementEnsemble(np.empty((0, 3)), EnsembleKind.UNIFORM_SPHERE)
+    empty = MeasurementEnsemble(np.empty((0, 3)))
     report = small_cells_check(pts, empty, 0.1)
     assert report.num_cells == 1
     dist = pts.pairwise_geodesic()
@@ -76,7 +66,7 @@ def test_small_cells_empty_ensemble_single_cell():
 def test_small_cells_explicit_pair():
     angle = 0.1 * math.pi
     pts = PointSet(np.array([[1.0, 0.0], [math.cos(angle), math.sin(angle)]]))
-    axes = MeasurementEnsemble(np.eye(2), EnsembleKind.UNIFORM_SPHERE)
+    axes = MeasurementEnsemble(np.eye(2))
     report = small_cells_check(pts, axes, 0.05)
     assert isinstance(report, CellReport)
     assert report.num_cells == 1
@@ -90,7 +80,7 @@ def test_small_cells_explicit_pair():
 def test_small_cells_all_singletons():
     # antipodal pair with a direction separating them: two singleton cells
     pts = PointSet(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    ens = MeasurementEnsemble(np.array([[1.0, 0.0]]), EnsembleKind.UNIFORM_SPHERE)
+    ens = MeasurementEnsemble(np.array([[1.0, 0.0]]))
     report = small_cells_check(pts, ens, 0.3)
     assert report.num_cells == 2
     assert report.max_cell_diameter == 0.0
@@ -101,9 +91,9 @@ def test_small_cells_all_singletons():
 def test_small_cells_prefix_monotone(seed):
     # more hyperplanes refine the tessellation: diameters shrink, cells split
     pts = PointSet.uniform(4, 100, substream(seed, "test-cells-pts"))
-    ens = MeasurementEnsemble.uniform(4, 80, seed=seed)
-    half = small_cells_check(pts, ens.prefix(40), 0.3)
-    full = small_cells_check(pts, ens, 0.3)
+    rows = unit_ensemble(4, 80, seed=seed).directions
+    half = small_cells_check(pts, MeasurementEnsemble(rows[:40]), 0.3)
+    full = small_cells_check(pts, MeasurementEnsemble(rows), 0.3)
     assert full.max_cell_diameter <= half.max_cell_diameter
     assert full.num_cells >= half.num_cells
 
@@ -113,9 +103,7 @@ def test_small_cells_prefix_monotone(seed):
 
 def test_one_bit_rip_single_measurement_orthogonal_pair():
     pts = PointSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    one = MeasurementEnsemble(
-        np.array([[1.0, 1.0]]) / math.sqrt(2.0), EnsembleKind.UNIFORM_SPHERE
-    )
+    one = MeasurementEnsemble(np.array([[1.0, 1.0]]) / math.sqrt(2.0))
     report = one_bit_rip(pts, one, 0.3)
     # both points read +, hamming 0, true distance exactly 1/2
     assert report.sup_discrepancy == 0.5
@@ -127,44 +115,46 @@ def test_one_bit_rip_single_measurement_orthogonal_pair():
 def test_one_bit_rip_validation():
     rng = substream(6, "test-rip-val")
     pts = PointSet.uniform(2, 5, rng)
-    empty = MeasurementEnsemble(np.empty((0, 3)), EnsembleKind.UNIFORM_SPHERE)
+    empty = MeasurementEnsemble(np.empty((0, 3)))
     with pytest.raises(ValueError):
         one_bit_rip(pts, empty, 0.2)
     lone = PointSet(np.array([[1.0, 0.0, 0.0]]))
-    ens = MeasurementEnsemble.uniform(2, 8, seed=6)
+    ens = unit_ensemble(2, 8, seed=6)
     with pytest.raises(ValueError):
         one_bit_rip(lone, ens, 0.2)
     with pytest.raises(DimensionMismatchError):
-        one_bit_rip(pts, MeasurementEnsemble.uniform(3, 8, seed=6), 0.2)
+        one_bit_rip(pts, unit_ensemble(3, 8, seed=6), 0.2)
 
 
-def test_one_bit_rip_gaussian_matches_normalized_uniform():
-    # signs ignore magnitudes, so the two ensemble kinds agree exactly
-    rng = substream(7, "test-rip-kinds")
-    pts = PointSet.uniform(3, 10, rng)
-    gauss = MeasurementEnsemble.gaussian(3, 64, seed=7)
-    rows = gauss.directions / np.linalg.norm(gauss.directions, axis=1, keepdims=True)
-    uni = MeasurementEnsemble(rows, EnsembleKind.UNIFORM_SPHERE)
-    a = one_bit_rip(pts, gauss, 0.2)
-    b = one_bit_rip(pts, uni, 0.2)
-    assert a.sup_discrepancy == b.sup_discrepancy
-    assert a.argmax_pair == b.argmax_pair
+# --- one-bit checks read only signs ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "check, arg",
+    [(one_bit_rip, 0.2), (small_cells_check, 0.3), (metric_ratio_check, 0.1)],
+    ids=["one_bit_rip", "small_cells_check", "metric_ratio_check"],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_one_bit_reports_ignore_row_scale(check, arg, seed):
+    # a positive row scale flips no sign, so unit rows, the gaussian rows they
+    # normalize, and those rows rescaled by factors in [0.5, 2] report alike
+    rng = substream(seed, "test-row-scale")
+    pts = greedy_packing(PointSet.uniform(3, 40, rng), 0.1, rng).centers
+    gauss = rng.standard_normal((64, 4))
+    unit_rows = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+    scaled = unit_rows * rng.uniform(0.5, 2.0, size=(64, 1))
+    report = check(pts, MeasurementEnsemble(unit_rows), arg)
+    assert check(pts, MeasurementEnsemble(gauss), arg) == report
+    assert check(pts, MeasurementEnsemble(scaled), arg) == report
 
 
 # --- sign-product distortion -----------------------------------------------------
 
 
-def test_sign_product_rip_requires_gaussian():
-    rng = substream(8, "test-sprip-kind")
-    pts = PointSet.uniform(2, 4, rng)
-    with pytest.raises(EnsembleKindError):
-        sign_product_rip(pts, MeasurementEnsemble.uniform(2, 8, seed=8), 0.2)
-
-
 def test_sign_product_rip_matches_scalar_statistic():
     rng = substream(9, "test-sprip-pts")
     pts = PointSet.uniform(2, 4, rng)
-    ens = MeasurementEnsemble.gaussian(2, 64, seed=9)
+    ens = gaussian_ensemble(2, 64, seed=9)
     report = sign_product_rip(pts, ens, 10.0)
     worst = 0.0
     for i in range(4):
@@ -178,7 +168,7 @@ def test_sign_product_rip_matches_scalar_statistic():
 def test_sign_product_rip_concentrates():
     rng = substream(10, "test-sprip-conc")
     pts = PointSet.uniform(4, 10, rng)
-    ens = MeasurementEnsemble.gaussian(4, 20_000, seed=10)
+    ens = gaussian_ensemble(4, 20_000, seed=10)
     report = sign_product_rip(pts, ens, 0.05)
     assert report.sup_discrepancy < 0.05
     assert report.passed
@@ -187,21 +177,14 @@ def test_sign_product_rip_concentrates():
 # --- linear l1 distortion --------------------------------------------------------
 
 
-def test_linear_l1_rip_requires_gaussian():
-    rng = substream(11, "test-l1rip-kind")
-    pts = PointSet.uniform(2, 4, rng)
-    with pytest.raises(EnsembleKindError):
-        linear_l1_rip(pts, MeasurementEnsemble.uniform(2, 8, seed=11), 0.2)
-
-
 def test_linear_l1_rip_validation():
     rng = substream(12, "test-l1rip-val")
     lone = PointSet(np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
-        linear_l1_rip(lone, MeasurementEnsemble.gaussian(2, 8, seed=12), 0.2)
+        linear_l1_rip(lone, gaussian_ensemble(2, 8, seed=12), 0.2)
     pts = PointSet.uniform(2, 4, rng)
     with pytest.raises(ValueError):
-        linear_l1_rip(pts, MeasurementEnsemble.gaussian(2, 0, seed=12), 0.2)
+        linear_l1_rip(pts, gaussian_ensemble(2, 0, seed=12), 0.2)
 
 
 def linear_l1_distance(ens, x, y):
@@ -210,13 +193,13 @@ def linear_l1_distance(ens, x, y):
 
 
 def test_linear_l1_identical_points_is_zero():
-    ens = MeasurementEnsemble.gaussian(3, 64, seed=4)
+    ens = gaussian_ensemble(3, 64, seed=4)
     x = unit(0, 1, 0, 0)
     assert linear_l1_distance(ens, x, x) == 0.0
 
 
 def test_linear_l1_estimates_euclidean_distance():
-    ens = MeasurementEnsemble.gaussian(5, 100_000, seed=21)
+    ens = gaussian_ensemble(5, 100_000, seed=21)
     rng = substream(21, "test-l1-pair")
     x = UnitVector.normalized(rng.standard_normal(6))
     y = UnitVector.normalized(rng.standard_normal(6))
@@ -227,7 +210,7 @@ def test_linear_l1_estimates_euclidean_distance():
 def test_linear_l1_rip_matches_scalar_statistic():
     rng = substream(13, "test-l1rip-pts")
     pts = PointSet.uniform(3, 5, rng)
-    ens = MeasurementEnsemble.gaussian(3, 128, seed=13)
+    ens = gaussian_ensemble(3, 128, seed=13)
     report = linear_l1_rip(pts, ens, 10.0)
     worst = 0.0
     for i in range(5):
@@ -243,7 +226,7 @@ def test_linear_l1_rip_matches_scalar_statistic():
 def test_linear_l1_rip_concentrates():
     rng = substream(14, "test-l1rip-conc")
     pts = PointSet.uniform(4, 5, rng)
-    ens = MeasurementEnsemble.gaussian(4, 20_000, seed=14)
+    ens = gaussian_ensemble(4, 20_000, seed=14)
     report = linear_l1_rip(pts, ens, 0.1)
     assert report.passed
 
@@ -254,7 +237,7 @@ def test_linear_l1_rip_concentrates():
 def test_metric_ratio_requires_separation():
     angle = 0.02 * math.pi
     pts = PointSet(np.array([[1.0, 0.0], [math.cos(angle), math.sin(angle)]]))
-    ens = MeasurementEnsemble.uniform(1, 64, seed=15)
+    ens = unit_ensemble(1, 64, seed=15)
     with pytest.raises(PreconditionError):
         metric_ratio_check(pts, ens, 0.2)
 
@@ -262,13 +245,13 @@ def test_metric_ratio_requires_separation():
 def test_metric_ratio_validation():
     rng = substream(16, "test-ratio-val")
     pts = PointSet.uniform(2, 5, rng)
-    ens = MeasurementEnsemble.uniform(2, 8, seed=16)
+    ens = unit_ensemble(2, 8, seed=16)
     with pytest.raises(ValueError):
         metric_ratio_check(pts, ens, 0.0)
     lone = PointSet(np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
         metric_ratio_check(lone, ens, 0.2)
-    empty = MeasurementEnsemble(np.empty((0, 3)), EnsembleKind.UNIFORM_SPHERE)
+    empty = MeasurementEnsemble(np.empty((0, 3)))
     with pytest.raises(ValueError):
         metric_ratio_check(pts, empty, 0.2)
 
@@ -277,7 +260,7 @@ def test_metric_ratio_on_packed_points():
     rng = substream(17, "test-ratio-run")
     raw = PointSet.uniform(3, 150, rng)
     packed = greedy_packing(raw, 0.2, rng).centers
-    ens = MeasurementEnsemble.uniform(3, 2_000, seed=17)
+    ens = unit_ensemble(3, 2_000, seed=17)
     report = metric_ratio_check(packed, ens, 0.2)
     assert isinstance(report, MetricRatioReport)
     assert report.min_sep == 0.2
@@ -314,7 +297,6 @@ def test_finite_embedding_round_trip():
     ens, report = finite_embedding(pts, 0.2, 10.0, rng)
     expected_m = embedding_size(20, 0.2, 10.0)
     assert ens.m == expected_m == report.m
-    assert ens.kind is EnsembleKind.UNIFORM_SPHERE
     assert ens.ambient == 4
     assert report.delta_target == 0.2
     assert report.passed
@@ -353,9 +335,9 @@ def test_linear_l1_rip_two_points_matches_reference():
     rng = substream(15, "test-l1rip-ref2")
     pair = PointSet.uniform(5, 2, rng)
     assert verify._l1_tile(2, 300) == (1, 1)
-    _assert_matches_reference(pair, MeasurementEnsemble.gaussian(5, 300, seed=15))
+    _assert_matches_reference(pair, gaussian_ensemble(5, 300, seed=15))
     same = PointSet(np.array([[0.6, 0.8, 0.0], [0.6, 0.8, 0.0]]))
-    _assert_matches_reference(same, MeasurementEnsemble.gaussian(2, 40, seed=15))
+    _assert_matches_reference(same, gaussian_ensemble(2, 40, seed=15))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -363,7 +345,7 @@ def test_linear_l1_rip_rip_shape_matches_reference(seed):
     # the linear-rip experiment's default shape: 210 sparse-net points, m = 2773
     rng = substream(seed, "test-l1rip-ref")
     net = sparse_net(SparseSpec(64, 4), 200, rng)
-    ens = MeasurementEnsemble(rng.standard_normal((2773, 65)), EnsembleKind.GAUSSIAN)
+    ens = MeasurementEnsemble(rng.standard_normal((2773, 65)))
     assert len(net) == 210
     _assert_matches_reference(net, ens)
 
@@ -372,7 +354,7 @@ def _tied_set():
     """Three copies of 6 points: every pair distance, statistic and gap repeats nine times."""
     rng = substream(16, "test-l1rip-ties")
     base = PointSet.uniform(3, 6, rng).points
-    return PointSet(np.vstack([base, base, base])), MeasurementEnsemble.gaussian(3, 64, seed=16)
+    return PointSet(np.vstack([base, base, base])), gaussian_ensemble(3, 64, seed=16)
 
 
 def test_linear_l1_rip_tied_pairs_match_reference():
@@ -391,7 +373,7 @@ def test_linear_l1_rip_blocks_match_reference(pairs_per_tile, monkeypatch):
     # a budget of a few pairs splits the scan into many tiles; 64 pairs make 5 x 12
     rng = substream(17, "test-l1rip-blocks")
     net = sparse_net(SparseSpec(16, 3), 60, rng)
-    ens = MeasurementEnsemble(rng.standard_normal((500, 17)), EnsembleKind.GAUSSIAN)
+    ens = MeasurementEnsemble(rng.standard_normal((500, 17)))
     monkeypatch.setattr(verify, "L1_TILE_BYTES", pairs_per_tile * 8 * ens.m)
     assert len(net) > 64
     rows, cols = verify._l1_tile(len(net), ens.m)
@@ -424,7 +406,7 @@ def test_linear_l1_rip_tiles_match_reference(tile, monkeypatch):
     # column sweep ends in a partial tile
     rng = substream(18, "test-l1rip-tiles")
     pts = PointSet.uniform(4, 62, rng)
-    ens = MeasurementEnsemble.gaussian(4, 300, seed=18)
+    ens = gaussian_ensemble(4, 300, seed=18)
     _fix_tile(monkeypatch, tile)
     _assert_matches_reference(pts, ens)
 
@@ -440,7 +422,7 @@ def test_linear_l1_rip_row_above_budget_is_one_pair_tiles():
     m = verify.L1_TILE_BYTES // 8 + 1
     rng = substream(19, "test-l1rip-wide")
     pts = PointSet.uniform(2, 6, rng)
-    ens = MeasurementEnsemble.gaussian(2, m, seed=19)
+    ens = gaussian_ensemble(2, m, seed=19)
     assert verify._l1_tile(len(pts), m) == (1, 1)
     _assert_matches_reference(pts, ens)
 
@@ -451,7 +433,7 @@ def test_linear_l1_rip_rip_shape_memory_stays_in_budget():
     k, m = 210, 2773
     rng = substream(20, "test-l1rip-mem")
     pts = PointSet.uniform(64, k, rng)
-    ens = MeasurementEnsemble.gaussian(64, m, seed=20)
+    ens = gaussian_ensemble(64, m, seed=20)
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
@@ -474,7 +456,7 @@ def test_hamming_matrix_matches_float64_product(m, block_columns, monkeypatch):
         monkeypatch.setattr(verify, "HAMMING_BLOCK_COLUMNS", block_columns)
     rng = substream(18, "test-hamming-blocks", m)
     net = sparse_net(SparseSpec(64, 4), 200, rng)
-    ens = MeasurementEnsemble.uniform(64, m, seed=18)
+    ens = unit_ensemble(64, m, seed=18)
     bits = sign_matrix(ens, net).astype(float)
     expected = (ens.m - bits @ bits.T) / (2.0 * ens.m)
     assert np.array_equal(verify._hamming_matrix(net, ens), expected)
@@ -502,7 +484,7 @@ def test_sign_product_rip_matches_measurement_space_product(seed, net_size):
     # the sign-product experiment's shape (m = 2773 in R^65), and a wider net
     rng = substream(seed, "test-sprip-ref")
     net = sparse_net(SparseSpec(64, 4), net_size, rng)
-    ens = MeasurementEnsemble(rng.standard_normal((2773, 65)), EnsembleKind.GAUSSIAN)
+    ens = MeasurementEnsemble(rng.standard_normal((2773, 65)))
     assert len(net) >= net_size
     report = sign_product_rip(net, ens, 0.2)
     worst, pair = _sign_product_rip_reference(net, ens)
