@@ -45,6 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     helps = [(spec.name, spec.help) for spec in REGISTRY.values()]
     for name, text in helps + [("all", "run every experiment with shared settings")]:
         p = sub.add_parser(name, help=text)
+        p.set_defaults(subparser=p)  # config errors show this subcommand's usage
         p.add_argument("--config", help="JSON file with option defaults")
         p.add_argument("--n", type=int, help="sphere dimension (ambient n+1)")
         p.add_argument("--s", type=int, help="sparsity level")
@@ -92,12 +93,18 @@ def _resolve_seed(explicit) -> int:
 def parse_config(argv) -> tuple[ExperimentConfig, int]:
     parser = build_parser()
     args = parser.parse_args(argv)
+
+    def fail(message: str):
+        # parser.error's output, with the subcommand's usage in place of the top level's
+        args.subparser.print_usage(sys.stderr)
+        parser.exit(2, f"{parser.prog}: error: {message}\n")
+
     merged: dict = {}
     if args.config is not None:
         try:
             merged.update(_load_config_file(args.config))
         except (OSError, json.JSONDecodeError, ValueError) as exc:
-            parser.error(str(exc))
+            fail(str(exc))
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -105,7 +112,7 @@ def parse_config(argv) -> tuple[ExperimentConfig, int]:
     try:
         merged["seed"] = _resolve_seed(merged.get("seed"))
     except ValueError as exc:
-        parser.error(str(exc))
+        fail(str(exc))
     workers = merged.pop("workers", 1)
     out_path = merged.pop("out", None)
     cfg = ExperimentConfig(
@@ -115,7 +122,7 @@ def parse_config(argv) -> tuple[ExperimentConfig, int]:
     try:
         cfg.validate()
     except ValueError as exc:
-        parser.error(str(exc))
+        fail(str(exc))
     return cfg, workers
 
 

@@ -65,6 +65,9 @@ _VC_BUDGET = 20_000  # candidate hyperplanes per shatter_check; 448 suffice for 
 
 ENV_SEED = "ONEBIT_SEED"
 
+# the most trials one experiment may run; a million crofton trials already take hours
+MAX_TRIALS = 10**6
+
 # largest m x (n+1) float64 direction matrix, and largest (k, k) float64
 # matrix over a net of k points, that a trial may build
 MAX_DIRECTION_BYTES = 2**30
@@ -109,6 +112,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
         if isinstance(self.m, str):
             if self.m != "auto":
                 raise ValueError(f'm must be an integer or "auto", got {self.m!r}')
@@ -286,6 +291,13 @@ def _embed_limits(eff: _Effective):
     except ValueError:
         m = math.inf
     _check_directions(m, eff.n, "the embedding budget m", "raise --delta or lower --safety")
+
+
+def _transversal_limits(eff: _Effective):
+    if eff.n != 3:
+        raise ValueError(
+            f"transversal needs n = 3, got n={eff.n}: the quarter-density law holds only on S^3"
+        )
 
 
 def _small_cells_limits(eff: _Effective):
@@ -548,7 +560,7 @@ REGISTRY: dict[str, Experiment] = {
         Experiment(
             "transversal", "well-separated crossing frequency vs a quarter of the distance",
             _trial_transversal, ("abs_error",), _crossing_verdict, _fixed_budget(100_000),
-            default_n=3,
+            default_n=3, limits=_transversal_limits,
         ),
         Experiment(
             "small-cells", "sign-pattern cell diameters under a random tessellation",

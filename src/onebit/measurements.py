@@ -18,6 +18,8 @@ from .errors import DimensionMismatchError, InvalidDimensionError
 from .sphere import PointSet, signs
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
+# float64 projections that one row block of sign_matrix holds
+SIGN_BLOCK_BYTES = 4 * 2**20
 
 
 class MeasurementEnsemble:
@@ -61,9 +63,20 @@ class MeasurementEnsemble:
 
 
 def sign_matrix(ens: MeasurementEnsemble, points: PointSet) -> np.ndarray:
-    """(k, m) int8 matrix of one-bit measurements for every point row."""
+    """(k, m) int8 matrix of one-bit measurements for every point row.
+
+    Points are projected in row blocks of at most ``SIGN_BLOCK_BYTES`` of
+    float64 (at least one row), so no (k, m) float64 array is formed.  A
+    block's projections can differ from the full product's in the last bit,
+    which changes a sign only for a projection within rounding of 0, whose
+    sign neither product determines.
+    """
     if points.ambient != ens.ambient:
         raise DimensionMismatchError(
             f"points ambient dimension {points.ambient} != ensemble {ens.ambient}"
         )
-    return signs(points.points @ ens.directions.T)
+    out = np.empty((len(points), ens.m), dtype=np.int8)
+    rows = max(1, SIGN_BLOCK_BYTES // (8 * max(ens.m, 1)))
+    for lo in range(0, len(points), rows):
+        out[lo : lo + rows] = signs(points.points[lo : lo + rows] @ ens.directions.T)
+    return out

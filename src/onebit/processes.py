@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -44,17 +44,22 @@ class WidthEstimate:
 def _jitter_ladder(entries: np.ndarray) -> tuple[np.ndarray | None, float | None]:
     """Cholesky factor of entries + jitter * I at the smallest rung that factors.
 
-    Returns (factor, jitter), or (None, None) when every rung fails.
+    Writes each rung onto the diagonal of ``entries`` and restores the saved
+    diagonal exactly before it returns, so ``entries`` ends bitwise as it
+    came and no (k, k) copy is made.  Returns (factor, jitter), or
+    (None, None) when every rung fails.
     """
-    shifted = entries.copy()
-    diag = np.diagonal(entries)
-    for jitter in _JITTERS:
-        np.fill_diagonal(shifted, diag + jitter)
-        try:
-            return np.linalg.cholesky(shifted), jitter
-        except np.linalg.LinAlgError:
-            continue
-    return None, None
+    diag = np.diagonal(entries).copy()
+    try:
+        for jitter in _JITTERS:
+            np.fill_diagonal(entries, diag + jitter)
+            try:
+                return np.linalg.cholesky(entries), jitter
+            except np.linalg.LinAlgError:
+                continue
+        return None, None
+    finally:
+        np.fill_diagonal(entries, diag)
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,10 @@ class CovarianceMatrix:
     up to roundoff (smallest eigenvalue >= -1e-8 before jitter); both are
     checked at construction.  Construction also factors entries + jitter * I
     at the first rung of ``_JITTERS`` that succeeds and keeps the factor in
-    ``factor`` (None when every rung fails).
+    ``factor`` (None when every rung fails).  A caller's array is factored
+    from a copy and never written; the array :func:`covariance_matrix`
+    builds itself (``_owned``) takes the ladder's rungs on its own
+    diagonal, restored exactly, so no (k, k) copy is made.
 
     A factorization at jitter <= ``CERTIFIED_JITTER`` of at most
     ``CHOLESKY_MAX_POINTS`` points proves PSD: its backward error bounds
@@ -75,8 +83,9 @@ class CovarianceMatrix:
 
     entries: np.ndarray
     factor: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned: bool):
         ent = self.entries
         if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
             raise ValueError("covariance must be square")
@@ -84,7 +93,7 @@ class CovarianceMatrix:
             raise ValueError("covariance entries must be finite")
         if np.abs(np.diag(ent) - 0.25).max() > 1e-12:
             raise ValueError("hemisphere covariance diagonal must equal 1/4")
-        factor, jitter = _jitter_ladder(ent)
+        factor, jitter = _jitter_ladder(ent if _owned else ent.copy())
         certified = (
             jitter is not None
             and jitter <= CERTIFIED_JITTER
@@ -106,8 +115,9 @@ def covariance_matrix(points: PointSet) -> CovarianceMatrix:
     ent = points.pairwise_geodesic()
     ent *= -0.5
     ent += 0.25
+    cov = CovarianceMatrix(entries=ent, _owned=True)
     ent.flags.writeable = False
-    return CovarianceMatrix(entries=ent)
+    return cov
 
 
 def estimate_gaussian_width(
@@ -147,6 +157,12 @@ def estimate_hemisphere_width_cholesky(
     so its estimate is bitwise that of ``y @ factor.T``; a larger set sums
     each entry in different pieces, and its estimate can move in the last
     bits.  The generator draws the same normals either way.
+
+    Working memory while sampling: the factor, the (trials, k) normals and
+    one (trials, ``CHOLESKY_BLOCK_COLUMNS``) block, which is reduced into
+    running row maxima and minima before the next block overwrites it.
+    Max and min are exact, so no (trials, k) product is needed for the
+    same bits.
     """
     if len(points) > CHOLESKY_MAX_POINTS:
         raise FeasibilityError(
@@ -154,21 +170,27 @@ def estimate_hemisphere_width_cholesky(
         )
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
-    cov = covariance_matrix(points)
-    if cov.factor is None:
+    # only the factor outlives this line: the (k, k) entries are freed before sampling
+    factor = covariance_matrix(points).factor
+    if factor is None:
         raise NumericalError(
             f"cholesky failed for every jitter up to {_JITTERS[-1]:g}; "
             "covariance is badly conditioned"
         )
     k = len(points)
     y = rng.standard_normal((trials, k))
-    z = np.empty((trials, k))
+    block = np.empty((trials, min(k, CHOLESKY_BLOCK_COLUMNS)))
+    hi = np.full(trials, -np.inf)
+    lo = np.full(trials, np.inf)
     # column block [a, b) of y @ factor^T reads only factor[a:b, :b]: the
     # factor is lower-triangular, so the columns of y past b meet zeros
     for a in range(0, k, CHOLESKY_BLOCK_COLUMNS):
         b = min(a + CHOLESKY_BLOCK_COLUMNS, k)
-        np.matmul(y[:, :b], cov.factor[a:b, :b].T, out=z[:, a:b])
-    sups = z.max(axis=1) - z.min(axis=1)
+        z = block[:, : b - a]
+        np.matmul(y[:, :b], factor[a:b, :b].T, out=z)
+        np.maximum(hi, z.max(axis=1), out=hi)
+        np.minimum(lo, z.min(axis=1), out=lo)
+    sups = hi - lo
     return WidthEstimate(
         value=float(sups.mean()),
         std_error=float(sups.std(ddof=1) / math.sqrt(trials)),

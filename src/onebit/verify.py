@@ -23,6 +23,8 @@ from .sphere import PointSet, pairwise_chord
 L1_TILE_BYTES = 768 * 2**10
 # float32 counts +-1 agreements exactly in blocks of fewer than 2^24 columns
 HAMMING_BLOCK_COLUMNS = 2**24 - 1
+# float64 Hamming rows that one_bit_rip and metric_ratio_check form at a time
+HAMMING_ROW_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -116,21 +118,38 @@ def small_cells_check(points: PointSet, ens: MeasurementEnsemble, delta: float) 
     )
 
 
-def _hamming_matrix(points: PointSet, ens: MeasurementEnsemble) -> np.ndarray:
-    """Pairwise Hamming distances, bitwise equal to the float64 product of the bits.
+def _agreements(points: PointSet, ens: MeasurementEnsemble) -> np.ndarray:
+    """(k, k) sums over the measurements of s_i s_l, the agreeing minus disagreeing signs.
 
-    Each block of fewer than 2^24 columns is multiplied in float32: every
-    partial sum of its +-1 products is an integer below 2^24 in magnitude,
-    so float32 holds it exactly, and the block sums add up exactly in float64.
+    Every entry is an exact integer.  Each block of fewer than 2^24 columns is
+    multiplied in float32: every partial sum of its +-1 products is an
+    integer below 2^24 in magnitude, so float32 holds it exactly, and
+    several blocks add up exactly in float64.  A block's float32 signs are
+    freed as soon as its product is formed.
     """
     bits = sign_matrix(ens, points)
-    # m - agreements stays an exact integer, so the in-place steps keep the bits
-    dist = np.full((len(points), len(points)), float(ens.m))
+    total = None
     for lo in range(0, ens.m, HAMMING_BLOCK_COLUMNS):
         block = bits[:, lo : lo + HAMMING_BLOCK_COLUMNS].astype(np.float32)
-        dist -= block @ block.T
-    dist /= 2.0 * ens.m
-    return dist
+        agree = block @ block.T
+        del block
+        total = agree if total is None else np.add(total, agree, dtype=np.float64)
+    return total
+
+
+def _hamming_rows(agree: np.ndarray, m: int):
+    """Yield (rows, float64 Hamming distances of those rows) in blocks of HAMMING_ROW_BYTES.
+
+    (m - agreements) / 2m is computed from exact integers, so the rows are
+    bitwise those of the whole (k, k) float64 Hamming matrix, which is never
+    formed: a caller folds each block into its own (k, k) array.
+    """
+    step = max(1, HAMMING_ROW_BYTES // (8 * len(agree)))
+    for lo in range(0, len(agree), step):
+        rows = slice(lo, lo + step)
+        ham = np.subtract(float(m), agree[rows], dtype=np.float64)
+        ham /= 2.0 * m
+        yield rows, ham
 
 
 def one_bit_rip(points: PointSet, ens: MeasurementEnsemble, delta_target: float) -> RipReport:
@@ -140,9 +159,13 @@ def one_bit_rip(points: PointSet, ens: MeasurementEnsemble, delta_target: float)
         raise ValueError("need at least one measurement")
     if len(points) < 2:
         raise ValueError("need at least two points")
-    gap = _hamming_matrix(points, ens)
-    gap -= points.pairwise_geodesic()
-    np.abs(gap, out=gap)
+    # the float32 signs are freed before the geodesic matrix is built, and the
+    # float64 Hamming rows are folded into it a block at a time
+    agree = _agreements(points, ens)
+    gap = points.pairwise_geodesic()
+    for rows, ham in _hamming_rows(agree, ens.m):
+        ham -= gap[rows]
+        np.abs(ham, out=gap[rows])
     np.fill_diagonal(gap, 0.0)
     return _rip_report(*_argmax_pair(gap), ens, delta_target)
 
@@ -244,6 +267,9 @@ def metric_ratio_check(
         raise ValueError("need at least two points")
     if min_sep <= 0.0:
         raise ValueError("min_sep must be positive")
+    # as in one_bit_rip: the agreements first, then the geodesic matrix, which
+    # the ratio rows overwrite
+    agree = _agreements(points, ens)
     dist = points.pairwise_geodesic()
     np.fill_diagonal(dist, np.inf)
     if dist.min() < min_sep:
@@ -251,12 +277,13 @@ def metric_ratio_check(
             f"pairs closer than min_sep={min_sep}: run a packing before this check"
         )
     np.fill_diagonal(dist, 1.0)
-    ratio = _hamming_matrix(points, ens)
-    ratio -= dist
-    np.abs(ratio, out=ratio)
-    ratio /= dist
-    np.fill_diagonal(ratio, 0.0)
-    sup, pair = _argmax_pair(ratio)
+    for rows, ratio in _hamming_rows(agree, ens.m):
+        ratio -= dist[rows]
+        np.abs(ratio, out=ratio)
+        ratio /= dist[rows]
+        dist[rows] = ratio
+    np.fill_diagonal(dist, 0.0)
+    sup, pair = _argmax_pair(dist)
     return MetricRatioReport(
         sup_ratio=sup, argmax_pair=pair, min_sep=float(min_sep), passed=sup <= 1.0
     )

@@ -18,7 +18,9 @@ from onebit import (
     summarize,
 )
 from onebit.cli import main, parse_config
-from onebit.harness import EXPERIMENT_ORDER, MAX_DIRECTION_BYTES, REGISTRY, default_out_path
+from onebit.harness import (
+    EXPERIMENT_ORDER, MAX_DIRECTION_BYTES, MAX_TRIALS, REGISTRY, default_out_path,
+)
 from onebit.sphere import CLOSE_PAIRS
 
 # --- measurement budget resolution -----------------------------------------------
@@ -101,11 +103,28 @@ def test_config_rejects_unknown_experiment():
         {"safety": 10**400},  # past the float range
         {"format": None},
         {"delta": 1e-300},  # delta**-2 overflows the auto budget
+        {"trials": MAX_TRIALS + 1},
+        {"experiment": "transversal", "n": 5},  # the quarter-density law needs S^3
     ],
 )
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
         _cfg(**kw).validate()
+
+
+def test_trial_limit_is_inclusive():
+    _cfg(trials=MAX_TRIALS).validate()
+    with pytest.raises(ValueError, match=f"trials must be at most {MAX_TRIALS}, got 10"):
+        ExperimentConfig(experiment="crofton", trials=10**12).validate()
+
+
+def test_transversal_runs_only_on_the_3_sphere():
+    ExperimentConfig(experiment="transversal").validate()
+    ExperimentConfig(experiment="transversal", n=3).validate()
+    ExperimentConfig(experiment="crofton", n=5).validate()  # the wedge law holds on any sphere
+    for n in (2, 5):
+        with pytest.raises(ValueError, match=f"transversal needs n = 3, got n={n}"):
+            ExperimentConfig(experiment="transversal", n=n).validate()
 
 
 def test_config_delta_requirements():
@@ -461,6 +480,8 @@ def no_runs(monkeypatch):
         ["all", "--delta", "0.2", "--workers", "-2", "--trials", "1"],
         ["crofton", "--n", "0"],
         ["rip", "--delta", "0.2", "--s", "0"],
+        ["transversal", "--n", "5", "--trials", "3", "--m", "2000"],  # exited 1 after its trials
+        ["crofton", "--trials", str(10**12)],
     ],
 )
 def test_main_rejects_unrunnable_experiments_before_any_work(argv, tmp_path, capsys, no_runs):
@@ -468,6 +489,22 @@ def test_main_rejects_unrunnable_experiments_before_any_work(argv, tmp_path, cap
     assert main(argv + ["--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rip", "--n", "0"], "n must be >= 1"),
+        (["transversal", "--n", "5"], "transversal needs n = 3"),
+        (["nets", "--config", "missing.json"], "[Errno 2] No such file"),
+    ],
+)
+def test_config_errors_show_the_subcommand_usage(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: onebit {argv[0]} [-h] [--config CONFIG]")
+    assert f"\nonebit: error: {message}" in err
 
 
 @pytest.mark.parametrize("workers", [0, -1, True, 2.0, "2", None])

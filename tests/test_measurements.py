@@ -12,9 +12,12 @@ from onebit import (
     InvalidDimensionError,
     MeasurementEnsemble,
     PointSet,
+    SparseSpec,
     UnitVector,
+    measurements,
     sign_matrix,
     signs,
+    sparse_net,
     substream,
 )
 from oracles import gaussian_ensemble, sign_product_statistic, unit_ensemble
@@ -83,6 +86,24 @@ def test_sign_matrix_rows_match_one_bit_map():
     assert matrix.shape == (6, 32)
     for i in range(6):
         assert np.array_equal(matrix[i], one_bit_map(ens, pts.unit(i)))
+
+
+@pytest.mark.parametrize(
+    "k, m, block_bytes",
+    [
+        (600, 2773, None),  # the default budget: 189 rows a block, the last one partial
+        (20, 50, 3 * 8 * 50),  # 3 rows a block
+        (5, 50, 8),  # less than one row: a row a block
+    ],
+)
+def test_sign_matrix_in_row_blocks_matches_the_full_projection(k, m, block_bytes, monkeypatch):
+    if block_bytes is not None:
+        monkeypatch.setattr(measurements, "SIGN_BLOCK_BYTES", block_bytes)
+    rows = max(1, measurements.SIGN_BLOCK_BYTES // (8 * m))
+    assert -(-k // rows) >= 3
+    net = sparse_net(SparseSpec(64, 4), k, substream(k, "test-sign-blocks"))
+    ens = gaussian_ensemble(64, m, seed=k)
+    assert sign_matrix(ens, net).tobytes() == signs(net.points @ ens.directions.T).tobytes()
 
 
 def test_sign_matrix_dimension_mismatch():

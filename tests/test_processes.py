@@ -126,6 +126,34 @@ def test_covariance_factored_only_at_a_high_rung_is_rejected():
         CovarianceMatrix(entries)
 
 
+def test_ladder_leaves_entries_as_built_and_read_only(monkeypatch):
+    # the 5e-9 twin climbs three rungs, each written onto the diagonal and undone
+    built = _twin_covariance(5e-9)
+    expected = _chol_with_jitter_reference(built)
+    cov = CovarianceMatrix(built, _owned=True)
+    assert cov.entries is built
+    assert built.tobytes() == _twin_covariance(5e-9).tobytes()
+    assert np.array_equal(cov.factor, expected)
+    # a caller's array, writeable or not, is factored from a copy and never written
+    for writeable in (True, False):
+        mine = _twin_covariance(5e-9)
+        mine.flags.writeable = writeable
+        cov = CovarianceMatrix(mine)
+        assert cov.entries is mine
+        assert mine.tobytes() == _twin_covariance(5e-9).tobytes()
+        assert np.array_equal(cov.factor, expected)
+    # a ladder that fails at every rung still restores the diagonal
+    monkeypatch.setattr(processes, "_JITTERS", (-1.0,))
+    pts = PointSet.uniform(2, 5, substream(4, "test-ladder-restores"))
+    cov = covariance_matrix(pts)
+    assert cov.factor is None
+    assert not cov.entries.flags.writeable
+    expected = pts.pairwise_geodesic()
+    expected *= -0.5
+    expected += 0.25
+    assert cov.entries.tobytes() == expected.tobytes()
+
+
 def test_eigvalsh_runs_only_when_the_ladder_cannot_certify(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -208,12 +236,28 @@ def _cholesky_width_reference(points, trials, rng):
     return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(trials))
 
 
+def _cholesky_width_full_z(points, trials, rng):
+    """The blocked product kept whole: every block of y @ factor^T in one (trials, k) z."""
+    factor = covariance_matrix(points).factor
+    k = len(points)
+    y = rng.standard_normal((trials, k))
+    z = np.empty((trials, k))
+    for a in range(0, k, processes.CHOLESKY_BLOCK_COLUMNS):
+        b = min(a + processes.CHOLESKY_BLOCK_COLUMNS, k)
+        np.matmul(y[:, :b], factor[a:b, :b].T, out=z[:, a:b])
+    sups = z.max(axis=1) - z.min(axis=1)
+    return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(trials))
+
+
 def _cholesky_width_pair(k: int):
     points = PointSet.uniform(7, k, substream(k, "test-hw-blocks"))
     rng, ref_rng = substream(k, "test-hw-draws"), substream(k, "test-hw-draws")
     est = estimate_hemisphere_width_cholesky(points, 500, rng)
     ref = _cholesky_width_reference(points, 500, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the running row max and min keep the bits of the whole blocked product
+    full_z = _cholesky_width_full_z(points, 500, substream(k, "test-hw-draws"))
+    assert (est.value, est.std_error) == full_z
     return (est.value, est.std_error), ref
 
 
@@ -229,6 +273,21 @@ def test_cholesky_width_in_blocks_matches_the_full_product(k):
     assert k > processes.CHOLESKY_BLOCK_COLUMNS
     est, ref = _cholesky_width_pair(k)
     assert est == pytest.approx(ref, rel=0, abs=1e-12)
+
+
+def test_cholesky_width_memory_holds_three_k_by_k_arrays():
+    # the factor, the (k, k) normals and one block trace ~2.3 k^2 float64; the
+    # entries or a whole (trials, k) product kept alive as well would pass 3 k^2
+    k = 1000
+    pts = PointSet.uniform(7, k, substream(20, "test-hw-mem"))
+    rng = substream(20, "test-hw-mem-draws")
+    tracemalloc.start()
+    try:
+        estimate_hemisphere_width_cholesky(pts, k, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * k * k
 
 
 def test_empirical_samples_validation():

@@ -459,7 +459,42 @@ def test_hamming_matrix_matches_float64_product(m, block_columns, monkeypatch):
     ens = unit_ensemble(64, m, seed=18)
     bits = sign_matrix(ens, net).astype(float)
     expected = (ens.m - bits @ bits.T) / (2.0 * ens.m)
-    assert np.array_equal(verify._hamming_matrix(net, ens), expected)
+    agree = verify._agreements(net, ens)
+    hamming = np.vstack([ham for _, ham in verify._hamming_rows(agree, ens.m)])
+    assert np.array_equal(hamming, expected)
+
+
+def _hamming_reference(points, ens):
+    """The whole (k, k) float64 Hamming matrix from the float64 product of the bits."""
+    bits = sign_matrix(ens, points).astype(float)
+    return (ens.m - bits @ bits.T) / (2.0 * ens.m)
+
+
+def _argmax_reference(values):
+    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+    return float(values[i, j]), (int(i), int(j))
+
+
+@pytest.mark.parametrize("row_bytes", [None, 8 * 217 * 7, 1])  # one block, 7 rows, 1 row
+def test_hamming_audits_in_row_blocks_match_the_whole_matrix(row_bytes, monkeypatch):
+    if row_bytes is not None:
+        monkeypatch.setattr(verify, "HAMMING_ROW_BYTES", row_bytes)
+    rng = substream(21, "test-hamming-rows")
+    net = sparse_net(SparseSpec(64, 4), 207, rng)
+    ens = gaussian_ensemble(64, 300, seed=21)
+    gap = np.abs(_hamming_reference(net, ens) - net.pairwise_geodesic())
+    np.fill_diagonal(gap, 0.0)
+    report = one_bit_rip(net, ens, 0.2)
+    assert (report.sup_discrepancy, report.argmax_pair) == _argmax_reference(gap)
+
+    packed = greedy_packing(PointSet.sparse(SparseSpec(64, 4), 300, rng), 0.05, rng).centers
+    dist = packed.pairwise_geodesic()
+    np.fill_diagonal(dist, 1.0)
+    ratio = np.abs(_hamming_reference(packed, ens) - dist) / dist
+    np.fill_diagonal(ratio, 0.0)
+    report = metric_ratio_check(packed, ens, 0.05)
+    assert len(packed) > 7
+    assert (report.sup_ratio, report.argmax_pair) == _argmax_reference(ratio)
 
 
 def test_hamming_blocks_count_exactly_in_float32():
