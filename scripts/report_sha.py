@@ -9,6 +9,11 @@ A refactor that keeps every output leaves this sha unchanged:
 
     python3 scripts/report_sha.py
 
+A second line names the numpy version, the BLAS build and the BLAS thread
+setting the report was made with: the bytes hold for one numpy/BLAS build
+and one BLAS thread count (with OpenBLAS, ``OPENBLAS_NUM_THREADS=1`` gives
+another sha than the default).
+
 Exits with onebit's status: 0 when every verdict passed, 1 when one failed
 (the sha is still printed), 2 or 3 when no report was written.
 """
@@ -22,8 +27,22 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 ARGS = ["all", "--delta", "0.2", "--seed", "11", "--format", "json"]
+# OpenBLAS reads the first of these that is set, else uses every cpu
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def provenance() -> str:
+    """The numpy version, BLAS build and BLAS thread setting of this interpreter."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = next(
+        (f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS if os.environ.get(var)),
+        f"default ({os.cpu_count()} cpus)",
+    )
+    return f"numpy {np.__version__}, blas {blas.get('name')} {blas.get('version')}, threads {threads}"
 
 
 def main() -> int:
@@ -38,6 +57,7 @@ def main() -> int:
             print(f"report_sha: onebit exited {status} without a report", file=sys.stderr)
             return status or 1
         print(f"{hashlib.sha256(report.read_bytes()).hexdigest()}  onebit {' '.join(ARGS)}")
+        print(provenance())
     return status
 
 

@@ -47,9 +47,15 @@ def greedy_packing(points: PointSet, delta: float, rng: np.random.Generator) -> 
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    return _greedy_packing(points, points.pairwise_geodesic(), delta, rng)
+
+
+def _greedy_packing(
+    points: PointSet, dist: np.ndarray, delta: float, rng: np.random.Generator
+) -> NetReport:
+    """greedy_packing on the points' geodesic matrix ``dist``, which it only reads."""
     k = len(points)
     order = rng.permutation(k)
-    dist = points.pairwise_geodesic()
     available = np.ones(k, dtype=bool)
     kept: list[int] = []
     for idx in order:
@@ -145,8 +151,10 @@ def sandwich_check(points: PointSet, delta: float, rng: np.random.Generator) -> 
     """
     if not (0.0 < 2.0 * delta < 1.0):
         raise ValueError(f"need 0 < 2*delta < 1 for the sandwich, got delta={delta}")
-    fine = greedy_packing(points, delta, rng)
-    coarse = greedy_packing(points, 2.0 * delta, rng)
+    # both scales pack the same points, so they share one geodesic matrix
+    dist = points.pairwise_geodesic()
+    fine = _greedy_packing(points, dist, delta, rng)
+    coarse = _greedy_packing(points, dist, 2.0 * delta, rng)
     ok = coarse.packing_size <= fine.packing_size
     return {
         "delta": float(delta),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from onebit import (
     EXPERIMENTS, ExperimentConfig, ReportRow, harness, nets, resolve_m, run, run_experiment,
-    summarize,
+    summarize, verify,
 )
 from onebit.cli import main, parse_config
 from onebit.harness import (
@@ -294,17 +294,31 @@ def test_metric_ratio_without_a_pair_fails(monkeypatch):
     assert not verdict
 
 
+def test_metric_ratio_fails_on_a_constant_sign_map(monkeypatch):
+    # every pair agrees on all m signs, so every Hamming distance collapses to
+    # 0 and every ratio |0 - d| / d is exactly 1: the flag must fail from below
+    cfg = ExperimentConfig(experiment="metric-ratio", delta=0.2, trials=5, seed=3)
+    rows, verdict = run_experiment("metric-ratio", cfg)
+    assert verdict and all(r.value < 0.2 for r in rows if r.statistic == "sup_ratio")
+    monkeypatch.setattr(
+        verify, "_agreements", lambda points, ens: np.full((len(points),) * 2, float(ens.m))
+    )
+    rows, verdict = run_experiment("metric-ratio", cfg)
+    assert [(r.value, r.passed) for r in rows if r.statistic == "sup_ratio"] == [(1.0, False)] * 5
+    assert not verdict
+
+
 def test_nets_fails_when_the_coarse_packing_outgrows_the_fine(monkeypatch):
     # sandwich_ok scores |packing(2 delta)| <= |packing(delta)|, the one inequality that can fail
-    real_packing = nets.greedy_packing
+    real_packing = nets._greedy_packing
 
-    def inflated_coarse(points, delta, rng):
-        report = real_packing(points, delta, rng)
+    def inflated_coarse(points, dist, delta, rng):
+        report = real_packing(points, dist, delta, rng)
         if delta == 0.4:  # the 2 delta scale: more centers than any packing of the points
             return dataclasses.replace(report, packing_size=len(points) + 1)
         return report
 
-    monkeypatch.setattr(nets, "greedy_packing", inflated_coarse)
+    monkeypatch.setattr(nets, "_greedy_packing", inflated_coarse)
     cfg = ExperimentConfig(experiment="nets", delta=0.2, trials=2, net_size=20)
     rows, verdict = run_experiment("nets", cfg)
     assert [r.value for r in rows if r.statistic == "packing_2delta"] == [21.0, 21.0]

@@ -272,6 +272,23 @@ def test_sandwich_holds(seed, delta):
     assert result["packing_2delta"] <= result["covering_delta"] <= result["packing_delta"]
 
 
+def test_sandwich_packs_both_scales_from_one_geodesic_matrix(monkeypatch):
+    # the same packings as two greedy_packing calls drawing from the stream in turn
+    pts = PointSet.uniform(3, 80, substream(3, "test-sandwich-once"))
+    fine = greedy_packing(pts, 0.2, substream(4, "test-sandwich-once"))
+    coarse_rng = substream(4, "test-sandwich-once")
+    greedy_packing(pts, 0.2, coarse_rng)
+    coarse = greedy_packing(pts, 0.4, coarse_rng)
+    calls = []
+    real = PointSet.pairwise_geodesic
+    monkeypatch.setattr(PointSet, "pairwise_geodesic", lambda self: calls.append(1) or real(self))
+    result = sandwich_check(pts, 0.2, substream(4, "test-sandwich-once"))
+    assert len(calls) == 1
+    assert result["packing_delta"] == fine.packing_size
+    assert result["packing_2delta"] == coarse.packing_size
+    assert coarse.packing_size < fine.packing_size
+
+
 # --- cap shattering --------------------------------------------------------------
 
 

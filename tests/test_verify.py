@@ -445,6 +445,98 @@ def test_linear_l1_rip_rip_shape_memory_stays_in_budget():
     assert peak - base <= verify.L1_TILE_BYTES + 2 * 8 * k * k + 8 * k * m
 
 
+# --- linear l1 audit: float32 screen, float64 confirm -----------------------------
+
+
+def _count_confirmed(monkeypatch):
+    """Spy on the float64 confirm step; the list holds the pairs it recomputed."""
+    confirmed = []
+    real = verify._l1_gaps
+
+    def spy(proj, chord, i, js, buf):
+        confirmed.extend((i, int(j)) for j in js)
+        return real(proj, chord, i, js, buf)
+
+    monkeypatch.setattr(verify, "_l1_gaps", spy)
+    return confirmed
+
+
+def _battery_shape(seed):
+    rng = substream(seed, "test-l1rip-ref")
+    net = sparse_net(SparseSpec(64, 4), 200, rng)
+    return net, MeasurementEnsemble(rng.standard_normal((2773, 65)))
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_linear_l1_rip_battery_shape_confirms_few_pairs(seed, monkeypatch):
+    # the screen must leave a handful of the 21,945 pairs to the float64 pass,
+    # or the audit costs more than the plain float64 scan
+    confirmed = _count_confirmed(monkeypatch)
+    net, ens = _battery_shape(seed)
+    _assert_matches_reference(net, ens)
+    assert 1 <= len(confirmed) <= 36
+    assert len(set(confirmed)) == len(confirmed)
+
+
+def test_linear_l1_rip_repeated_points_tie_for_the_max(monkeypatch):
+    # two copies of a sparse net: the worst pair's value recurs in four pairs,
+    # and the first of them in row-major order is the witness
+    rng = substream(25, "test-l1rip-repeats")
+    net = sparse_net(SparseSpec(16, 3), 60, rng)
+    ens = MeasurementEnsemble(rng.standard_normal((2773, 17)))
+    pts = PointSet(np.vstack([net.points, net.points]))
+    k = len(net)
+    _, (i, j) = _linear_l1_rip_reference(pts, ens)
+    assert j < k
+    confirmed = _count_confirmed(monkeypatch)
+    _assert_matches_reference(pts, ens)
+    assert {(i, j), (i, j + k), (j, i + k), (i + k, j + k)} <= set(confirmed)
+
+
+def test_linear_l1_rip_wide_slack_confirms_many_pairs(monkeypatch):
+    # at m = 50,000 the float32 slack, about 1.2e-7 m per row, dwarfs the
+    # spread of the gaps, so most pairs go to the float64 pass
+    rng = substream(22, "test-l1rip-slack")
+    pts = PointSet.uniform(4, 30, rng)
+    ens = gaussian_ensemble(4, 50_000, seed=22)
+    confirmed = _count_confirmed(monkeypatch)
+    _assert_matches_reference(pts, ens)
+    assert len(confirmed) > 30 * 29 // 4
+
+
+def test_linear_l1_rip_unscreenable_mass_confirms_every_pair(monkeypatch):
+    # rows whose l1 mass passes 2^120 could overflow float32: no screen runs
+    rng = substream(23, "test-l1rip-huge")
+    pts = PointSet.uniform(3, 9, rng)
+    ens = MeasurementEnsemble(gaussian_ensemble(3, 40, seed=23).directions * 1e37)
+
+    def no_screen(*args):
+        raise AssertionError("the float32 screen ran on rows it cannot bound")
+
+    monkeypatch.setattr(verify, "_l1_screen", no_screen)
+    confirmed = _count_confirmed(monkeypatch)
+    _assert_matches_reference(pts, ens)
+    assert len(confirmed) == 9 * 8 // 2
+
+
+@pytest.mark.parametrize("tile", [(1, 1), (4, 8), (5, 3)])
+def test_l1_screen_stays_within_its_bound(tile):
+    # |S~ - S| <= 2 (m + 3) 2^-24 (|p_i|_1 + |p_j|_1), here on projections whose
+    # rows and columns span 2^-40 to 2^40, so float32 rounds at every scale
+    rng = substream(24, "test-l1-screen")
+    k, m = 23, 1001
+    proj = rng.standard_normal((k, m))
+    proj *= 2.0 ** rng.integers(-20, 21, size=(k, 1))
+    proj *= 2.0 ** rng.integers(-20, 21, size=(1, m))
+    sums = verify._l1_screen(proj, *tile)
+    mass = np.abs(proj).sum(axis=1)
+    for i in range(k - 1):
+        exact = np.abs(proj[i] - proj[i + 1 :]).sum(axis=1)
+        err = np.abs(sums[i, i + 1 :] - exact)
+        assert (err <= 2 * (m + 3) * 2.0**-24 * (mass[i] + mass[i + 1 :])).all()
+        assert err.max() > 0.0  # float32 did round
+
+
 # --- Hamming matrix against the float64 product ---------------------------------
 
 
