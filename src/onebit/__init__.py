@@ -65,9 +65,7 @@ from .sphere import (
     wedge_mask,
 )
 from .verify import (
-    CellReport,
-    MetricRatioReport,
-    RipReport,
+    PairAudit,
     embedding_size,
     finite_embedding,
     linear_l1_rip,
@@ -80,7 +78,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellReport",
     "CovarianceMatrix",
     "DegenerateGeodesicError",
     "DimensionMismatchError",
@@ -92,14 +89,13 @@ __all__ = [
     "HALF_NORMAL_MEAN",
     "InvalidDimensionError",
     "MeasurementEnsemble",
-    "MetricRatioReport",
     "NetReport",
     "NumericalError",
+    "PairAudit",
     "PointSet",
     "PreconditionError",
     "ProcessMetric",
     "ReportRow",
-    "RipReport",
     "SparseSpec",
     "SudakovReport",
     "UnitVector",

@@ -371,14 +371,11 @@ def _trial_small_cells(eff: _Effective, rng):
         points = PointSet.sparse(SparseSpec(eff.n, eff.s), eff.net_size, rng)
     else:
         points = PointSet.uniform(eff.n, eff.net_size, rng)
-    report = small_cells_check(points, _ensemble(eff, rng), eff.delta)
+    num_cells, audit = small_cells_check(points, _ensemble(eff, rng), eff.delta)
     return [
         _Stat("m", eff.m),
-        _Stat("num_cells", report.num_cells),
-        _Stat(
-            "max_cell_diameter",
-            report.max_cell_diameter, report.max_cell_diameter < eff.delta,
-        ),
+        _Stat("num_cells", num_cells),
+        _Stat("max_cell_diameter", audit.sup, audit.passed),
     ]
 
 
@@ -386,7 +383,7 @@ def _distortion_stats(m: int, points: PointSet, report):
     return [
         _Stat("m", m),
         _Stat("net_points", len(points)),
-        _Stat("sup_discrepancy", report.sup_discrepancy, report.passed),
+        _Stat("sup_discrepancy", report.sup, report.passed),
     ]
 
 
@@ -418,7 +415,7 @@ def _trial_metric_ratio(eff: _Effective, rng):
         stats.append(_Stat("sup_ratio", 0.0, False))
         return stats
     report = metric_ratio_check(packed, _ensemble(eff, rng), min_sep)
-    stats.append(_Stat("sup_ratio", report.sup_ratio, report.passed))
+    stats.append(_Stat("sup_ratio", report.sup, report.passed))
     return stats
 
 

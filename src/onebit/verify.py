@@ -23,42 +23,22 @@ from .sphere import PointSet, pairwise_chord
 L1_TILE_BYTES = 768 * 2**10
 # float32 counts +-1 agreements exactly in blocks of fewer than 2^24 columns
 HAMMING_BLOCK_COLUMNS = 2**24 - 1
-# float64 Hamming rows that one_bit_rip and metric_ratio_check form at a time
+# rows of the (k, k) matrices that _hamming_audit folds at a time: 1 MiB of float64 per block
 HAMMING_ROW_BYTES = 2**20
 
 
 @dataclass(frozen=True)
-class CellReport:
-    """Diameter audit of the sign-pattern tessellation of a point set.
+class PairAudit:
+    """Worst pair of a point set under one check, against the bound it is held to.
 
-    ``violating_pair`` holds indices of a widest same-cell pair when the
-    maximal cell diameter reaches ``delta``, else None.
+    ``sup`` is the largest statistic over the pairs and ``pair`` its first
+    witness in row-major order; ``passed`` records whether ``sup`` kept
+    within ``bound``.
     """
 
-    delta: float
-    num_cells: int
-    max_cell_diameter: float
-    violating_pair: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class RipReport:
-    """Worst additive distortion over a point set, with its witness pair."""
-
-    sup_discrepancy: float
-    argmax_pair: tuple[int, int]
-    m: int
-    delta_target: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class MetricRatioReport:
-    """Worst relative gap between the conditional metric squared and distance."""
-
-    sup_ratio: float
-    argmax_pair: tuple[int, int]
-    min_sep: float
+    sup: float
+    pair: tuple[int, int]
+    bound: float
     passed: bool
 
 
@@ -68,18 +48,6 @@ def _argmax_pair(values: np.ndarray) -> tuple[float, tuple[int, int]]:
     return float(values[i, j]), (int(i), int(j))
 
 
-def _rip_report(
-    sup: float, pair: tuple[int, int], ens: MeasurementEnsemble, delta_target: float
-) -> RipReport:
-    return RipReport(
-        sup_discrepancy=sup,
-        argmax_pair=pair,
-        m=ens.m,
-        delta_target=float(delta_target),
-        passed=sup <= delta_target,
-    )
-
-
 def _check_dims(points: PointSet, ens: MeasurementEnsemble):
     if points.ambient != ens.ambient:
         raise DimensionMismatchError(
@@ -87,35 +55,17 @@ def _check_dims(points: PointSet, ens: MeasurementEnsemble):
         )
 
 
-def small_cells_check(points: PointSet, ens: MeasurementEnsemble, delta: float) -> CellReport:
-    """Group points by sign pattern and measure the widest cell.
-
-    The hyperplanes normal to the directions tessellate the sphere; an empty
-    ensemble leaves a single cell covering everything.
-    """
+def _check_audit(
+    points: PointSet, ens: MeasurementEnsemble, name: str, bound: float, min_points: int = 2
+):
+    """Reject what a pair audit cannot measure, and a bound that is not finite and positive."""
     _check_dims(points, ens)
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    bits = sign_matrix(ens, points)
-    _, inverse = np.unique(bits, axis=0, return_inverse=True)
-    dist = points.pairwise_geodesic()
-    num_cells = int(inverse.max()) + 1
-    worst = 0.0
-    worst_pair: tuple[int, int] | None = None
-    for cell in range(num_cells):
-        members = np.flatnonzero(inverse == cell)
-        if members.size < 2:
-            continue
-        diameter, (i, j) = _argmax_pair(dist[np.ix_(members, members)])
-        if diameter > worst or worst_pair is None:
-            worst = diameter
-            worst_pair = (int(members[i]), int(members[j]))
-    return CellReport(
-        delta=float(delta),
-        num_cells=num_cells,
-        max_cell_diameter=worst,
-        violating_pair=worst_pair if worst >= delta else None,
-    )
+    if ens.m < 1:
+        raise ValueError("need at least one measurement")
+    if len(points) < min_points:
+        raise ValueError(f"need at least {min_points} points")
+    if not (math.isfinite(bound) and bound > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {bound}")
 
 
 def _agreements(points: PointSet, ens: MeasurementEnsemble) -> np.ndarray:
@@ -125,11 +75,12 @@ def _agreements(points: PointSet, ens: MeasurementEnsemble) -> np.ndarray:
     multiplied in float32: every partial sum of its +-1 products is an
     integer below 2^24 in magnitude, so float32 holds it exactly, and
     several blocks add up exactly in float64.  A block's float32 signs are
-    freed as soon as its product is formed.
+    freed as soon as its product is formed.  An empty ensemble is one empty
+    block, whose product is the (k, k) zero matrix.
     """
     bits = sign_matrix(ens, points)
     total = None
-    for lo in range(0, ens.m, HAMMING_BLOCK_COLUMNS):
+    for lo in range(0, max(ens.m, 1), HAMMING_BLOCK_COLUMNS):
         block = bits[:, lo : lo + HAMMING_BLOCK_COLUMNS].astype(np.float32)
         agree = block @ block.T
         del block
@@ -137,42 +88,88 @@ def _agreements(points: PointSet, ens: MeasurementEnsemble) -> np.ndarray:
     return total
 
 
-def _hamming_rows(agree: np.ndarray, m: int):
-    """Yield (rows, float64 Hamming distances of those rows) in blocks of HAMMING_ROW_BYTES.
+def _hamming(agree: np.ndarray, m: int) -> np.ndarray:
+    """Float64 Hamming distances (m - agreements) / 2m of exact agreement counts.
 
-    (m - agreements) / 2m is computed from exact integers, so the rows are
-    bitwise those of the whole (k, k) float64 Hamming matrix, which is never
-    formed: a caller folds each block into its own (k, k) array.
+    The counts are exact integers, so any block of rows is bitwise those
+    rows of the whole (k, k) Hamming matrix.
     """
-    step = max(1, HAMMING_ROW_BYTES // (8 * len(agree)))
-    for lo in range(0, len(agree), step):
-        rows = slice(lo, lo + step)
-        ham = np.subtract(float(m), agree[rows], dtype=np.float64)
-        ham /= 2.0 * m
-        yield rows, ham
+    ham = np.subtract(float(m), agree, dtype=np.float64)
+    ham /= 2.0 * m
+    return ham
 
 
-def one_bit_rip(points: PointSet, ens: MeasurementEnsemble, delta_target: float) -> RipReport:
-    """Sup over pairs of |hamming - geodesic| against an additive target."""
-    _check_dims(points, ens)
-    if ens.m < 1:
-        raise ValueError("need at least one measurement")
-    if len(points) < 2:
-        raise ValueError("need at least two points")
-    # the float32 signs are freed before the geodesic matrix is built, and the
-    # float64 Hamming rows are folded into it a block at a time
+def _hamming_audit(
+    points: PointSet, ens: MeasurementEnsemble, fold
+) -> tuple[float, tuple[int, int]]:
+    """Fold the sign agreements into the geodesic matrix; return its largest off-diagonal entry.
+
+    The agreements are counted first, so the float32 signs are freed before
+    the (k, k) geodesic matrix is built.  Its diagonal is set to 1.0, so a
+    fold may divide by it.  ``fold(lo, agree, dist)`` gets HAMMING_ROW_BYTES
+    of rows at a time, from row ``lo`` on: the exact agreement counts
+    ``agree``, of which ``_hamming`` forms those rows' Hamming distances, and
+    the geodesic rows ``dist``, which it overwrites with the statistic of
+    those pairs.  So no (k, k) float64 Hamming matrix is formed.  The
+    diagonal is then zeroed, and ties go to the first pair in row-major
+    order.
+    """
     agree = _agreements(points, ens)
-    gap = points.pairwise_geodesic()
-    for rows, ham in _hamming_rows(agree, ens.m):
-        ham -= gap[rows]
-        np.abs(ham, out=gap[rows])
-    np.fill_diagonal(gap, 0.0)
-    return _rip_report(*_argmax_pair(gap), ens, delta_target)
+    dist = points.pairwise_geodesic()
+    np.fill_diagonal(dist, 1.0)
+    step = max(1, HAMMING_ROW_BYTES // (8 * len(dist)))
+    for lo in range(0, len(dist), step):
+        fold(lo, agree[lo : lo + step], dist[lo : lo + step])
+    np.fill_diagonal(dist, 0.0)
+    return _argmax_pair(dist)
+
+
+def small_cells_check(
+    points: PointSet, ens: MeasurementEnsemble, delta: float
+) -> tuple[int, PairAudit]:
+    """Count the sign-pattern cells of a point set and audit the widest one.
+
+    The hyperplanes normal to the directions tessellate the sphere; an empty
+    ensemble leaves a single cell covering everything.  Two points share a
+    cell exactly when their signs agree on all m directions, so the widest
+    cell's diameter is the largest geodesic distance over such pairs (0 when
+    every cell is a singleton), and a point opens a cell unless an earlier
+    point shares its pattern.  Returns the number of cells and the audit,
+    which passes when the diameter stays below ``delta``.
+    """
+    _check_dims(points, ens)
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    num_cells = 0
+
+    def fold(lo, agree, dist):
+        nonlocal num_cells
+        same = agree == ens.m
+        # the first point sharing row i's pattern is i itself when i opens a cell
+        first = np.argmax(same, axis=1)
+        num_cells += int(np.count_nonzero(first == np.arange(lo, lo + len(same))))
+        dist *= same
+
+    sup, pair = _hamming_audit(points, ens, fold)
+    return num_cells, PairAudit(sup, pair, float(delta), sup < delta)
+
+
+def one_bit_rip(points: PointSet, ens: MeasurementEnsemble, delta_target: float) -> PairAudit:
+    """Sup over pairs of |hamming - geodesic| against an additive target."""
+    _check_audit(points, ens, "delta_target", delta_target)
+
+    def fold(lo, agree, dist):
+        ham = _hamming(agree, ens.m)
+        ham -= dist
+        np.abs(ham, out=dist)
+
+    sup, pair = _hamming_audit(points, ens, fold)
+    return PairAudit(sup, pair, float(delta_target), sup <= delta_target)
 
 
 def sign_product_rip(
     points: PointSet, ens: MeasurementEnsemble, delta_target: float
-) -> RipReport:
+) -> PairAudit:
     """Sup over ordered pairs (diagonal included) of the centered sign product.
 
     The product sgn(P) P^T / m with P = X G^T (points X, directions G) is
@@ -180,12 +177,10 @@ def sign_product_rip(
     k^2 m multiply-adds of the (k, k) product over the m measurements for
     k m (n + 1) + k^2 (n + 1).  The signs overwrite P, so one (k, m) array
     is alive at a time.  The reassociated sums round differently, so
-    ``sup_discrepancy`` can move in its last bits, and ``argmax_pair`` only
-    between pairs that tie to within that rounding.
+    ``sup`` can move in its last bits, and ``pair`` only between pairs that
+    tie to within that rounding.
     """
-    _check_dims(points, ens)
-    if ens.m < 1:
-        raise ValueError("need at least one measurement")
+    _check_audit(points, ens, "delta_target", delta_target, min_points=1)
     sgn = points.points @ ens.directions.T  # (k, m)
     # 1.0 where the projection is >= 0, else 0.0, then +-1: sign(0) = +1
     np.greater_equal(sgn, 0.0, out=sgn)
@@ -199,7 +194,8 @@ def sign_product_rip(
     gram *= HALF_NORMAL_MEAN
     stats -= gram
     np.abs(stats, out=stats)
-    return _rip_report(*_argmax_pair(stats), ens, delta_target)
+    sup, pair = _argmax_pair(stats)
+    return PairAudit(sup, pair, float(delta_target), sup <= delta_target)
 
 
 def _l1_tile(k: int, m: int) -> tuple[int, int]:
@@ -261,7 +257,7 @@ def _l1_gaps(
 
 def linear_l1_rip(
     points: PointSet, ens: MeasurementEnsemble, delta_target: float
-) -> RipReport:
+) -> PairAudit:
     """Sup over pairs of |normalized l1 statistic - Euclidean distance|.
 
     Two passes over the k(k-1)/2 pairs i < j, both in tiles of at most
@@ -277,11 +273,7 @@ def linear_l1_rip(
     mass that float32 cannot carry) every pair is confirmed.  Besides the
     tiles the audit holds the (k, m) projections and two (k, k) arrays.
     """
-    _check_dims(points, ens)
-    if ens.m < 1:
-        raise ValueError("need at least one measurement")
-    if len(points) < 2:
-        raise ValueError("need at least two points")
+    _check_audit(points, ens, "delta_target", delta_target)
     proj = points.points @ ens.directions.T  # (k, m)
     k, m = proj.shape
     chord = pairwise_chord(points.points)
@@ -316,47 +308,35 @@ def linear_l1_rip(
             a = int(np.argmax(gap))
             if gap[a] > sup:
                 sup, pair = float(gap[a]), (i, int(js[lo + a]))
-    return _rip_report(sup, pair, ens, delta_target)
+    return PairAudit(sup, pair, float(delta_target), sup <= delta_target)
 
 
 def metric_ratio_check(
     points: PointSet, ens: MeasurementEnsemble, min_sep: float
-) -> MetricRatioReport:
+) -> PairAudit:
     """Sup over pairs of |D^2 - d| / d for the conditional metric D.
 
     Requires every pairwise distance to be at least ``min_sep`` (run the
     points through a packing first); the relative gap is then below 1 in
-    expectation-scale, which is what ``passed`` records.  The bound is
-    strict because a pair whose Hamming distance collapses to 0 scores
-    exactly 1.
+    expectation-scale, which is what ``passed`` records against the bound
+    1.  The bound is strict because a pair whose Hamming distance collapses
+    to 0 scores exactly 1.
     """
-    _check_dims(points, ens)
-    if ens.m < 1:
-        raise ValueError("need at least one measurement")
-    if len(points) < 2:
-        raise ValueError("need at least two points")
-    if min_sep <= 0.0:
-        raise ValueError("min_sep must be positive")
-    # as in one_bit_rip: the agreements first, then the geodesic matrix, which
-    # the ratio rows overwrite
-    agree = _agreements(points, ens)
-    dist = points.pairwise_geodesic()
-    np.fill_diagonal(dist, np.inf)
-    if dist.min() < min_sep:
-        raise PreconditionError(
-            f"pairs closer than min_sep={min_sep}: run a packing before this check"
-        )
-    np.fill_diagonal(dist, 1.0)
-    for rows, ratio in _hamming_rows(agree, ens.m):
-        ratio -= dist[rows]
-        np.abs(ratio, out=ratio)
-        ratio /= dist[rows]
-        dist[rows] = ratio
-    np.fill_diagonal(dist, 0.0)
-    sup, pair = _argmax_pair(dist)
-    return MetricRatioReport(
-        sup_ratio=sup, argmax_pair=pair, min_sep=float(min_sep), passed=sup < 1.0
-    )
+    _check_audit(points, ens, "min_sep", min_sep)
+
+    def fold(lo, agree, dist):
+        # the diagonal holds 1.0, the largest distance, so it trips only where every pair does
+        if dist.min() < min_sep:
+            raise PreconditionError(
+                f"pairs closer than min_sep={min_sep}: run a packing before this check"
+            )
+        ham = _hamming(agree, ens.m)
+        ham -= dist
+        np.abs(ham, out=ham)
+        np.divide(ham, dist, out=dist)
+
+    sup, pair = _hamming_audit(points, ens, fold)
+    return PairAudit(sup, pair, 1.0, sup < 1.0)
 
 
 def embedding_size(num_points: int, delta: float, safety: float) -> int:
@@ -378,11 +358,11 @@ def embedding_size(num_points: int, delta: float, safety: float) -> int:
 
 def finite_embedding(
     points: PointSet, delta: float, safety: float, rng: np.random.Generator
-) -> tuple[MeasurementEnsemble, RipReport]:
+) -> tuple[MeasurementEnsemble, PairAudit]:
     """Draw a gaussian ensemble sized for the point set and audit distortion.
 
     The ensemble has m = ceil(safety * delta^-2 * log k) directions; the
-    report records whether every pair's Hamming distance is delta-close to
+    audit records whether every pair's Hamming distance is delta-close to
     its geodesic distance.
     """
     m = embedding_size(len(points), delta, safety)

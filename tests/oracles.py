@@ -13,7 +13,9 @@ from onebit import (
     HALF_NORMAL_MEAN,
     DimensionMismatchError,
     MeasurementEnsemble,
+    PointSet,
     UnitVector,
+    sign_matrix,
     substream,
     uniform_sphere_rows,
 )
@@ -71,3 +73,21 @@ def sign_product_statistic(
     raw = float(np.mean(np.where(px >= 0, 1.0, -1.0) * py))
     centered = raw - HALF_NORMAL_MEAN * float(x.coords @ y.coords)
     return SignProductReport(lam=HALF_NORMAL_MEAN, statistic=centered, m=ens.m, x=x, y=y)
+
+
+def cell_audit(points: PointSet, ens: MeasurementEnsemble) -> tuple[int, float]:
+    """(number of sign-pattern cells, widest cell's geodesic diameter), cell by cell.
+
+    The twin of ``small_cells_check``: it groups the points by their sign
+    rows and takes each cell's diameter over its own submatrix of the
+    geodesic distances.
+    """
+    _, inverse = np.unique(sign_matrix(ens, points), axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    dist = points.pairwise_geodesic()
+    num_cells = int(inverse.max()) + 1
+    widest = 0.0
+    for cell in range(num_cells):
+        members = np.flatnonzero(inverse == cell)
+        widest = max(widest, float(dist[np.ix_(members, members)].max()))
+    return num_cells, widest

@@ -137,10 +137,10 @@ def test_criterion_06_small_cells_rate_and_monotonicity():
         rng = substream(ACCEPT_SEED, "acceptance-cells", i)
         points = PointSet.uniform(16, 300, rng)
         dirs = uniform_sphere_rows(16, 762, rng)
-        base = small_cells_check(points, MeasurementEnsemble(dirs[:381]), 0.3)
-        doubled = small_cells_check(points, MeasurementEnsemble(dirs), 0.3)
-        small += base.max_cell_diameter < 0.3
-        monotone += doubled.max_cell_diameter <= base.max_cell_diameter
+        _, base = small_cells_check(points, MeasurementEnsemble(dirs[:381]), 0.3)
+        _, doubled = small_cells_check(points, MeasurementEnsemble(dirs), 0.3)
+        small += base.sup < 0.3
+        monotone += doubled.sup <= base.sup
     print(f"criterion 6: all-cells-small {small}/50, doubling monotone {monotone}/50")
     assert small >= 45
     assert monotone == 50

@@ -11,6 +11,7 @@ SRC = pathlib.Path(onebit.__file__).resolve().parent
 # names that left the library: deleted, or moved into the tests as oracles;
 # a dotted name is an attribute of an exported class
 REMOVED = (
+    "CellReport",
     "EnsembleKind",
     "EnsembleKindError",
     "GeneratorTag",
@@ -20,7 +21,9 @@ REMOVED = (
     "MeasurementEnsemble.prefix",
     "MeasurementEnsemble.seed",
     "MeasurementEnsemble.uniform",
+    "MetricRatioReport",
     "NotSeparatingError",
+    "RipReport",
     "SignPattern",
     "SignProductReport",
     "VcEntropyReport",

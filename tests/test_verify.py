@@ -8,13 +8,11 @@ import pytest
 
 from onebit import (
     HALF_NORMAL_MEAN,
-    CellReport,
     DimensionMismatchError,
     MeasurementEnsemble,
-    MetricRatioReport,
+    PairAudit,
     PointSet,
     PreconditionError,
-    RipReport,
     SparseSpec,
     UnitVector,
     embedding_size,
@@ -30,7 +28,7 @@ from onebit import (
     substream,
     verify,
 )
-from oracles import gaussian_ensemble, sign_product_statistic, unit_ensemble
+from oracles import cell_audit, gaussian_ensemble, sign_product_statistic, unit_ensemble
 
 
 def unit(*coords):
@@ -56,35 +54,36 @@ def test_small_cells_empty_ensemble_single_cell():
     rng = substream(2, "test-cells-empty")
     pts = PointSet.uniform(2, 6, rng)
     empty = MeasurementEnsemble(np.empty((0, 3)))
-    report = small_cells_check(pts, empty, 0.1)
-    assert report.num_cells == 1
+    num_cells, report = small_cells_check(pts, empty, 0.1)
+    assert num_cells == 1
     dist = pts.pairwise_geodesic()
-    assert math.isclose(report.max_cell_diameter, float(dist.max()), rel_tol=1e-12)
-    assert report.violating_pair is not None
+    assert math.isclose(report.sup, float(dist.max()), rel_tol=1e-12)
+    assert not report.passed
 
 
 def test_small_cells_explicit_pair():
     angle = 0.1 * math.pi
     pts = PointSet(np.array([[1.0, 0.0], [math.cos(angle), math.sin(angle)]]))
     axes = MeasurementEnsemble(np.eye(2))
-    report = small_cells_check(pts, axes, 0.05)
-    assert isinstance(report, CellReport)
-    assert report.num_cells == 1
-    assert math.isclose(report.max_cell_diameter, 0.1, rel_tol=1e-9)
-    assert report.violating_pair == (0, 1)
-    relaxed = small_cells_check(pts, axes, 0.5)
-    assert relaxed.violating_pair is None
-    assert math.isclose(relaxed.max_cell_diameter, 0.1, rel_tol=1e-9)
+    num_cells, report = small_cells_check(pts, axes, 0.05)
+    assert isinstance(report, PairAudit)
+    assert num_cells == 1
+    assert math.isclose(report.sup, 0.1, rel_tol=1e-9)
+    assert report.pair == (0, 1)
+    assert not report.passed
+    _, relaxed = small_cells_check(pts, axes, 0.5)
+    assert relaxed.passed
+    assert math.isclose(relaxed.sup, 0.1, rel_tol=1e-9)
 
 
 def test_small_cells_all_singletons():
     # antipodal pair with a direction separating them: two singleton cells
     pts = PointSet(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     ens = MeasurementEnsemble(np.array([[1.0, 0.0]]))
-    report = small_cells_check(pts, ens, 0.3)
-    assert report.num_cells == 2
-    assert report.max_cell_diameter == 0.0
-    assert report.violating_pair is None
+    num_cells, report = small_cells_check(pts, ens, 0.3)
+    assert num_cells == 2
+    assert report.sup == 0.0
+    assert report.passed
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -92,10 +91,29 @@ def test_small_cells_prefix_monotone(seed):
     # more hyperplanes refine the tessellation: diameters shrink, cells split
     pts = PointSet.uniform(4, 100, substream(seed, "test-cells-pts"))
     rows = unit_ensemble(4, 80, seed=seed).directions
-    half = small_cells_check(pts, MeasurementEnsemble(rows[:40]), 0.3)
-    full = small_cells_check(pts, MeasurementEnsemble(rows), 0.3)
-    assert full.max_cell_diameter <= half.max_cell_diameter
-    assert full.num_cells >= half.num_cells
+    half_cells, half = small_cells_check(pts, MeasurementEnsemble(rows[:40]), 0.3)
+    full_cells, full = small_cells_check(pts, MeasurementEnsemble(rows), 0.3)
+    assert full.sup <= half.sup
+    assert full_cells >= half_cells
+
+
+def _cell_case(name):
+    """(points, ensemble) of a small-cells oracle case."""
+    rng = substream(3, "test-cells-oracle", name)
+    if name == "duplicates":  # exact repeats of points that share cells
+        pts = PointSet.uniform(3, 12, rng).points
+        return PointSet(pts[[0, 1, 2, 0, 3, 1, 4, 5, 0, 6, 7, 8]]), gaussian_ensemble(3, 4, seed=3)
+    if name == "battery":  # the small-cells experiment at delta 0.2: n = 64, 200 points
+        return PointSet.uniform(64, 200, rng), gaussian_ensemble(64, 265, seed=3)
+    m = int(name.removeprefix("m="))
+    return PointSet.uniform(3, 60, rng), gaussian_ensemble(3, m, seed=3)
+
+
+@pytest.mark.parametrize("case", ["m=0", "m=1", "m=8", "m=20", "duplicates", "battery"])
+def test_small_cells_matches_the_cell_by_cell_audit(case):
+    pts, ens = _cell_case(case)
+    num_cells, report = small_cells_check(pts, ens, 0.2)
+    assert (num_cells, report.sup) == cell_audit(pts, ens)  # bitwise
 
 
 # --- one-bit distortion ----------------------------------------------------------
@@ -106,8 +124,8 @@ def test_one_bit_rip_single_measurement_orthogonal_pair():
     one = MeasurementEnsemble(np.array([[1.0, 1.0]]) / math.sqrt(2.0))
     report = one_bit_rip(pts, one, 0.3)
     # both points read +, hamming 0, true distance exactly 1/2
-    assert report.sup_discrepancy == 0.5
-    assert report.m == 1
+    assert report.sup == 0.5
+    assert report.pair == (0, 1)
     assert not report.passed
     assert one_bit_rip(pts, one, 0.5).passed
 
@@ -161,7 +179,7 @@ def test_sign_product_rip_matches_scalar_statistic():
         for j in range(4):
             s = abs(sign_product_statistic(ens, pts.unit(i), pts.unit(j)).statistic)
             worst = max(worst, s)
-    assert math.isclose(report.sup_discrepancy, worst, rel_tol=1e-10)
+    assert math.isclose(report.sup, worst, rel_tol=1e-10)
     assert report.passed
 
 
@@ -170,7 +188,7 @@ def test_sign_product_rip_concentrates():
     pts = PointSet.uniform(4, 10, rng)
     ens = gaussian_ensemble(4, 20_000, seed=10)
     report = sign_product_rip(pts, ens, 0.05)
-    assert report.sup_discrepancy < 0.05
+    assert report.sup < 0.05
     assert report.passed
 
 
@@ -220,7 +238,7 @@ def test_linear_l1_rip_matches_scalar_statistic():
             est = linear_l1_distance(ens, pts.unit(i), pts.unit(j))
             chord = float(np.linalg.norm(pts.unit(i).coords - pts.unit(j).coords))
             worst = max(worst, abs(est - chord))
-    assert math.isclose(report.sup_discrepancy, worst, rel_tol=1e-10)
+    assert math.isclose(report.sup, worst, rel_tol=1e-10)
 
 
 def test_linear_l1_rip_concentrates():
@@ -262,12 +280,26 @@ def test_metric_ratio_on_packed_points():
     packed = greedy_packing(raw, 0.2, rng).centers
     ens = unit_ensemble(3, 2_000, seed=17)
     report = metric_ratio_check(packed, ens, 0.2)
-    assert isinstance(report, MetricRatioReport)
-    assert report.min_sep == 0.2
-    assert 0.0 <= report.sup_ratio <= 1.0
+    assert isinstance(report, PairAudit)
+    assert report.bound == 1.0
+    assert 0.0 <= report.sup <= 1.0
     assert report.passed
-    i, j = report.argmax_pair
+    i, j = report.pair
     assert i != j
+
+
+# --- bounds ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "check", [one_bit_rip, sign_product_rip, linear_l1_rip, metric_ratio_check]
+)
+def test_pair_audits_reject_bounds_that_are_not_finite_and_positive(check, bound):
+    # a NaN bound would pass every net and skip metric_ratio_check's precondition
+    pts = PointSet.uniform(2, 20, substream(20, "test-bounds"))
+    with pytest.raises(ValueError, match="finite and positive"):
+        check(pts, unit_ensemble(2, 16, seed=20), bound)
 
 
 # --- embedding sizes -------------------------------------------------------------
@@ -296,9 +328,9 @@ def test_finite_embedding_round_trip():
     pts = PointSet.uniform(3, 20, rng)
     ens, report = finite_embedding(pts, 0.2, 10.0, rng)
     expected_m = embedding_size(20, 0.2, 10.0)
-    assert ens.m == expected_m == report.m
+    assert ens.m == expected_m
     assert ens.ambient == 4
-    assert report.delta_target == 0.2
+    assert report.bound == 0.2
     assert report.passed
 
 
@@ -327,8 +359,8 @@ def _linear_l1_rip_reference(points, ens):
 def _assert_matches_reference(points, ens):
     report = linear_l1_rip(points, ens, 0.2)
     worst, pair = _linear_l1_rip_reference(points, ens)
-    assert report.sup_discrepancy == worst  # bitwise, not approximately
-    assert report.argmax_pair == pair
+    assert report.sup == worst  # bitwise, not approximately
+    assert report.pair == pair
 
 
 def test_linear_l1_rip_two_points_matches_reference():
@@ -551,9 +583,15 @@ def test_hamming_matrix_matches_float64_product(m, block_columns, monkeypatch):
     ens = unit_ensemble(64, m, seed=18)
     bits = sign_matrix(ens, net).astype(float)
     expected = (ens.m - bits @ bits.T) / (2.0 * ens.m)
-    agree = verify._agreements(net, ens)
-    hamming = np.vstack([ham for _, ham in verify._hamming_rows(agree, ens.m)])
+    hamming = verify._hamming(verify._agreements(net, ens), ens.m)
     assert np.array_equal(hamming, expected)
+
+
+def test_agreements_of_an_empty_ensemble_are_zero():
+    pts = PointSet.uniform(2, 5, substream(19, "test-agree-empty"))
+    agree = verify._agreements(pts, MeasurementEnsemble(np.empty((0, 3))))
+    assert agree.shape == (5, 5)
+    assert not agree.any()
 
 
 def _hamming_reference(points, ens):
@@ -577,7 +615,12 @@ def test_hamming_audits_in_row_blocks_match_the_whole_matrix(row_bytes, monkeypa
     gap = np.abs(_hamming_reference(net, ens) - net.pairwise_geodesic())
     np.fill_diagonal(gap, 0.0)
     report = one_bit_rip(net, ens, 0.2)
-    assert (report.sup_discrepancy, report.argmax_pair) == _argmax_reference(gap)
+    assert (report.sup, report.pair) == _argmax_reference(gap)
+    # 8 hyperplanes leave cells of several points, whose rows straddle the blocks
+    coarse = MeasurementEnsemble(ens.directions[:8])
+    num_cells, cells = small_cells_check(net, coarse, 0.2)
+    assert num_cells < len(net)
+    assert (num_cells, cells.sup) == cell_audit(net, coarse)
 
     packed = greedy_packing(PointSet.sparse(SparseSpec(64, 4), 300, rng), 0.05, rng).centers
     dist = packed.pairwise_geodesic()
@@ -586,7 +629,7 @@ def test_hamming_audits_in_row_blocks_match_the_whole_matrix(row_bytes, monkeypa
     np.fill_diagonal(ratio, 0.0)
     report = metric_ratio_check(packed, ens, 0.05)
     assert len(packed) > 7
-    assert (report.sup_ratio, report.argmax_pair) == _argmax_reference(ratio)
+    assert (report.sup, report.pair) == _argmax_reference(ratio)
 
 
 def test_hamming_blocks_count_exactly_in_float32():
@@ -615,5 +658,5 @@ def test_sign_product_rip_matches_measurement_space_product(seed, net_size):
     assert len(net) >= net_size
     report = sign_product_rip(net, ens, 0.2)
     worst, pair = _sign_product_rip_reference(net, ens)
-    assert abs(report.sup_discrepancy - worst) <= 1e-12
-    assert report.argmax_pair == pair
+    assert abs(report.sup - worst) <= 1e-12
+    assert report.pair == pair
