@@ -271,8 +271,17 @@ def _check_directions(m, n: int, label: str, remedy: str):
 
 
 def _check_net(experiment: str, net_size: int, companions: int):
-    """Reject a net whose (k, k) float64 matrices overflow MAX_DIRECTION_BYTES."""
+    """Reject a net too small to make a pair or too large for MAX_DIRECTION_BYTES.
+
+    The net has k = net_size + companions points.  Every experiment that
+    builds one measures pairs, and its (k, k) float64 matrices must fit.
+    """
     k, most = net_size + companions, math.isqrt(MAX_DIRECTION_BYTES // 8)
+    if k < 2:
+        raise ValueError(
+            f"{experiment}: --net-size {net_size} builds a net of {k} point; "
+            "it needs at least 2 points to make a pair"
+        )
     if k > most:
         raise ValueError(
             f"{experiment}: --net-size {net_size} builds a net of {k} points, past the "
@@ -282,8 +291,6 @@ def _check_net(experiment: str, net_size: int, companions: int):
 
 
 def _embed_limits(eff: _Effective):
-    if eff.net_size < 2:
-        raise ValueError("embed needs net_size >= 2: distortion is measured over pairs")
     # finite_embedding sizes its own ensemble; with net_size, delta and safety
     # already checked, the one ValueError left is a budget past the float range
     try:
@@ -300,26 +307,12 @@ def _transversal_limits(eff: _Effective):
         )
 
 
-def _small_cells_limits(eff: _Effective):
-    if eff.net_size < 2:
-        raise ValueError("small-cells needs net_size >= 2: one point is one cell of diameter 0")
-
-
 def _nets_limits(eff: _Effective):
-    if eff.net_size < 2:
-        raise ValueError("nets needs net_size >= 2: a single point packs and covers trivially")
     if eff.delta >= 0.5:
         raise ValueError("nets needs delta < 0.5 so the 2*delta packing is meaningful")
 
 
-def _metric_ratio_limits(eff: _Effective):
-    if eff.net_size < 2:
-        raise ValueError("metric-ratio needs net_size >= 2: the ratio is measured over pairs")
-
-
 def _width_limits(eff: _Effective):
-    if eff.net_size < 2:
-        raise ValueError("width experiments need net_size >= 2: a single point has width 0")
     if eff.m < MIN_WIDTH_TRIALS:
         raise ValueError(f"width estimation needs at least {MIN_WIDTH_TRIALS} Monte Carlo draws")
     if eff.net_size > CHOLESKY_MAX_POINTS:
@@ -562,7 +555,7 @@ REGISTRY: dict[str, Experiment] = {
         Experiment(
             "small-cells", "sign-pattern cell diameters under a random tessellation",
             _trial_small_cells, ("max_cell_diameter",), _rate_verdict, _cells_budget,
-            needs_delta=True, net_companions=0, limits=_small_cells_limits,
+            needs_delta=True, net_companions=0,
         ),
         Experiment(
             "rip", "sup |hamming - geodesic| over a sparse net",
@@ -602,7 +595,7 @@ REGISTRY: dict[str, Experiment] = {
         Experiment(
             "metric-ratio", "relative hamming/geodesic error on a separated net",
             _trial_metric_ratio, ("sup_ratio",), _rate_verdict, _sparse_budget,
-            needs_delta=True, needs_s=True, net_companions=0, limits=_metric_ratio_limits,
+            needs_delta=True, needs_s=True, net_companions=0,
         ),
         Experiment(
             "embed", "one-bit embedding of a finite set at computed budget",

@@ -28,8 +28,10 @@ _JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 CERTIFIED_JITTER = 1e-9
 MIN_WIDTH_TRIALS = 100
 MIN_EMPIRICAL_INNER = 10_000
-# working memory of one chunk of hemisphere_empirical_samples
+# working memory of one thread of hemisphere_empirical_samples
 HEMISPHERE_CHUNK_BYTES = 16 * 2**20
+# threads that split the trials of hemisphere_empirical_samples
+_SAMPLER_THREADS = 2
 # OpenBLAS runs a GEMM of m * n * k multiply-adds below 65536 * 4 on one thread
 _GEMM_ONE_THREAD = 2**18 - 1
 
@@ -39,6 +41,13 @@ class WidthEstimate:
     value: float
     std_error: float
     trials: int
+
+
+def _width_estimate(sups: np.ndarray) -> WidthEstimate:
+    """Mean of the per-trial sups with its standard error, NaN at one trial."""
+    trials = len(sups)
+    se = float(sups.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("nan")
+    return WidthEstimate(value=float(sups.mean()), std_error=se, trials=trials)
 
 
 def _jitter_ladder(entries: np.ndarray) -> tuple[np.ndarray | None, float | None]:
@@ -133,12 +142,7 @@ def estimate_gaussian_width(
         raise ValueError(f"need at least {MIN_WIDTH_TRIALS} trials, got {trials}")
     gammas = rng.standard_normal((trials, points.ambient))
     proj = gammas @ points.points.T
-    sups = proj.max(axis=1) - proj.min(axis=1)
-    return WidthEstimate(
-        value=float(sups.mean()),
-        std_error=float(sups.std(ddof=1) / math.sqrt(trials)),
-        trials=int(trials),
-    )
+    return _width_estimate(proj.max(axis=1) - proj.min(axis=1))
 
 
 def estimate_hemisphere_width_cholesky(
@@ -190,12 +194,7 @@ def estimate_hemisphere_width_cholesky(
         np.matmul(y[:, :b], factor[a:b, :b].T, out=z)
         np.maximum(hi, z.max(axis=1), out=hi)
         np.minimum(lo, z.min(axis=1), out=lo)
-    sups = hi - lo
-    return WidthEstimate(
-        value=float(sups.mean()),
-        std_error=float(sups.std(ddof=1) / math.sqrt(trials)),
-        trials=int(trials),
-    )
+    return _width_estimate(hi - lo)
 
 
 def hemisphere_empirical_samples(
@@ -208,16 +207,15 @@ def hemisphere_empirical_samples(
     version of the hemisphere process.  A direction is a standard gaussian
     row left unnormalized, since the sign of <x, g> does not depend on |g|.
 
-    Work and memory: the calling thread draws every chunk's directions from
-    ``rng``, while one helper thread, opened for this call, projects and
-    counts the chunk before it; it never touches ``rng``.  With at most one
-    chunk in flight, two reused float64 draw buffers (16 * ambient bytes per
-    direction) and one bool hit array (k bytes per direction) hold at most
-    ``HEMISPHERE_CHUNK_BYTES``: whole trials when one fits, else a trial's
-    directions in several pieces.  Projections go through one fixed block
-    of at most ``_GEMM_ONE_THREAD`` multiply-adds, small enough that BLAS
-    runs them on the helper thread alone.  The draws come in the same order
-    at any chunk size, so the output does not depend on it.
+    Streams, work and memory: trial t draws its directions from child t of
+    ``rng.spawn(trials)``, so row t depends only on the caller's generator
+    and t.  A pool of ``_SAMPLER_THREADS`` threads splits the trials.  Each
+    thread draws a trial in pieces into its own float64 buffer (8 * ambient
+    bytes per direction) and bool hit array (k bytes per direction), which
+    together hold at most ``HEMISPHERE_CHUNK_BYTES``.  Projections go through
+    one block of at most ``_GEMM_ONE_THREAD`` multiply-adds, small enough
+    that BLAS runs them on the sampler thread alone.  Hits are exact counts,
+    so the output depends on neither the thread count nor the piece size.
     """
     if m_inner < MIN_EMPIRICAL_INNER:
         raise ValueError(f"need m_inner >= {MIN_EMPIRICAL_INNER}, got {m_inner}")
@@ -225,63 +223,36 @@ def hemisphere_empirical_samples(
         raise ValueError("trials must be >= 1")
     k, ambient = len(points), points.ambient
     out = np.empty((trials, k))
-    rows_cap = max(1, HEMISPHERE_CHUNK_BYTES // (16 * ambient + k))
-    batch_cap = max(1, min(trials, rows_cap // m_inner))
-    rows_max = min(rows_cap, batch_cap * m_inner)
-    draws = (np.empty(rows_max * ambient), np.empty(rows_max * ambient))
-    counter = _HitCounter(points.points, m_inner, rows_max, out)
-    pending = None
-    with ThreadPoolExecutor(1) as helper:
-        for done in range(0, trials, batch_cap):
-            batch = min(batch_cap, trials - done)
-            # one piece of batch * m_inner rows, or (batch = 1) pieces of rows_cap
+    streams = rng.spawn(trials)
+    rows_cap = max(1, min(m_inner, HEMISPHERE_CHUNK_BYTES // (8 * ambient + k)))
+    cols = max(1, min(rows_cap, _GEMM_ONE_THREAD // (k * ambient)))
+    threads = min(_SAMPLER_THREADS, trials)
+
+    def count_trials(first: int):
+        g = np.empty((rows_cap, ambient))
+        hits = np.empty((k, rows_cap), dtype=bool)
+        block = np.empty(k * cols)
+        counts = np.empty(k, dtype=np.intp)
+        for t in range(first, trials, threads):
+            counts[:] = 0
             for start in range(0, m_inner, rows_cap):
                 span = min(rows_cap, m_inner - start)
-                g = draws[0][: batch * span * ambient].reshape(batch * span, ambient)
-                rng.standard_normal(out=g)
-                draws = draws[::-1]  # the next chunk goes to the buffer not in flight
-                if pending is not None:
-                    pending.result()
-                last = start + span == m_inner
-                pending = helper.submit(counter.add, g, done, batch, span, last)
-        pending.result()
+                piece = g[:span]
+                streams[t].standard_normal(out=piece)
+                for a in range(0, span, cols):
+                    b = min(a + cols, span)
+                    proj = block[: k * (b - a)].reshape(k, b - a)
+                    np.matmul(points.points, piece[a:b].T, out=proj)
+                    np.greater_equal(proj, 0.0, out=hits[:, a:b])
+                # count_nonzero on a contiguous row is far faster than along an axis
+                for i, row in enumerate(hits[:, :span]):
+                    counts[i] += np.count_nonzero(row)
+            out[t] = (counts - m_inner / 2.0) / math.sqrt(m_inner)
+
+    with ThreadPoolExecutor(threads) as pool:
+        for future in [pool.submit(count_trials, first) for first in range(threads)]:
+            future.result()
     return out
-
-
-class _HitCounter:
-    """The helper thread's side of the sampler: project, test, count, write out.
-
-    Owns one projection block, one bool (k, rows) hit array and the running
-    counts; only one chunk is in flight, so they are reused from chunk to chunk.
-    """
-
-    def __init__(self, points: np.ndarray, m_inner: int, rows_max: int, out: np.ndarray):
-        k, ambient = points.shape
-        self.points = points
-        self.m_inner = m_inner
-        self.out = out
-        self.cols = max(1, min(rows_max, _GEMM_ONE_THREAD // (k * ambient)))
-        self.block = np.empty(k * self.cols)
-        self.hits = np.empty((k, rows_max), dtype=bool)
-        self.counts = np.zeros((max(1, rows_max // m_inner), k), dtype=np.intp)
-
-    def add(self, g: np.ndarray, done: int, batch: int, span: int, last: bool):
-        """Count the hits of trials done .. done + batch in g; write them out if last."""
-        k = len(self.points)
-        rows = len(g)
-        for a in range(0, rows, self.cols):
-            b = min(a + self.cols, rows)
-            block = self.block[: k * (b - a)].reshape(k, b - a)
-            np.matmul(self.points, g[a:b].T, out=block)
-            np.greater_equal(block, 0.0, out=self.hits[:, a:b])
-        counts = self.counts[:batch]
-        # count_nonzero on a contiguous row is far faster than along an axis
-        for t in range(batch):
-            for i, row in enumerate(self.hits[:, t * span : (t + 1) * span]):
-                counts[t, i] += np.count_nonzero(row)
-        if last:
-            self.out[done : done + batch] = (counts - self.m_inner / 2.0) / math.sqrt(self.m_inner)
-            counts[:] = 0
 
 
 def estimate_hemisphere_width_empirical(
@@ -289,13 +260,7 @@ def estimate_hemisphere_width_empirical(
 ) -> WidthEstimate:
     """E sup of hemisphere increments via finite batches of uniform directions."""
     samples = hemisphere_empirical_samples(points, m_inner, trials, rng)
-    sups = samples.max(axis=1) - samples.min(axis=1)
-    se = float(sups.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("nan")
-    return WidthEstimate(
-        value=float(sups.mean()),
-        std_error=se,
-        trials=int(trials),
-    )
+    return _width_estimate(samples.max(axis=1) - samples.min(axis=1))
 
 
 class ProcessMetric(str, Enum):

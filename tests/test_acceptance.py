@@ -107,15 +107,18 @@ def test_criterion_04_one_bit_rip_rate_and_negative_control():
         net = PointSet.sparse(spec, 200, rng)
         ens = MeasurementEnsemble(uniform_sphere_rows(64, 2773, rng))
         passes += one_bit_rip(net, ens, 0.2).passed
+    # the control runs at m/32, where the rip verdict fails (2-4% of
+    # runs pass); at m = 100 about half of them pass
+    neg_m = math.ceil(2773 / 32)
     neg_passes = 0
     for i in range(50):
         rng = substream(ACCEPT_SEED, "acceptance-rip-neg", i)
         net = PointSet.sparse(spec, 200, rng)
-        ens = MeasurementEnsemble(uniform_sphere_rows(64, 100, rng))
+        ens = MeasurementEnsemble(uniform_sphere_rows(64, neg_m, rng))
         neg_passes += one_bit_rip(net, ens, 0.2).passed
-    print(f"criterion 4: m=2773 rate {passes}/50, m=100 control rate {neg_passes}/50")
+    print(f"criterion 4: m=2773 rate {passes}/50, m={neg_m} control rate {neg_passes}/50")
     assert passes >= 45
-    assert neg_passes <= 25
+    assert neg_passes <= 10
 
 
 def test_criterion_05_sign_product_rip_rate():

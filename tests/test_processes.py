@@ -310,28 +310,28 @@ def test_empirical_samples_have_quarter_variance():
 
 
 def _hemisphere_samples_reference(points, m_inner, trials, rng):
-    """The sampler as first written: normalized rows, chunks that ignore k."""
-    k = len(points)
-    out = np.empty((trials, k))
-    root_m = math.sqrt(m_inner)
-    chunk = max(1, int(8_000_000 // (m_inner * points.ambient)))
-    done = 0
-    while done < trials:
-        batch = min(chunk, trials - done)
-        g = rng.standard_normal((batch * m_inner, points.ambient))
+    """The sampler as first written, on per-trial streams: row t from child t
+    of ``rng.spawn(trials)``, normalized rows, one product per trial."""
+    out = np.empty((trials, len(points)))
+    for t, child in enumerate(rng.spawn(trials)):
+        g = child.standard_normal((m_inner, points.ambient))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        counts = (g @ points.points.T >= 0).reshape(batch, m_inner, k).sum(axis=1)
-        out[done : done + batch] = (counts - m_inner / 2.0) / root_m
-        done += batch
+        counts = (g @ points.points.T >= 0).sum(axis=0)
+        out[t] = (counts - m_inner / 2.0) / math.sqrt(m_inner)
     return out
 
 
 class _DrawSpy:
-    """A generator stand-in that records the number of rows of every draw."""
+    """A generator stand-in that records the rows of every draw of each child it spawns."""
 
     def __init__(self, rng):
         self.rng = rng
         self.rows = []
+        self.children = []
+
+    def spawn(self, n):
+        self.children += [_DrawSpy(child) for child in self.rng.spawn(n)]
+        return self.children[-n:]
 
     def standard_normal(self, *args, **kwargs):
         g = self.rng.standard_normal(*args, **kwargs)
@@ -339,51 +339,68 @@ class _DrawSpy:
         return g
 
 
-def _assert_samples_match_reference(k: int, trials: int, seed: int) -> list[int]:
-    """Compare bitwise with the reference sampler; return the rows of every draw."""
+def _assert_samples_match_reference(k: int, trials: int, seed: int) -> list[list[int]]:
+    """Compare bitwise with the reference sampler; return each trial's draw rows."""
     pts = PointSet.uniform(3, k, substream(seed, "test-emp-ref-pts", k))
     spy = _DrawSpy(substream(seed, "test-emp-ref-draws", k))
     samples = hemisphere_empirical_samples(pts, 10_000, trials, spy)
     ref_rng = substream(seed, "test-emp-ref-draws", k)
     expected = _hemisphere_samples_reference(pts, 10_000, trials, ref_rng)
     assert samples.tobytes() == expected.tobytes()  # bitwise, not approximately
-    assert spy.rng.bit_generator.state == ref_rng.bit_generator.state
-    return spy.rows
+    # the caller's generator spawned as many children and drew nothing itself
+    assert spy.rows == []
+    assert spy.rng.spawn(1)[0].random() == ref_rng.spawn(1)[0].random()
+    return [child.rows for child in spy.children]
 
 
-# trials per chunk at the default budget: 25 (k = 1), 23 (k = 7), 16 (k = 40), 10 (k = 100)
 @pytest.mark.parametrize("k, trials", [(1, 41), (7, 18), (40, 10), (100, 3)])
 def test_empirical_samples_match_reference(k, trials):
+    # at the default budget a whole trial of 10^4 directions is one piece
     rows = _assert_samples_match_reference(k, trials, seed=17)
-    per_chunk = processes.HEMISPHERE_CHUNK_BYTES // (16 * 4 + k) // 10_000
-    chunks = range(0, trials, per_chunk)
-    assert rows == [min(per_chunk, trials - done) * 10_000 for done in chunks]
+    assert rows == [[10_000]] * trials
 
 
 @pytest.mark.parametrize("k", [1, 7, 40])
 def test_empirical_samples_match_reference_in_pieces(k, monkeypatch):
-    # two draw buffers of 4 float64 coordinates and a bool hit per point, per direction
-    monkeypatch.setattr(processes, "HEMISPHERE_CHUNK_BYTES", 3_000 * (16 * 4 + k))
-    rows = _assert_samples_match_reference(k, 2, seed=18)
-    assert rows == [3_000, 3_000, 3_000, 1_000] * 2
+    # a float64 draw buffer of 4 coordinates and a bool hit per point, per direction
+    monkeypatch.setattr(processes, "HEMISPHERE_CHUNK_BYTES", 3_000 * (8 * 4 + k))
+    rows = _assert_samples_match_reference(k, 3, seed=18)
+    assert rows == [[3_000, 3_000, 3_000, 1_000]] * 3
 
 
-def _sampler_args(seed: int):
-    pts = PointSet.uniform(3, 40, substream(seed, "test-emp-thread-pts"))
-    return pts, 10_000, 40, substream(seed, "test-emp-thread-draws")  # chunks of 16, 16, 8
+def _sampler_args(seed: int, k: int = 40, trials: int = 40):
+    pts = PointSet.uniform(3, k, substream(seed, "test-emp-thread-pts"))
+    return pts, 10_000, trials, substream(seed, "test-emp-thread-draws")
 
 
-def test_empirical_samples_raise_helper_errors(monkeypatch):
+def test_empirical_samples_raise_helper_errors():
     threads = []
 
-    def broken(self, *args):
-        threads.append(threading.current_thread())
-        raise RuntimeError("helper failed")
+    class Broken:
+        def standard_normal(self, *args, **kwargs):
+            threads.append(threading.current_thread())
+            raise RuntimeError("draw failed")
 
-    monkeypatch.setattr(processes._HitCounter, "add", broken)
-    with pytest.raises(RuntimeError, match="helper failed"):
-        hemisphere_empirical_samples(*_sampler_args(20))
+    class Parent:
+        def spawn(self, n):
+            return [Broken() for _ in range(n)]
+
+    pts = PointSet.uniform(3, 5, substream(20, "test-emp-broken"))
+    with pytest.raises(RuntimeError, match="draw failed"):
+        hemisphere_empirical_samples(pts, 10_000, 4, Parent())
     assert threads and threading.current_thread() not in threads
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("piece_rows", [None, 7])
+def test_empirical_samples_do_not_depend_on_threads_or_pieces(threads, piece_rows, monkeypatch):
+    # 5 trials split unevenly over 2 or 3 threads; 7-row pieces leave a 4-row tail
+    args = _sampler_args(23, k=6, trials=5)
+    expected = _hemisphere_samples_reference(*args[:3], substream(23, "test-emp-thread-draws"))
+    monkeypatch.setattr(processes, "_SAMPLER_THREADS", threads)
+    if piece_rows is not None:
+        monkeypatch.setattr(processes, "HEMISPHERE_CHUNK_BYTES", piece_rows * (8 * 4 + 6))
+    assert hemisphere_empirical_samples(*args).tobytes() == expected.tobytes()
 
 
 def test_empirical_samples_leave_no_thread_behind():
@@ -393,11 +410,11 @@ def test_empirical_samples_leave_no_thread_behind():
 
 
 def test_empirical_samples_are_unchanged_inside_worker_threads(monkeypatch):
-    # four samplers at once on two cores, each in 160 pieces of at most 3000
-    # directions, with frequent thread switches: a draw buffer reused while
-    # the helper still reads it would change the counts
+    # four samplers at once on two cores, each with its own sampler threads
+    # and 160 pieces of at most 3000 directions, with frequent thread
+    # switches: a buffer or stream shared between threads would change the counts
     expected = hemisphere_empirical_samples(*_sampler_args(22))
-    monkeypatch.setattr(processes, "HEMISPHERE_CHUNK_BYTES", 3_000 * (16 * 4 + 40))
+    monkeypatch.setattr(processes, "HEMISPHERE_CHUNK_BYTES", 3_000 * (8 * 4 + 40))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -424,6 +441,19 @@ def test_empirical_samples_memory_follows_budget():
         tracemalloc.stop()
     assert samples.shape == (2, 2_000)
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_empirical_width_is_the_mean_sup_with_its_stderr(trials):
+    pts = PointSet.uniform(3, 6, substream(9, "test-emp-width-pts"))
+    est = estimate_hemisphere_width_empirical(pts, 10_000, trials, substream(9, "test-emp-width"))
+    samples = hemisphere_empirical_samples(pts, 10_000, trials, substream(9, "test-emp-width"))
+    sups = samples.max(axis=1) - samples.min(axis=1)
+    assert est.value == float(sups.mean()) and est.trials == trials
+    if trials == 1:  # one trial has no spread to estimate
+        assert math.isnan(est.std_error)
+    else:
+        assert est.std_error == float(sups.std(ddof=1) / math.sqrt(trials))
 
 
 def test_cholesky_and_empirical_widths_agree():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebit import substream
+from onebit.rng import _label_word
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -29,14 +30,39 @@ def test_distinct_labels_distinct_streams():
         assert not np.allclose(base, other.standard_normal(8))
 
 
-def test_trailing_zero_label_is_absorbed():
-    # documented SeedSequence caveat: trailing integer 0 labels are padding;
-    # callers distinguish streams by string tags, never by a trailing zero
-    a = substream(0, "x").standard_normal(4)
-    b = substream(0, "x", 0).standard_normal(4)
-    assert np.array_equal(a, b)
-    interior = substream(0, 0, "x").standard_normal(4)
-    assert not np.allclose(substream(0, "x").standard_normal(4), interior)
+# each pair drew one stream when labels were masked to 64 bits, split into
+# as many 32-bit words as they needed and zero-padded to SeedSequence's pool
+ALIASED_BEFORE = [
+    ((1, "a"), (1, "a", 0)),  # a trailing zero label
+    ((1, 3, 2), (1, 2**33 + 3)),  # words split across labels
+    ((0, 2**32 + 3, 7), (0, 3, 7 * 2**32 + 1)),  # the same length, words shifted
+    ((2**32 + 5, "x"), (5, 1, _label_word("x"))),  # the seed's high word as a label
+]
+
+
+@pytest.mark.parametrize(
+    "a, b", ALIASED_BEFORE, ids=["trailing-zero", "split-words", "shifted-words", "seed-high-word"]
+)
+def test_label_tuples_do_not_alias(a, b):
+    assert not np.array_equal(substream(*a).random(4), substream(*b).random(4))
+
+
+def test_entropy_is_two_words_per_value_behind_a_length_prefix():
+    word = _label_word("x")
+    entropy = substream(2**32 + 5, 7, "x").bit_generator.seed_seq.entropy
+    expected = [2, 0, 5, 1, 7, 0, word & (2**32 - 1), word >> 32]
+    assert entropy.dtype == np.uint32
+    assert entropy.tolist() == expected
+    assert substream(9).bit_generator.seed_seq.entropy.tolist() == [0, 0, 9, 0]
+
+
+@pytest.mark.parametrize("label", [-1, 2**64, np.int64(-1)])
+def test_int_label_outside_64_bits_is_rejected(label):
+    # masking aliased -1 to the stream of 2**64 - 1, and 2**64 to label 0
+    with pytest.raises(ValueError):
+        substream(0, label)
+    with pytest.raises(ValueError):
+        substream(0, "x", label)
 
 
 def test_label_types():

@@ -168,6 +168,50 @@ def test_sparse_sampler_support(seed):
     assert math.isclose(float(np.linalg.norm(x)), 1.0, abs_tol=1e-12)
 
 
+def _sparse_reference(spec, count, rng):
+    """PointSet.sparse row by row from the same two blocks and the same redraws."""
+    keys = rng.random((count, spec.ambient))
+    g = rng.standard_normal((count, spec.s))
+    while bad := [i for i in range(count) if not g[i].all()]:
+        g[bad] = rng.standard_normal((len(bad), spec.s))
+    rows = np.zeros((count, spec.ambient))
+    for i in range(count):
+        support = sorted(np.argsort(keys[i], kind="stable")[: spec.s])
+        rows[i, support] = g[i] / math.sqrt(g[i] @ g[i])
+    return rows
+
+
+class _ZeroingRng:
+    """A generator stand-in that zeroes given entries of its n-th normal draw."""
+
+    def __init__(self, rng, zeros):
+        self.rng, self.zeros, self.normal_draws = rng, zeros, 0
+
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        g = self.rng.standard_normal(*args, **kwargs)
+        for entry in self.zeros.get(self.normal_draws, ()):
+            g[entry] = 0.0
+        self.normal_draws += 1
+        return g
+
+
+@pytest.mark.parametrize("n, s, count", [(1, 1, 5), (9, 3, 40), (64, 4, 200), (7, 7, 6)])
+def test_sparse_sampler_matches_row_by_row_reference(n, s, count):
+    spec = SparseSpec(n, s)
+    # rows 1 and 3 of the first block get a zero, and row 3 again when redrawn
+    zeros = {0: [(1, 0), (3, s - 1)], 1: [(1, 0)]}
+    got = PointSet.sparse(spec, count, _ZeroingRng(substream(n, "test-sparse-ref", s), zeros))
+    rng = _ZeroingRng(substream(n, "test-sparse-ref", s), zeros)
+    expected = _sparse_reference(spec, count, rng)
+    assert rng.normal_draws == 3
+    assert np.array_equal(got.points != 0.0, expected != 0.0)
+    assert np.all(np.count_nonzero(got.points, axis=1) == s)
+    assert np.allclose(got.points, expected, rtol=0.0, atol=1e-15)
+
+
 @pytest.mark.parametrize("n, k", [(1, 2), (3, 40), (64, 90)])
 def test_pairwise_chord_matches_the_out_of_place_formula(n, k):
     rows = uniform_sphere_rows(n, k, substream(n, "test-chord", k))
