@@ -36,8 +36,6 @@ from .nets import (
     shatter_check,
 )
 from .processes import (
-    CovarianceMatrix,
-    ProcessMetric,
     SudakovReport,
     WidthEstimate,
     covariance_matrix,
@@ -45,7 +43,6 @@ from .processes import (
     estimate_hemisphere_width_cholesky,
     estimate_hemisphere_width_empirical,
     hemisphere_empirical_samples,
-    metric_distances,
     sudakov_check,
 )
 from .rng import substream
@@ -78,7 +75,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovarianceMatrix",
     "DegenerateGeodesicError",
     "DimensionMismatchError",
     "EXPERIMENTS",
@@ -94,7 +90,6 @@ __all__ = [
     "PairAudit",
     "PointSet",
     "PreconditionError",
-    "ProcessMetric",
     "ReportRow",
     "SparseSpec",
     "SudakovReport",
@@ -113,7 +108,6 @@ __all__ = [
     "greedy_packing",
     "hemisphere_empirical_samples",
     "linear_l1_rip",
-    "metric_distances",
     "metric_ratio_check",
     "one_bit_rip",
     "pairwise_chord",

@@ -26,7 +26,6 @@ from .nets import canonical_witness, greedy_packing, sandwich_check, shatter_che
 from .processes import (
     CHOLESKY_MAX_POINTS,
     MIN_WIDTH_TRIALS,
-    ProcessMetric,
     estimate_gaussian_width,
     estimate_hemisphere_width_cholesky,
     sudakov_check,
@@ -57,6 +56,8 @@ from .verify import (
 _FALLBACK_N = 64
 _DEFAULT_SPARSITY = 4
 _SUDAKOV_GRID = tuple(round(0.05 * i, 2) for i in range(1, 11))
+# the three scored rows of a sudakov scale, in report order
+_SUDAKOV_KINDS = ("gauss_ratio", "hemi_ratio", "chain")
 _WIDTH_BOX = (0.2, 5.0)
 _SUDAKOV_CONST = 3.0
 _VC_WITNESS_RANGE = (2, 3, 4, 5)
@@ -418,10 +419,15 @@ def _trial_embed(eff: _Effective, rng):
     return _distortion_stats(ens.m, points, report)
 
 
-def _trial_widths(eff: _Effective, rng):
+def _sparse_widths(eff: _Effective, rng):
+    """A sparse net, then its gaussian and Cholesky hemisphere widths, all from ``rng``."""
     net = PointSet.sparse(SparseSpec(eff.n, eff.s), eff.net_size, rng)
     gw = estimate_gaussian_width(net, eff.m, rng)
-    hw = estimate_hemisphere_width_cholesky(net, eff.m, rng)
+    return net, gw, estimate_hemisphere_width_cholesky(net, eff.m, rng)
+
+
+def _trial_widths(eff: _Effective, rng):
+    _, gw, hw = _sparse_widths(eff, rng)
     # _width_limits keeps s < n, so both logs are positive
     ratio2 = gw.value**2 / (eff.s * math.log2(eff.n / eff.s))
     ratio_e = gw.value**2 / (eff.s * math.log(eff.n / eff.s))
@@ -437,28 +443,14 @@ def _trial_widths(eff: _Effective, rng):
 
 
 def _trial_sudakov(eff: _Effective, rng):
-    net = PointSet.sparse(SparseSpec(eff.n, eff.s), eff.net_size, rng)
-    gw = estimate_gaussian_width(net, eff.m, rng)
-    hw = estimate_hemisphere_width_cholesky(net, eff.m, rng)
-    gauss = sudakov_check(net, ProcessMetric.GAUSSIAN, _SUDAKOV_GRID, gw)
-    hemi_radii = tuple(math.sqrt(d) for d in _SUDAKOV_GRID)
-    hemi = sudakov_check(net, ProcessMetric.HEMISPHERE, hemi_radii, hw)
+    net, gw, hw = _sparse_widths(eff, rng)
+    report = sudakov_check(net, _SUDAKOV_GRID, gw.value, hw.value)
     stats = [_Stat("gaussian_width", gw.value), _Stat("hemisphere_width", hw.value)]
-    for i, delta in enumerate(_SUDAKOV_GRID):
-        tag = f"{delta:.2f}"
-        stats.append(
-            _Stat(f"gauss_ratio_d{tag}", gauss.ratios[i], gauss.ratios[i] <= _SUDAKOV_CONST)
-        )
-        stats.append(
-            _Stat(f"hemi_ratio_d{tag}", hemi.ratios[i], hemi.ratios[i] <= _SUDAKOV_CONST)
-        )
-        # entropy comparison: sqrt(log N(delta)) vs the better of the two
-        # width-based envelopes at the same geodesic scale
-        n_geo = hemi.covering_numbers[i]
-        root_log = math.sqrt(math.log(n_geo)) if n_geo > 1 else 0.0
-        envelope = min(gw.value / delta, hw.value / math.sqrt(delta))
-        chain = root_log / envelope if envelope > 0 else math.inf
-        stats.append(_Stat(f"chain_d{tag}", chain, chain <= _SUDAKOV_CONST))
+    for delta, *ratios in zip(
+        _SUDAKOV_GRID, report.gaussian_ratios, report.hemisphere_ratios, report.chains
+    ):
+        for kind, ratio in zip(_SUDAKOV_KINDS, ratios):
+            stats.append(_Stat(f"{kind}_d{delta:.2f}", ratio, ratio <= _SUDAKOV_CONST))
     return stats
 
 
@@ -533,9 +525,7 @@ class Experiment:
     limits: Callable[[_Effective], None] | None = None
 
 
-_SUDAKOV_SCORED = tuple(
-    f"{kind}_d{d:.2f}" for d in _SUDAKOV_GRID for kind in ("gauss_ratio", "hemi_ratio", "chain")
-)
+_SUDAKOV_SCORED = tuple(f"{kind}_d{d:.2f}" for d in _SUDAKOV_GRID for kind in _SUDAKOV_KINDS)
 
 # in report order; the quarter-density crossing law is exact on the 3-sphere,
 # so the sampling experiments default there

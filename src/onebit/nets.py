@@ -32,7 +32,6 @@ class NetReport:
     delta, upper-bounds the delta-covering number.
     """
 
-    delta: float
     packing_size: int
     centers: PointSet
     center_indices: tuple[int, ...]
@@ -79,7 +78,6 @@ def _greedy_packing(
         raise RuntimeError("greedy packing centers fail to cover the input")
 
     return NetReport(
-        delta=float(delta),
         packing_size=len(kept),
         centers=points.subset(kept_arr),
         center_indices=tuple(int(i) for i in kept),
@@ -157,7 +155,6 @@ def sandwich_check(points: PointSet, delta: float, rng: np.random.Generator) -> 
     coarse = _greedy_packing(points, dist, 2.0 * delta, rng)
     ok = coarse.packing_size <= fine.packing_size
     return {
-        "delta": float(delta),
         "packing_2delta": coarse.packing_size,
         "covering_delta": fine.packing_size,
         "packing_delta": fine.packing_size,
@@ -174,8 +171,6 @@ class VcReport:
     that some dichotomy is impossible.
     """
 
-    n: int
-    witness_points: PointSet
     shattered: bool
     dichotomies_realized: int
 
@@ -251,9 +246,7 @@ def shatter_check(points: PointSet, budget: int = 100_000) -> VcReport:
         realized[codes] = True
         realized[(2**k - 1) ^ codes] = True
         count = int(np.count_nonzero(realized))
-    return VcReport(
-        n=points.n, witness_points=points, shattered=count == 2**k, dichotomies_realized=count
-    )
+    return VcReport(shattered=count == 2**k, dichotomies_realized=count)
 
 
 def canonical_witness(n: int) -> PointSet:

@@ -6,18 +6,23 @@ width.  The hemisphere process attaches to each point x the centered
 indicator of its hemisphere; its variance is exactly 1/4 and its increment
 metric is the square root of the normalized geodesic distance, so the
 covariance of a pair is 1/4 - d(x, y)/2.
+
+:func:`covariance_matrix` builds that covariance and ``_cholesky_factor``
+checks and factors it for the Cholesky width.  :func:`sudakov_check` holds
+both widths against Sudakov's entropy bound over one point set, each in its
+own increment metric.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FeasibilityError, NumericalError
+from .nets import first_uncovered_cover
 from .sphere import PointSet, pairwise_chord, pairwise_geodesic
 
 CHOLESKY_MAX_POINTS = 2000
@@ -40,93 +45,77 @@ _GEMM_ONE_THREAD = 2**18 - 1
 class WidthEstimate:
     value: float
     std_error: float
-    trials: int
 
 
 def _width_estimate(sups: np.ndarray) -> WidthEstimate:
     """Mean of the per-trial sups with its standard error, NaN at one trial."""
     trials = len(sups)
     se = float(sups.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("nan")
-    return WidthEstimate(value=float(sups.mean()), std_error=se, trials=trials)
+    return WidthEstimate(value=float(sups.mean()), std_error=se)
 
 
-def _jitter_ladder(entries: np.ndarray) -> tuple[np.ndarray | None, float | None]:
-    """Cholesky factor of entries + jitter * I at the smallest rung that factors.
+def _cholesky_factor(entries: np.ndarray) -> np.ndarray:
+    """Read-only Cholesky factor of a hemisphere covariance, checked first.
 
-    Writes each rung onto the diagonal of ``entries`` and restores the saved
-    diagonal exactly before it returns, so ``entries`` ends bitwise as it
-    came and no (k, k) copy is made.  Returns (factor, jitter), or
-    (None, None) when every rung fails.
-    """
-    diag = np.diagonal(entries).copy()
-    try:
-        for jitter in _JITTERS:
-            np.fill_diagonal(entries, diag + jitter)
-            try:
-                return np.linalg.cholesky(entries), jitter
-            except np.linalg.LinAlgError:
-                continue
-        return None, None
-    finally:
-        np.fill_diagonal(entries, diag)
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Hemisphere process covariance over a point set, with its Cholesky factor.
-
-    The diagonal equals 1/4 exactly and the matrix is positive semidefinite
-    up to roundoff (smallest eigenvalue >= -1e-8 before jitter); both are
-    checked at construction.  Construction also factors entries + jitter * I
-    at the first rung of ``_JITTERS`` that succeeds and keeps the factor in
-    ``factor`` (None when every rung fails).  A caller's array is factored
-    from a copy and never written; the array :func:`covariance_matrix`
-    builds itself (``_owned``) takes the ladder's rungs on its own
-    diagonal, restored exactly, so no (k, k) copy is made.
+    ``entries`` must be square and finite with a diagonal of exactly 1/4,
+    and positive semidefinite up to roundoff (smallest eigenvalue >= -1e-8);
+    a matrix that fails raises ValueError.  The factor is that of
+    entries + jitter * I at the first rung of ``_JITTERS`` that factors.
+    Each rung is written onto the diagonal of ``entries``, and the saved
+    diagonal is restored exactly before returning, so ``entries`` ends
+    bitwise as it came and no (k, k) copy is made.  When every rung fails,
+    NumericalError is raised.
 
     A factorization at jitter <= ``CERTIFIED_JITTER`` of at most
     ``CHOLESKY_MAX_POINTS`` points proves PSD: its backward error bounds
     lambda_min from below by -1e-9 - O(k eps |A|), inside the -1e-8
     tolerance.  Any other outcome falls back to ``eigvalsh``.
     """
-
-    entries: np.ndarray
-    factor: np.ndarray | None = field(init=False, repr=False, compare=False)
-    _owned: InitVar[bool] = False
-
-    def __post_init__(self, _owned: bool):
-        ent = self.entries
-        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
-            raise ValueError("covariance must be square")
-        if not np.all(np.isfinite(ent)):
-            raise ValueError("covariance entries must be finite")
-        if np.abs(np.diag(ent) - 0.25).max() > 1e-12:
-            raise ValueError("hemisphere covariance diagonal must equal 1/4")
-        factor, jitter = _jitter_ladder(ent if _owned else ent.copy())
-        certified = (
-            jitter is not None
-            and jitter <= CERTIFIED_JITTER
-            and ent.shape[0] <= CHOLESKY_MAX_POINTS
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError("covariance must be square")
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("covariance entries must be finite")
+    diag = np.diagonal(entries).copy()
+    if np.abs(diag - 0.25).max() > 1e-12:
+        raise ValueError("hemisphere covariance diagonal must equal 1/4")
+    factor = None
+    try:
+        for jitter in _JITTERS:
+            np.fill_diagonal(entries, diag + jitter)
+            try:
+                factor = np.linalg.cholesky(entries)
+                break
+            except np.linalg.LinAlgError:
+                continue
+    finally:
+        np.fill_diagonal(entries, diag)
+    certified = (
+        factor is not None
+        and jitter <= CERTIFIED_JITTER
+        and entries.shape[0] <= CHOLESKY_MAX_POINTS
+    )
+    if not certified:
+        smallest = float(np.linalg.eigvalsh(entries)[0])
+        if smallest < -1e-8:
+            raise ValueError(
+                f"covariance is not PSD within tolerance: lambda_min = {smallest:.3e}"
+            )
+    if factor is None:
+        raise NumericalError(
+            f"cholesky failed for every jitter up to {_JITTERS[-1]:g}; "
+            "covariance is badly conditioned"
         )
-        if not certified:
-            smallest = float(np.linalg.eigvalsh(ent)[0])
-            if smallest < -1e-8:
-                raise ValueError(
-                    f"covariance is not PSD within tolerance: lambda_min = {smallest:.3e}"
-                )
-        if factor is not None:
-            factor.flags.writeable = False
-        object.__setattr__(self, "factor", factor)
+    factor.flags.writeable = False
+    return factor
 
 
-def covariance_matrix(points: PointSet) -> CovarianceMatrix:
+def covariance_matrix(points: PointSet) -> np.ndarray:
+    """(k, k) hemisphere process covariance 1/4 - d/2, a new array the caller owns."""
     # 0.25 + (-0.5 d) in place is bitwise 0.25 - 0.5 d
     ent = points.pairwise_geodesic()
     ent *= -0.5
     ent += 0.25
-    cov = CovarianceMatrix(entries=ent, _owned=True)
-    ent.flags.writeable = False
-    return cov
+    return ent
 
 
 def estimate_gaussian_width(
@@ -151,8 +140,8 @@ def estimate_hemisphere_width_cholesky(
     """E sup of hemisphere process increments, sampled from the exact covariance.
 
     Samples through the Cholesky factor of 1/4 - d/2 (plus a small diagonal
-    jitter, escalated tenfold on failure) that :class:`CovarianceMatrix`
-    keeps, and averages the range of the resulting gaussian vector.  The
+    jitter, escalated tenfold on failure) that ``_cholesky_factor`` checks
+    and returns, and averages the range of the resulting gaussian vector.  The
     exact factorization limits the set to ``CHOLESKY_MAX_POINTS`` points.
 
     The product with the factor runs in blocks of ``CHOLESKY_BLOCK_COLUMNS``
@@ -175,12 +164,7 @@ def estimate_hemisphere_width_cholesky(
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     # only the factor outlives this line: the (k, k) entries are freed before sampling
-    factor = covariance_matrix(points).factor
-    if factor is None:
-        raise NumericalError(
-            f"cholesky failed for every jitter up to {_JITTERS[-1]:g}; "
-            "covariance is badly conditioned"
-        )
+    factor = _cholesky_factor(covariance_matrix(points))
     k = len(points)
     y = rng.standard_normal((trials, k))
     block = np.empty((trials, min(k, CHOLESKY_BLOCK_COLUMNS)))
@@ -263,70 +247,55 @@ def estimate_hemisphere_width_empirical(
     return _width_estimate(samples.max(axis=1) - samples.min(axis=1))
 
 
-class ProcessMetric(str, Enum):
-    GAUSSIAN = "gaussian"
-    HEMISPHERE = "hemisphere"
-
-
 @dataclass(frozen=True)
 class SudakovReport:
-    """Covering-number lower bounds against a width estimate, per scale."""
+    """Sudakov minoration of both processes, one entry per scale delta.
 
-    metric: ProcessMetric
-    width: WidthEstimate
-    deltas: tuple[float, ...]
-    covering_numbers: tuple[int, ...]
-    lower_bounds: tuple[float, ...]  # delta * sqrt(log N(delta))
-    ratios: tuple[float, ...]
-
-    @property
-    def max_ratio(self) -> float:
-        return max(self.ratios)
-
-
-def metric_distances(points: PointSet, metric: ProcessMetric) -> np.ndarray:
-    """Pairwise distances in the process metric.
-
-    Gaussian process: Euclidean chord |x - y|_2.  Hemisphere process:
-    sqrt(d(x, y)), the exact increment metric of the indicator process.
+    ``gaussian_ratios``: delta sqrt(log N) over the gaussian width, with N
+    the size of a delta-cover in the chord metric.  ``hemisphere_ratios``:
+    sqrt(delta) sqrt(log N') over the hemisphere width, with N' the size of
+    a sqrt(delta)-cover in the sqrt(d) metric.  ``chains``: sqrt(log N')
+    over the better of the two width envelopes at that scale,
+    min(gaussian / delta, hemisphere / sqrt(delta)).
     """
-    metric = ProcessMetric(metric)
-    if metric is ProcessMetric.GAUSSIAN:
-        return pairwise_chord(points.points)
-    return np.sqrt(pairwise_geodesic(points.points))
+
+    gaussian_ratios: tuple[float, ...]
+    hemisphere_ratios: tuple[float, ...]
+    chains: tuple[float, ...]
 
 
-def sudakov_check(
-    points: PointSet,
-    metric: ProcessMetric,
-    deltas,
-    width: WidthEstimate,
-) -> SudakovReport:
-    """delta * sqrt(log N(T, delta)) against the width, for each scale.
+def _root_log(cover_size: int) -> float:
+    return math.sqrt(math.log(cover_size)) if cover_size > 1 else 0.0
 
-    Covering numbers come from deterministic first-uncovered greedy covers
-    in the chosen process metric, every scale from one distance matrix;
-    ratios near or below a small constant are the expected outcome of the
-    minoration.
+
+def sudakov_check(points: PointSet, deltas, gaussian: float, hemisphere: float) -> SudakovReport:
+    """Entropy lower bounds of both processes against their widths, per scale.
+
+    ``gaussian`` and ``hemisphere`` are the two width estimates of the set.
+    Covering numbers come from deterministic first-uncovered greedy covers,
+    every scale of a metric from one distance matrix: the chord metric at
+    radius delta, then sqrt(d), the geodesic matrix square-rooted in place,
+    at radius sqrt(delta).  The chord matrix is freed before the geodesic
+    one is built, so one (k, k) matrix is alive at a time.  Ratios near or
+    below a small constant are the expected outcome of the minoration.  A
+    bound of 0 (a cover of one center) gives a ratio of 0, and a zero
+    envelope an infinite chain.
     """
-    from .nets import first_uncovered_cover
-
     deltas = tuple(float(d) for d in deltas)
     if not deltas or any(d <= 0.0 for d in deltas):
         raise ValueError("deltas must be positive")
-    covers = first_uncovered_cover(metric_distances(points, metric), deltas)
-    ns, lows, ratios = [], [], []
-    for delta, centers in zip(deltas, covers):
-        n_cover = len(centers)
-        low = delta * math.sqrt(math.log(n_cover)) if n_cover > 1 else 0.0
-        ns.append(n_cover)
-        lows.append(low)
-        ratios.append(low / width.value if low > 0.0 else 0.0)
-    return SudakovReport(
-        metric=ProcessMetric(metric),
-        width=width,
-        deltas=deltas,
-        covering_numbers=tuple(ns),
-        lower_bounds=tuple(lows),
-        ratios=tuple(ratios),
-    )
+    roots = tuple(math.sqrt(d) for d in deltas)
+    chord_covers = first_uncovered_cover(pairwise_chord(points.points), deltas)
+    dist = pairwise_geodesic(points.points)
+    np.sqrt(dist, out=dist)
+    root_covers = first_uncovered_cover(dist, roots)
+    gauss, hemi, chains = [], [], []
+    for delta, root, chord_cover, root_cover in zip(deltas, roots, chord_covers, root_covers):
+        low = delta * _root_log(len(chord_cover))
+        gauss.append(low / gaussian if low > 0.0 else 0.0)
+        root_log = _root_log(len(root_cover))
+        low = root * root_log
+        hemi.append(low / hemisphere if low > 0.0 else 0.0)
+        envelope = min(gaussian / delta, hemisphere / root)
+        chains.append(root_log / envelope if envelope > 0 else math.inf)
+    return SudakovReport(tuple(gauss), tuple(hemi), tuple(chains))

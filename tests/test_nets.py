@@ -11,14 +11,15 @@ from scipy.optimize import linprog
 from onebit import (
     FeasibilityError,
     PointSet,
-    ProcessMetric,
     SparseSpec,
     VcReport,
     canonical_witness,
     estimate_gaussian_width,
+    estimate_hemisphere_width_cholesky,
     first_uncovered_cover,
     greedy_packing,
-    metric_distances,
+    pairwise_chord,
+    pairwise_geodesic,
     sandwich_check,
     shatter_check,
     substream,
@@ -238,18 +239,37 @@ def test_first_uncovered_cover_edge_cases():
         assert _first_uncovered_cover_reference(matrix, radius) == centers
 
 
+def _sudakov_reference(points, deltas, gaussian, hemisphere):
+    """sudakov_check's three tuples, one scale and one metric at a time."""
+
+    def root_log(dist, radius):
+        n = len(_first_uncovered_cover_reference(dist, radius))
+        return math.sqrt(math.log(n)) if n > 1 else 0.0
+
+    chord = pairwise_chord(points.points)
+    root = np.sqrt(pairwise_geodesic(points.points))
+    gauss, hemi, chains = [], [], []
+    for delta in deltas:
+        low = delta * root_log(chord, delta)
+        gauss.append(low / gaussian if low > 0.0 else 0.0)
+        entropy = root_log(root, math.sqrt(delta))
+        low = math.sqrt(delta) * entropy
+        hemi.append(low / hemisphere if low > 0.0 else 0.0)
+        chains.append(entropy / min(gaussian / delta, hemisphere / math.sqrt(delta)))
+    return tuple(gauss), tuple(hemi), tuple(chains)
+
+
 def test_sudakov_covering_numbers_match_the_reference():
     rng = substream(21, "test-sudakov-ref")
     points = PointSet.sparse(SparseSpec(40, 3), 300, rng)
-    width = estimate_gaussian_width(points, 200, rng)
+    gw = estimate_gaussian_width(points, 200, rng).value
+    hw = estimate_hemisphere_width_cholesky(points, 200, rng).value
     grid = tuple(round(0.05 * i, 2) for i in range(1, 11))
-    for metric, radii in (
-        (ProcessMetric.GAUSSIAN, grid),
-        (ProcessMetric.HEMISPHERE, tuple(math.sqrt(d) for d in grid)),
-    ):
-        dist = metric_distances(points, metric)
-        expected = tuple(len(_first_uncovered_cover_reference(dist, r)) for r in radii)
-        assert sudakov_check(points, metric, radii, width).covering_numbers == expected
+    report = sudakov_check(points, grid, gw, hw)
+    expected = _sudakov_reference(points, grid, gw, hw)
+    assert (report.gaussian_ratios, report.hemisphere_ratios, report.chains) == expected
+    # every scale is scored: some covers hold more than one center
+    assert 0.0 < min(report.gaussian_ratios[0], report.hemisphere_ratios[0], report.chains[0])
 
 
 # --- sandwich --------------------------------------------------------------------
@@ -375,8 +395,6 @@ def test_shatter_report_fields():
     pts = PointSet.uniform(2, 6, substream(6, "test-shatter-field"))
     report = shatter_check(pts)
     assert isinstance(report, VcReport)
-    assert report.n == 2
-    assert report.witness_points is pts
     assert report.dichotomies_realized == cover_count(6, 4)
 
 

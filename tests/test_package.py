@@ -12,6 +12,7 @@ SRC = pathlib.Path(onebit.__file__).resolve().parent
 # a dotted name is an attribute of an exported class
 REMOVED = (
     "CellReport",
+    "CovarianceMatrix",
     "EnsembleKind",
     "EnsembleKindError",
     "GeneratorTag",
@@ -23,9 +24,11 @@ REMOVED = (
     "MeasurementEnsemble.uniform",
     "MetricRatioReport",
     "NotSeparatingError",
+    "ProcessMetric",
     "RipReport",
     "SignPattern",
     "SignProductReport",
+    "SudakovReport.max_ratio",
     "VcEntropyReport",
     "WidthMethod",
     "conditional_metric_sq",
@@ -36,6 +39,7 @@ REMOVED = (
     "in_sparse_set",
     "in_wedge",
     "margin_separation_count",
+    "metric_distances",
     "nearest_center_projection",
     "one_bit_map",
     "sample_convex_sparse",

@@ -10,11 +10,9 @@ import numpy as np
 import pytest
 
 from onebit import (
-    CovarianceMatrix,
     FeasibilityError,
     NumericalError,
     PointSet,
-    ProcessMetric,
     SparseSpec,
     UnitVector,
     geodesic_distance,
@@ -22,13 +20,15 @@ from onebit import (
     estimate_gaussian_width,
     estimate_hemisphere_width_cholesky,
     estimate_hemisphere_width_empirical,
+    first_uncovered_cover,
     hemisphere_empirical_samples,
-    metric_distances,
+    pairwise_chord,
     processes,
     sparse_net,
     substream,
     sudakov_check,
 )
+from onebit.processes import _cholesky_factor
 
 
 def unit(*coords):
@@ -59,29 +59,29 @@ def test_covariance_matrix_matches_pairwise_formula():
     rng = substream(0, "test-cov")
     pts = PointSet.uniform(3, 12, rng)
     cov = covariance_matrix(pts)
-    assert np.allclose(np.diag(cov.entries), 0.25)
-    assert np.allclose(cov.entries, cov.entries.T)
+    assert np.allclose(np.diag(cov), 0.25)
+    assert np.allclose(cov, cov.T)
     for i in range(4):
         for j in range(4):
             if i == j:
                 continue  # diagonal is exact above; the scalar oracle has arccos roundoff
             expected = hemisphere_covariance(pts.unit(i), pts.unit(j))
-            assert math.isclose(cov.entries[i, j], expected, abs_tol=1e-12)
+            assert math.isclose(cov[i, j], expected, abs_tol=1e-12)
 
 
 def test_covariance_matrix_validation():
     with pytest.raises(ValueError):
-        CovarianceMatrix(np.array([[0.3, 0.0], [0.0, 0.3]]))  # bad diagonal
+        _cholesky_factor(np.array([[0.3, 0.0], [0.0, 0.3]]))  # bad diagonal
     with pytest.raises(ValueError):
-        CovarianceMatrix(np.zeros((2, 3)))  # not square
+        _cholesky_factor(np.zeros((2, 3)))  # not square
     with pytest.raises(ValueError):
-        CovarianceMatrix(np.array([[0.25, 0.30], [0.30, 0.25]]))  # not PSD
+        _cholesky_factor(np.array([[0.25, 0.30], [0.30, 0.25]]))  # not PSD
     with pytest.raises(ValueError, match="finite"):
-        CovarianceMatrix(np.array([[0.25, np.nan], [np.nan, 0.25]]))
+        _cholesky_factor(np.array([[0.25, np.nan], [np.nan, 0.25]]))
 
 
 def _chol_with_jitter_reference(entries):
-    """The estimator's former ladder, whose factor CovarianceMatrix must keep."""
+    """The estimator's former ladder, whose factor _cholesky_factor must return."""
     eye = np.eye(entries.shape[0])
     for jitter in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
         try:
@@ -108,14 +108,15 @@ def _twin_covariance(gap):
 )
 def test_covariance_factor_matches_jitter_ladder(make):
     cov = covariance_matrix(make(substream(6, "test-cov-factor")))
-    assert np.array_equal(cov.factor, _chol_with_jitter_reference(cov.entries))
-    assert not cov.factor.flags.writeable
+    factor = _cholesky_factor(cov)
+    assert np.array_equal(factor, _chol_with_jitter_reference(cov))
+    assert not factor.flags.writeable
 
 
 def test_covariance_factor_from_a_higher_rung_is_kept():
     # factors at jitter 1e-8 only; lambda_min = -5e-9 passes the eigvalsh fallback
-    cov = CovarianceMatrix(_twin_covariance(5e-9))
-    assert np.array_equal(cov.factor, _chol_with_jitter_reference(cov.entries))
+    entries = _twin_covariance(5e-9)
+    assert np.array_equal(_cholesky_factor(entries), _chol_with_jitter_reference(entries))
 
 
 def test_covariance_factored_only_at_a_high_rung_is_rejected():
@@ -123,35 +124,27 @@ def test_covariance_factored_only_at_a_high_rung_is_rejected():
     entries = _twin_covariance(5e-8)
     assert _chol_with_jitter_reference(entries) is not None
     with pytest.raises(ValueError, match="not PSD within tolerance: lambda_min = -5.000e-08"):
-        CovarianceMatrix(entries)
+        _cholesky_factor(entries)
 
 
 def test_ladder_leaves_entries_as_built_and_read_only(monkeypatch):
     # the 5e-9 twin climbs three rungs, each written onto the diagonal and undone
     built = _twin_covariance(5e-9)
     expected = _chol_with_jitter_reference(built)
-    cov = CovarianceMatrix(built, _owned=True)
-    assert cov.entries is built
+    factor = _cholesky_factor(built)
     assert built.tobytes() == _twin_covariance(5e-9).tobytes()
-    assert np.array_equal(cov.factor, expected)
-    # a caller's array, writeable or not, is factored from a copy and never written
-    for writeable in (True, False):
-        mine = _twin_covariance(5e-9)
-        mine.flags.writeable = writeable
-        cov = CovarianceMatrix(mine)
-        assert cov.entries is mine
-        assert mine.tobytes() == _twin_covariance(5e-9).tobytes()
-        assert np.array_equal(cov.factor, expected)
+    assert np.array_equal(factor, expected)
+    assert not factor.flags.writeable
     # a ladder that fails at every rung still restores the diagonal
     monkeypatch.setattr(processes, "_JITTERS", (-1.0,))
     pts = PointSet.uniform(2, 5, substream(4, "test-ladder-restores"))
     cov = covariance_matrix(pts)
-    assert cov.factor is None
-    assert not cov.entries.flags.writeable
+    with pytest.raises(NumericalError):
+        _cholesky_factor(cov)
     expected = pts.pairwise_geodesic()
     expected *= -0.5
     expected += 0.25
-    assert cov.entries.tobytes() == expected.tobytes()
+    assert cov.tobytes() == expected.tobytes()
 
 
 def test_eigvalsh_runs_only_when_the_ladder_cannot_certify(monkeypatch):
@@ -163,12 +156,12 @@ def test_eigvalsh_runs_only_when_the_ladder_cannot_certify(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    CovarianceMatrix(_twin_covariance(-0.1))  # factors at jitter 1e-10
+    _cholesky_factor(_twin_covariance(-0.1))  # factors at jitter 1e-10
     assert calls == []
-    CovarianceMatrix(_twin_covariance(5e-9))  # needs jitter 1e-8
+    _cholesky_factor(_twin_covariance(5e-9))  # needs jitter 1e-8
     assert calls == [2]
     monkeypatch.setattr(processes, "CHOLESKY_MAX_POINTS", 1)
-    CovarianceMatrix(_twin_covariance(-0.1))  # too many points for the roundoff bound
+    _cholesky_factor(_twin_covariance(-0.1))  # too many points for the roundoff bound
     assert calls == [2, 2]
 
 
@@ -177,7 +170,6 @@ def test_cholesky_width_raises_when_every_rung_fails(monkeypatch):
     monkeypatch.setattr(processes, "_JITTERS", (-1.0,))
     rng = substream(4, "test-hw-ladder")
     pts = PointSet.uniform(2, 5, rng)
-    assert covariance_matrix(pts).factor is None
     with pytest.raises(NumericalError, match="cholesky failed for every jitter up to -1"):
         estimate_hemisphere_width_cholesky(pts, 10, rng)
 
@@ -203,7 +195,6 @@ def test_gaussian_width_of_dense_circle():
     rng = substream(3, "test-gw-circle")
     est = estimate_gaussian_width(circle_points(400), 4_000, rng)
     target = 2.0 * math.sqrt(math.pi / 2.0)
-    assert est.trials == 4_000
     assert abs(est.value - target) <= max(0.09, 4.5 * est.std_error)
 
 
@@ -231,14 +222,14 @@ def test_hemisphere_width_of_antipodal_pair():
 
 def _cholesky_width_reference(points, trials, rng):
     """The range of y @ factor^T, one product of the full operands: (value, std_error)."""
-    z = rng.standard_normal((trials, len(points))) @ covariance_matrix(points).factor.T
+    z = rng.standard_normal((trials, len(points))) @ _cholesky_factor(covariance_matrix(points)).T
     sups = z.max(axis=1) - z.min(axis=1)
     return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(trials))
 
 
 def _cholesky_width_full_z(points, trials, rng):
     """The blocked product kept whole: every block of y @ factor^T in one (trials, k) z."""
-    factor = covariance_matrix(points).factor
+    factor = _cholesky_factor(covariance_matrix(points))
     k = len(points)
     y = rng.standard_normal((trials, k))
     z = np.empty((trials, k))
@@ -449,7 +440,7 @@ def test_empirical_width_is_the_mean_sup_with_its_stderr(trials):
     est = estimate_hemisphere_width_empirical(pts, 10_000, trials, substream(9, "test-emp-width"))
     samples = hemisphere_empirical_samples(pts, 10_000, trials, substream(9, "test-emp-width"))
     sups = samples.max(axis=1) - samples.min(axis=1)
-    assert est.value == float(sups.mean()) and est.trials == trials
+    assert est.value == float(sups.mean())
     if trials == 1:  # one trial has no spread to estimate
         assert math.isnan(est.std_error)
     else:
@@ -465,59 +456,39 @@ def test_cholesky_and_empirical_widths_agree():
     assert abs(chol.value - emp.value) <= 4.0 * joint
 
 
-# --- process metrics and minoration ----------------------------------------------
-
-
-def test_metric_distances_oracles():
-    pts = PointSet(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]))
-    chord = metric_distances(pts, ProcessMetric.GAUSSIAN)
-    assert math.isclose(chord[0, 1], math.sqrt(2.0), rel_tol=1e-12)
-    assert math.isclose(chord[0, 2], 2.0, rel_tol=1e-12)
-    assert np.all(np.diag(chord) == 0.0)
-    hemi = metric_distances(pts, ProcessMetric.HEMISPHERE)
-    assert math.isclose(hemi[0, 1], math.sqrt(0.5), rel_tol=1e-9)
-    assert math.isclose(hemi[0, 2], 1.0, rel_tol=1e-12)
-
-
-def test_metric_distances_accepts_string():
-    pts = PointSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert np.array_equal(
-        metric_distances(pts, "gaussian"), metric_distances(pts, ProcessMetric.GAUSSIAN)
-    )
+# --- minoration -----------------------------------------------------------------
 
 
 def test_sudakov_singleton_bounds_are_zero():
     rng = substream(12, "test-sud-single")
     single = PointSet(np.array([[1.0, 0.0]]))
-    width = estimate_gaussian_width(single, 100, rng)
-    report = sudakov_check(single, ProcessMetric.GAUSSIAN, [0.1, 0.2], width)
-    assert report.covering_numbers == (1, 1)
-    assert report.lower_bounds == (0.0, 0.0)
-    assert report.ratios == (0.0, 0.0)
-    assert report.max_ratio == 0.0
+    gw = estimate_gaussian_width(single, 100, rng)
+    hw = estimate_hemisphere_width_cholesky(single, 100, rng)
+    report = sudakov_check(single, [0.1, 0.2], gw.value, hw.value)
+    assert report.gaussian_ratios == (0.0, 0.0)
+    assert report.hemisphere_ratios == (0.0, 0.0)
+    assert report.chains == (math.inf, math.inf)  # both widths are 0
 
 
 def test_sudakov_validation():
     rng = substream(13, "test-sud-val")
     pts = PointSet.uniform(2, 10, rng)
-    width = estimate_gaussian_width(pts, 100, rng)
+    width = estimate_gaussian_width(pts, 100, rng).value
     with pytest.raises(ValueError):
-        sudakov_check(pts, ProcessMetric.GAUSSIAN, [], width)
+        sudakov_check(pts, [], width, width)
     with pytest.raises(ValueError):
-        sudakov_check(pts, ProcessMetric.GAUSSIAN, [0.1, 0.0], width)
+        sudakov_check(pts, [0.1, 0.0], width, width)
 
 
 def test_sudakov_covering_numbers_monotone():
     rng = substream(14, "test-sud-mono")
     pts = PointSet.uniform(2, 120, rng)
-    width = estimate_gaussian_width(pts, 2_000, rng)
+    width = estimate_gaussian_width(pts, 2_000, rng).value
     deltas = (0.05, 0.1, 0.2, 0.4, 0.8)
-    report = sudakov_check(pts, ProcessMetric.GAUSSIAN, deltas, width)
-    covers = report.covering_numbers
+    report = sudakov_check(pts, deltas, width, width)
+    covers = [len(c) for c in first_uncovered_cover(pairwise_chord(pts.points), deltas)]
     assert all(covers[i] >= covers[i + 1] for i in range(len(covers) - 1))
     for i, d in enumerate(deltas):
         n = covers[i]
         expected = d * math.sqrt(math.log(n)) if n > 1 else 0.0
-        assert math.isclose(report.lower_bounds[i], expected, rel_tol=1e-12)
-        assert math.isclose(report.ratios[i], expected / width.value, rel_tol=1e-12)
-    assert report.max_ratio == max(report.ratios)
+        assert math.isclose(report.gaussian_ratios[i], expected / width, rel_tol=1e-12)

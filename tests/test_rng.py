@@ -86,8 +86,7 @@ def test_string_labels_hash_not_collide_with_ints():
 def test_known_stream_values_are_stable():
     # pinned draws guard against accidental changes to the derivation rule
     draws = substream(20260817, "stability", 0).integers(0, 1 << 30, size=3)
-    again = substream(20260817, "stability", 0).integers(0, 1 << 30, size=3)
-    assert np.array_equal(draws, again)
+    assert draws.tolist() == [622555632, 875587879, 115323365]
     assert draws.dtype == np.int64
 
 

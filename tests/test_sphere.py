@@ -227,6 +227,18 @@ def test_pairwise_chord_matches_the_out_of_place_formula(n, k):
     assert np.allclose(chord, direct, rtol=0.0, atol=1e-7)
 
 
+def test_process_metric_oracles():
+    # the gaussian process's increment metric is the chord, the hemisphere's sqrt(d)
+    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+    chord = pairwise_chord(rows)
+    assert math.isclose(chord[0, 1], math.sqrt(2.0), rel_tol=1e-12)
+    assert math.isclose(chord[0, 2], 2.0, rel_tol=1e-12)
+    assert np.all(np.diag(chord) == 0.0)
+    root = np.sqrt(pairwise_geodesic(rows))
+    assert math.isclose(root[0, 1], math.sqrt(0.5), rel_tol=1e-9)
+    assert math.isclose(root[0, 2], 1.0, rel_tol=1e-12)
+
+
 # --- point sets ----------------------------------------------------------------
 
 
