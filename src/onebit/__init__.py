@@ -63,7 +63,6 @@ from .sphere import (
 )
 from .verify import (
     PairAudit,
-    embedding_size,
     finite_embedding,
     linear_l1_rip,
     metric_ratio_check,
@@ -98,7 +97,6 @@ __all__ = [
     "WidthEstimate",
     "canonical_witness",
     "covariance_matrix",
-    "embedding_size",
     "estimate_gaussian_width",
     "estimate_hemisphere_width_cholesky",
     "estimate_hemisphere_width_empirical",

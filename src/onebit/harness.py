@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,7 +43,6 @@ from .sphere import (
     wedge_mask,
 )
 from .verify import (
-    embedding_size,
     finite_embedding,
     linear_l1_rip,
     metric_ratio_check,
@@ -69,8 +68,9 @@ ENV_SEED = "ONEBIT_SEED"
 # the most trials one experiment may run; a million crofton trials already take hours
 MAX_TRIALS = 10**6
 
-# largest m x (n+1) float64 direction matrix, and largest (k, k) float64
-# matrix over a net of k points, that a trial may build
+# the most bytes of any float64 array a trial may build: the (m, n+1)
+# directions and, over a net of k points, the (k, n+1) points, the (k, k)
+# pair matrices and the (k, m) projections
 MAX_DIRECTION_BYTES = 2**30
 
 
@@ -100,8 +100,9 @@ class ExperimentConfig:
 
         The one home of the config rules: the CLI only parses.  Resolving
         surfaces every per-experiment error (a missing delta, an out-of-range
-        s, a net or an m past the 1 GiB limit, an auto m below 1) before any
-        trial runs.
+        s, an auto m below 1, a net without a pair, an array of directions,
+        net points, pair matrices or projections past the 1 GiB limit)
+        before any trial runs.
         """
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
@@ -176,7 +177,6 @@ class _Effective:
     m: int
     delta: float | None
     net_size: int
-    safety: float
 
 
 class _Stat(NamedTuple):
@@ -200,105 +200,109 @@ def _cells_budget(safety, delta, n, s, net_size) -> float:
     return safety * delta**-1 * math.log(net_size)
 
 
+def _embed_budget(safety, delta, n, s, net_size) -> float:
+    """safety * delta^-2 * log(net_size), the finite embedding budget."""
+    return safety * delta**-2 * math.log(net_size)
+
+
 def _fixed_budget(m: int) -> Callable[..., float]:
     return lambda safety, delta, n, s, net_size: m
 
 
 def resolve_m(experiment: str, cfg: ExperimentConfig, n: int, s: int | None) -> int:
-    """Resolve the measurement budget for one experiment at cfg's delta.
+    """The m that one experiment's trials draw under cfg at dimension n and sparsity s.
 
-    Auto rules: ceil(safety * delta^-2 * s * log(n/s)) for the distortion
-    experiments, ceil(safety * delta^-1 * log(net_size)) for the
+    A read-out of the run's own resolution, so it raises whatever the run
+    would reject.  Auto rules: ceil(safety * delta^-2 * s * log(n/s)) for
+    the distortion experiments, ceil(safety * delta^-2 * log(net_size)) for
+    the finite embedding, ceil(safety * delta^-1 * log(net_size)) for the
     tessellation experiment, 1e5 direction draws for the crossing-frequency
-    experiments, and 2000 Monte Carlo draws for the width estimators.
+    experiments, and 2000 Monte Carlo draws for the width estimators.  An
+    explicit m is taken as it is, and experiments that draw no directions
+    resolve to 0.
     """
-    return _resolve_m(REGISTRY[experiment], cfg, n, s, cfg.delta)
+    return _effective(experiment, replace(cfg, n=n, s=s)).m
 
 
-def _resolve_m(spec: Experiment, cfg: ExperimentConfig, n, s, delta) -> int:
-    if spec.auto_m is None:  # the trial sizes its own draws
-        return cfg.m if isinstance(cfg.m, int) else 0
-    if cfg.m != "auto":
+def _effective(experiment: str, cfg: ExperimentConfig) -> _Effective:
+    """The n, s, delta and m one experiment's trials use under cfg.
+
+    Rejects what the trials cannot run: an s out of range, a missing delta
+    (``all`` defaults it to 0.2), an auto m that is not positive, a net
+    without a pair, any array past MAX_DIRECTION_BYTES, and the
+    experiment's own limits.
+    """
+    spec = REGISTRY[experiment]
+    n = cfg.n if cfg.n is not None else spec.default_n
+    s = cfg.s if cfg.s is not None else (_DEFAULT_SPARSITY if spec.needs_s else None)
+    if s is not None and not (0 < s < n + 1):
+        raise ValueError(f"need 0 < s < n + 1, got s={s}, n={n}")
+    k = None if spec.net_companions is None else cfg.net_size + spec.net_companions
+    if k is not None and k < 2:
+        raise ValueError(
+            f"{experiment}: --net-size {cfg.net_size} builds a net of {k} point; "
+            "it needs at least 2 points to make a pair"
+        )
+    delta = cfg.delta
+    if delta is None and spec.needs_delta:
+        if cfg.experiment != "all":
+            raise ValueError(f"--delta is required for {experiment}")
+        delta = 0.2
+    if spec.auto_m is None:
+        m, remedy = 0, ""
+    elif cfg.m != "auto":
         m, remedy = cfg.m, "lower --m"
     else:
-        if delta is None and spec.needs_delta:
-            raise ValueError(f"--delta is required for {spec.name}")
         try:
             budget = spec.auto_m(cfg.safety, delta, n, s, cfg.net_size)
         except OverflowError:  # delta**-2 or n / s past the float range
             budget = math.inf
         if not budget > 0:  # 0 at log(n/s) = 0, or nan
             raise ValueError(
-                f"{spec.name}: m resolves to {budget} at n={n}, s={s}, "
+                f"{experiment}: m resolves to {budget} at n={n}, s={s}, "
                 f"net_size={cfg.net_size}; pass an explicit --m or change these"
             )
         m = math.ceil(budget) if math.isfinite(budget) else budget
         levers = "raise --delta, lower --safety" if spec.needs_delta else "lower --n"
         remedy = f"{levers} or pass an explicit --m"
-    _check_directions(m, n, f"{spec.name}: m", remedy)
-    return m
-
-
-def _effective(experiment: str, cfg: ExperimentConfig) -> _Effective:
-    spec = REGISTRY[experiment]
-    n = cfg.n if cfg.n is not None else spec.default_n
-    s = cfg.s if cfg.s is not None else (_DEFAULT_SPARSITY if spec.needs_s else None)
-    if s is not None and not (0 < s < n + 1):
-        raise ValueError(f"need 0 < s < n + 1, got s={s}, n={n}")
-    if spec.net_companions is not None:
-        _check_net(experiment, cfg.net_size, spec.net_companions)
-    delta = cfg.delta
-    if delta is None and spec.needs_delta:
-        if cfg.experiment != "all":
-            raise ValueError(f"--delta is required for {experiment}")
-        delta = 0.2
-    eff = _Effective(
-        n=n, s=s, m=_resolve_m(spec, cfg, n, s, delta), delta=delta,
-        net_size=cfg.net_size, safety=cfg.safety,
-    )
+    eff = _Effective(n=n, s=s, m=m, delta=delta, net_size=cfg.net_size)
+    _check_arrays(experiment, eff, k, remedy)
     if spec.limits is not None:
         spec.limits(eff)
     return eff
 
 
-def _check_directions(m, n: int, label: str, remedy: str):
-    """Reject m directions of dimension n + 1 that overflow MAX_DIRECTION_BYTES."""
-    most = MAX_DIRECTION_BYTES // (8 * (n + 1))
-    if m > most:
-        raise ValueError(
-            f"{label} = {m} directions of dimension {n + 1} exceed the "
-            f"{MAX_DIRECTION_BYTES // 2**30} GiB direction limit (at most {most}); {remedy}"
-        )
+def _check_arrays(experiment: str, eff: _Effective, k: int | None, remedy: str):
+    """Reject a float64 array of a trial that would pass MAX_DIRECTION_BYTES.
 
-
-def _check_net(experiment: str, net_size: int, companions: int):
-    """Reject a net too small to make a pair or too large for MAX_DIRECTION_BYTES.
-
-    The net has k = net_size + companions points.  Every experiment that
-    builds one measures pairs, and its (k, k) float64 matrices must fit.
+    The arrays are the (m, n + 1) directions and, over a net of k points,
+    its (k, k) pair matrices, its (k, n + 1) points and its (k, m)
+    projections.  ``remedy`` names the levers that lower m.
     """
-    k, most = net_size + companions, math.isqrt(MAX_DIRECTION_BYTES // 8)
-    if k < 2:
+    limit, gib, dim = MAX_DIRECTION_BYTES // 8, MAX_DIRECTION_BYTES // 2**30, eff.n + 1
+    if eff.m > limit // dim:
         raise ValueError(
-            f"{experiment}: --net-size {net_size} builds a net of {k} point; "
-            "it needs at least 2 points to make a pair"
+            f"{experiment}: m = {eff.m} directions of dimension {dim} exceed the "
+            f"{gib} GiB direction limit (at most {limit // dim}); {remedy}"
         )
-    if k > most:
+    if k is None:
+        return
+    net = f"{experiment}: --net-size {eff.net_size} builds a net of {k} points"
+    if k > math.isqrt(limit):
         raise ValueError(
-            f"{experiment}: --net-size {net_size} builds a net of {k} points, past the "
-            f"{MAX_DIRECTION_BYTES // 2**30} GiB limit on its (k, k) float64 matrices "
-            f"(at most {most} points); lower --net-size"
+            f"{net}, past the {gib} GiB limit on its (k, k) float64 matrices "
+            f"(at most {math.isqrt(limit)} points); lower --net-size"
         )
-
-
-def _embed_limits(eff: _Effective):
-    # finite_embedding sizes its own ensemble; with net_size, delta and safety
-    # already checked, the one ValueError left is a budget past the float range
-    try:
-        m = embedding_size(eff.net_size, eff.delta, eff.safety)
-    except ValueError:
-        m = math.inf
-    _check_directions(m, eff.n, "the embedding budget m", "raise --delta or lower --safety")
+    if k > limit // dim:
+        raise ValueError(
+            f"{net} of dimension {dim}, past the {gib} GiB limit on its (k, n + 1) "
+            f"float64 points (at most {limit // dim} points); lower --net-size or --n"
+        )
+    if eff.m > limit // k:
+        raise ValueError(
+            f"{net}, whose (k, m) float64 projections at m = {eff.m} pass the {gib} GiB "
+            f"limit (at most m = {limit // k}); lower --net-size, or {remedy}"
+        )
 
 
 def _transversal_limits(eff: _Effective):
@@ -415,8 +419,8 @@ def _trial_metric_ratio(eff: _Effective, rng):
 
 def _trial_embed(eff: _Effective, rng):
     points = PointSet.uniform(eff.n, eff.net_size, rng)
-    ens, report = finite_embedding(points, eff.delta, eff.safety, rng)
-    return _distortion_stats(ens.m, points, report)
+    report = finite_embedding(points, eff.m, eff.delta, rng)
+    return _distortion_stats(eff.m, points, report)
 
 
 def _sparse_widths(eff: _Effective, rng):
@@ -506,10 +510,11 @@ class Experiment:
     ``trial`` maps the resolved parameters and the trial's generator to its
     statistics; the pass flags of the ``scored`` statistics feed ``verdict``.
     ``auto_m(safety, delta, n, s, net_size)`` is the unrounded auto budget,
-    or None when the trial sizes its own draws.  ``net_companions`` counts
-    the points a trial's net adds to net_size (a sparse net's CLOSE_PAIRS
-    close companions), or is None when no trial reads net_size.  ``limits``
-    rejects resolved parameters the trial cannot use.
+    or None when the trial draws no directions, so m resolves to 0 even
+    when one is given.  ``net_companions`` counts the points a trial's net
+    adds to net_size (a sparse net's CLOSE_PAIRS close companions), or is
+    None when no trial reads net_size.  ``limits`` rejects resolved
+    parameters the trial cannot use.
     """
 
     name: str
@@ -589,8 +594,8 @@ REGISTRY: dict[str, Experiment] = {
         ),
         Experiment(
             "embed", "one-bit embedding of a finite set at computed budget",
-            _trial_embed, ("sup_discrepancy",), _rate_verdict, None,
-            needs_delta=True, net_companions=0, limits=_embed_limits,
+            _trial_embed, ("sup_discrepancy",), _rate_verdict, _embed_budget,
+            needs_delta=True, net_companions=0,
         ),
     )
 }

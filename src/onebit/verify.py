@@ -339,32 +339,14 @@ def metric_ratio_check(
     return PairAudit(sup, pair, 1.0, sup < 1.0)
 
 
-def embedding_size(num_points: int, delta: float, safety: float) -> int:
-    """Measurement budget ceil(safety * delta^-2 * log k) for k points."""
-    if num_points < 2:
-        raise ValueError("need at least two points")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if safety <= 0.0:
-        raise ValueError("safety must be positive")
-    try:
-        budget = safety * delta**-2 * math.log(num_points)
-    except OverflowError:  # delta**-2 past the float range
-        budget = math.inf
-    if not math.isfinite(budget):
-        raise ValueError(f"the embedding budget safety * delta^-2 * log k = {budget} is not finite")
-    return int(math.ceil(budget))
-
-
 def finite_embedding(
-    points: PointSet, delta: float, safety: float, rng: np.random.Generator
-) -> tuple[MeasurementEnsemble, PairAudit]:
-    """Draw a gaussian ensemble sized for the point set and audit distortion.
+    points: PointSet, m: int, delta: float, rng: np.random.Generator
+) -> PairAudit:
+    """Draw m gaussian directions and audit the one-bit embedding of a point set.
 
-    The ensemble has m = ceil(safety * delta^-2 * log k) directions; the
-    audit records whether every pair's Hamming distance is delta-close to
-    its geodesic distance.
+    The audit passes when every pair's Hamming distance is delta-close to
+    its geodesic distance, which m of order delta^-2 log k ensures for k
+    points with high probability.
     """
-    m = embedding_size(len(points), delta, safety)
     ens = MeasurementEnsemble(rng.standard_normal((m, points.ambient)))
-    return ens, one_bit_rip(points, ens, delta)
+    return one_bit_rip(points, ens, delta)

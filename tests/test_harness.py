@@ -50,7 +50,9 @@ def test_resolve_m_fixed_families():
     assert resolve_m("transversal", cfg, 3, None) == 100_000
     assert resolve_m("widths", cfg, 64, 4) == 2000
     assert resolve_m("sudakov", cfg, 64, 4) == 2000
-    assert resolve_m("vc", cfg, 2, None) == 0
+    # vc and nets draw no directions, so they resolve to 0 even when given an m
+    for name in ("vc", "nets"):
+        assert resolve_m(name, dataclasses.replace(cfg, delta=0.2, m=5), 64, None) == 0
 
 
 def test_resolve_m_integer_passthrough():
@@ -59,9 +61,29 @@ def test_resolve_m_integer_passthrough():
 
 
 def test_resolve_m_needs_delta():
-    cfg = ExperimentConfig(experiment="all")  # validates without delta
-    with pytest.raises(ValueError):
-        resolve_m("rip", cfg, 64, 4)
+    with pytest.raises(ValueError, match="--delta is required for rip"):
+        resolve_m("rip", ExperimentConfig(experiment="rip"), 64, 4)
+    # all runs rip at delta 0.2, and resolve_m reads out what it runs
+    assert resolve_m("rip", ExperimentConfig(experiment="all"), 64, 4) == 2773
+
+
+def test_resolve_m_embed():
+    # ceil(safety * delta^-2 * log k) for a finite set of k = net_size points
+    cfg = ExperimentConfig(experiment="embed", delta=0.1, net_size=2)
+    assert resolve_m("embed", cfg, 64, None) == 694
+    cfg = ExperimentConfig(experiment="embed", delta=0.2, net_size=100)
+    assert resolve_m("embed", cfg, 64, None) == 1152
+
+
+@pytest.mark.parametrize("m", ["auto", 37])
+@pytest.mark.parametrize(
+    "experiment", ["small-cells", "rip", "sign-product", "linear-rip", "metric-ratio", "embed"]
+)
+def test_resolved_m_is_the_drawn_m(experiment, m):
+    cfg = ExperimentConfig(experiment=experiment, delta=0.3, m=m, trials=1, net_size=12)
+    eff = harness._effective(experiment, cfg)
+    drawn = [r.value for r in run_experiment(experiment, cfg)[0] if r.statistic == "m"]
+    assert drawn == [resolve_m(experiment, cfg, eff.n, eff.s)]
 
 
 # --- config validation -----------------------------------------------------------
@@ -480,7 +502,7 @@ def no_runs(monkeypatch):
         ["small-cells", "--delta", "0.2", "--safety", "1e308"],  # auto m overflows
         ["crofton", "--seed", "-1"],
         ["crofton", "--m", "40000000"],  # explicit m over the direction limit
-        ["embed", "--delta", "0.2", "--safety", "1e308"],  # the trial's own budget
+        ["embed", "--delta", "0.2", "--safety", "1e308"],  # auto m overflows
         ["embed", "--delta", "0.2", "--net-size", "1"],  # no pair to measure
         ["all", "--delta", "0.2", "--net-size", "1", "--m", "100", "--trials", "1"],
         ["nets", "--delta", "0.2", "--net-size", "1"],  # one point packs and covers trivially
@@ -496,6 +518,10 @@ def no_runs(monkeypatch):
         ["rip", "--delta", "0.2", "--s", "0"],
         ["transversal", "--n", "5", "--trials", "3", "--m", "2000"],  # exited 1 after its trials
         ["crofton", "--trials", str(10**12)],
+        ["sign-product", "--delta", "0.2", "--m", "2000000"],  # (k, m) projections past 1 GiB
+        ["widths", "--m", "2000000"],
+        ["rip", "--delta", "0.2", "--n", "100000000", "--m", "1"],  # (k, n + 1) net points
+        ["nets", "--delta", "0.2", "--n", "10000000000"],
     ],
 )
 def test_main_rejects_unrunnable_experiments_before_any_work(argv, tmp_path, capsys, no_runs):
@@ -545,7 +571,7 @@ def test_run_and_run_experiment_reject_bad_workers(workers, tmp_path, no_runs):
     "argv, label",
     [
         (["rip", "--delta", "1e-300"], "rip: m = inf"),
-        (["embed", "--delta", "1e-200"], "the embedding budget m = inf"),
+        (["embed", "--delta", "1e-200"], "embed: m = inf"),
     ],
 )
 def test_overflowing_budgets_name_the_direction_limit(argv, label, tmp_path, capsys, no_runs):
@@ -580,13 +606,24 @@ def test_direction_limit_is_inclusive():
         ExperimentConfig(experiment="crofton", m=most + 1).validate()
 
 
+def test_projection_limit_is_inclusive():
+    # sign-product projects k = 200 + CLOSE_PAIRS net points on m directions;
+    # at n = 64 the (k, m) float64 projections bind before the (m, 65) directions
+    k = 200 + CLOSE_PAIRS
+    most = MAX_DIRECTION_BYTES // (8 * k)
+    assert most == 639_132 and most * 65 * 8 < MAX_DIRECTION_BYTES
+    ExperimentConfig(experiment="sign-product", delta=0.2, m=most).validate()
+    with pytest.raises(ValueError, match=r"\(k, m\) float64 projections at m = 639133"):
+        ExperimentConfig(experiment="sign-product", delta=0.2, m=most + 1).validate()
+
+
 @pytest.mark.parametrize(
     "argv, remedy",
     [
         (["rip", "--delta", "1e-300"], "raise --delta, lower --safety or pass an explicit --m"),
         (["rip", "--delta", "0.2", "--m", str(10**12)], "lower --m"),
         (["crofton", "--n", "2000"], "lower --n or pass an explicit --m"),  # a fixed auto m
-        (["embed", "--delta", "1e-200"], "raise --delta or lower --safety"),
+        (["embed", "--delta", "1e-200"], "raise --delta, lower --safety or pass an explicit --m"),
     ],
 )
 def test_direction_limit_names_its_cause(argv, remedy, tmp_path, capsys, no_runs):
@@ -681,6 +718,49 @@ def test_config_fields_are_rejected_or_of_their_declared_type(
     else:
         assert all(_has_declared_type(field, getattr(parsed, field)) for field in _FIELDS)
     capsys.readouterr()
+
+
+@st.composite
+def _small_argvs(draw):
+    """Small argvs of every experiment: explicit m, as auto m draws 1e5 crossing directions."""
+    argv = [draw(st.sampled_from(EXPERIMENTS))]
+    n = draw(st.none() | st.integers(1, 8))
+    s = draw(st.none() | st.integers(1, (n or 8) + 1))
+    delta = draw(st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    for flag, value in (("--n", n), ("--s", s), ("--delta", delta)):
+        if value is not None:
+            argv += [flag, repr(value)]
+    argv += ["--m", str(draw(st.integers(1, 300)))]
+    argv += ["--net-size", str(draw(st.integers(1, 30)))]
+    argv += ["--trials", str(draw(st.integers(1, 2)))]
+    return argv + ["--seed", str(draw(st.integers(0, 3)))]
+
+
+@settings(
+    max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_small_argvs())
+def test_cli_exits_0_1_or_2_and_rejects_before_any_trial(argv, tmp_path, monkeypatch, capsys):
+    # an exception escaping main fails the property; exit 2 must come before the first stream
+    monkeypatch.delenv("ONEBIT_SEED", raising=False)
+    streams = []
+    real_substream = harness.substream
+
+    def spy(*labels):
+        streams.append(labels)
+        return real_substream(*labels)
+
+    monkeypatch.setattr(harness, "substream", spy)
+    out = tmp_path / "r.csv"
+    out.unlink(missing_ok=True)
+    code = main(argv + ["--out", str(out)])
+    capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert streams == [] and not out.exists(), argv
+    else:
+        assert streams and out.exists(), argv
 
 
 def test_python_dash_m_runs_the_cli():

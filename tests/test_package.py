@@ -32,6 +32,7 @@ REMOVED = (
     "VcEntropyReport",
     "WidthMethod",
     "conditional_metric_sq",
+    "embedding_size",
     "geodesic_point",
     "hamming_distance",
     "hemisphere_covariance",

@@ -15,7 +15,6 @@ from onebit import (
     PreconditionError,
     SparseSpec,
     UnitVector,
-    embedding_size,
     finite_embedding,
     greedy_packing,
     linear_l1_rip,
@@ -302,34 +301,17 @@ def test_pair_audits_reject_bounds_that_are_not_finite_and_positive(check, bound
         check(pts, unit_ensemble(2, 16, seed=20), bound)
 
 
-# --- embedding sizes -------------------------------------------------------------
-
-
-def test_embedding_size_oracles():
-    assert embedding_size(2, 0.1, 10.0) == 694
-    assert embedding_size(100, 0.2, 10.0) == 1152
-
-
-def test_embedding_size_validation():
-    with pytest.raises(ValueError):
-        embedding_size(1, 0.1, 10.0)
-    with pytest.raises(ValueError):
-        embedding_size(10, 1.0, 10.0)
-    with pytest.raises(ValueError):
-        embedding_size(10, 0.1, 0.0)
-    # budgets past the float range: delta**-2 overflows, or the product does
-    for delta, safety in ((1e-200, 10.0), (1e-100, 1e300), (0.1, math.inf), (0.1, math.nan)):
-        with pytest.raises(ValueError, match="not finite"):
-            embedding_size(10, delta, safety)
+# --- finite embedding ----------------------------------------------------------
 
 
 def test_finite_embedding_round_trip():
-    rng = substream(18, "test-embed")
+    # m = 749 = ceil(10 * 0.2^-2 * log 20), the embed budget for 20 points
+    rng, twin = substream(18, "test-embed"), substream(18, "test-embed")
     pts = PointSet.uniform(3, 20, rng)
-    ens, report = finite_embedding(pts, 0.2, 10.0, rng)
-    expected_m = embedding_size(20, 0.2, 10.0)
-    assert ens.m == expected_m
-    assert ens.ambient == 4
+    PointSet.uniform(3, 20, twin)
+    report = finite_embedding(pts, 749, 0.2, rng)
+    ens = MeasurementEnsemble(twin.standard_normal((749, 4)))
+    assert report == one_bit_rip(pts, ens, 0.2)
     assert report.bound == 0.2
     assert report.passed
 
