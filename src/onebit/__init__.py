@@ -8,7 +8,6 @@ routines, and ``harness``/``cli`` the seeded experiment runner.
 """
 
 from .errors import (
-    DegenerateGeodesicError,
     DimensionMismatchError,
     FeasibilityError,
     InvalidDimensionError,
@@ -47,14 +46,10 @@ from .processes import (
 )
 from .rng import substream
 from .sphere import (
-    Geodesic,
     PointSet,
     SparseSpec,
-    UnitVector,
-    geodesic_distance,
     pairwise_chord,
     pairwise_geodesic,
-    sample_uniform_sphere,
     signs,
     sparse_net,
     transversal_mask,
@@ -74,13 +69,11 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateGeodesicError",
     "DimensionMismatchError",
     "EXPERIMENTS",
     "EXPERIMENT_ORDER",
     "ExperimentConfig",
     "FeasibilityError",
-    "Geodesic",
     "HALF_NORMAL_MEAN",
     "InvalidDimensionError",
     "MeasurementEnsemble",
@@ -92,7 +85,6 @@ __all__ = [
     "ReportRow",
     "SparseSpec",
     "SudakovReport",
-    "UnitVector",
     "VcReport",
     "WidthEstimate",
     "canonical_witness",
@@ -102,7 +94,6 @@ __all__ = [
     "estimate_hemisphere_width_empirical",
     "finite_embedding",
     "first_uncovered_cover",
-    "geodesic_distance",
     "greedy_packing",
     "hemisphere_empirical_samples",
     "linear_l1_rip",
@@ -113,7 +104,6 @@ __all__ = [
     "resolve_m",
     "run",
     "run_experiment",
-    "sample_uniform_sphere",
     "sandwich_check",
     "shatter_check",
     "sign_matrix",

@@ -9,10 +9,6 @@ class InvalidDimensionError(ValueError):
     """Sphere dimension must be at least 1 (ambient dimension at least 2)."""
 
 
-class DegenerateGeodesicError(ValueError):
-    """Endpoints coincide or are antipodal; the connecting arc is not unique."""
-
-
 class FeasibilityError(ValueError):
     """Input size exceeds what the operation can handle exactly."""
 

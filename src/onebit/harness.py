@@ -35,8 +35,7 @@ from .sphere import (
     CLOSE_PAIRS,
     PointSet,
     SparseSpec,
-    geodesic_distance,
-    sample_uniform_sphere,
+    pairwise_geodesic,
     sparse_net,
     transversal_mask,
     uniform_sphere_rows,
@@ -317,6 +316,18 @@ def _nets_limits(eff: _Effective):
         raise ValueError("nets needs delta < 0.5 so the 2*delta packing is meaningful")
 
 
+def _packing_radius(eff: _Effective) -> float:
+    """metric-ratio's minimum center separation, a quarter of delta."""
+    return eff.delta / 4.0
+
+
+def _metric_ratio_limits(eff: _Effective):
+    if not _packing_radius(eff) > 0.0:
+        raise ValueError(
+            f"metric-ratio packs at radius delta / 4, which is 0 at delta={eff.delta}"
+        )
+
+
 def _width_limits(eff: _Effective):
     if eff.m < MIN_WIDTH_TRIALS:
         raise ValueError(f"width estimation needs at least {MIN_WIDTH_TRIALS} Monte Carlo draws")
@@ -335,11 +346,10 @@ def _width_limits(eff: _Effective):
 
 def _trial_crossing(eff: _Effective, rng, mask, statistic: str, scale: float):
     """Frequency of directions whose crossing mask holds, against scale * d."""
-    x = sample_uniform_sphere(eff.n, rng)
-    y = sample_uniform_sphere(eff.n, rng)
-    d = geodesic_distance(x, y)
+    pair = uniform_sphere_rows(eff.n, 2, rng)
+    d = float(pairwise_geodesic(pair)[0, 1])
     thetas = uniform_sphere_rows(eff.n, eff.m, rng)
-    freq = float(mask(thetas, x, y).mean())
+    freq = float(mask(thetas, pair[0], pair[1]).mean())
     target = d * scale
     bound = 3.0 * math.sqrt(max(target * (1.0 - target), 0.0) / eff.m)
     err = abs(freq - target)
@@ -406,7 +416,7 @@ def _trial_linear_rip(eff, rng):
 
 def _trial_metric_ratio(eff: _Effective, rng):
     sample = PointSet.sparse(SparseSpec(eff.n, eff.s), eff.net_size, rng)
-    min_sep = eff.delta / 4.0
+    min_sep = _packing_radius(eff)
     packed = greedy_packing(sample, min_sep, rng).centers
     stats = [_Stat("m", eff.m), _Stat("net_points", len(packed))]
     if len(packed) < 2:  # no pair was measured, so nothing passed
@@ -590,7 +600,7 @@ REGISTRY: dict[str, Experiment] = {
         Experiment(
             "metric-ratio", "relative hamming/geodesic error on a separated net",
             _trial_metric_ratio, ("sup_ratio",), _rate_verdict, _sparse_budget,
-            needs_delta=True, needs_s=True, net_companions=0,
+            needs_delta=True, needs_s=True, net_companions=0, limits=_metric_ratio_limits,
         ),
         Experiment(
             "embed", "one-bit embedding of a finite set at computed budget",

@@ -1,9 +1,10 @@
-"""Sphere geometry: points, arcs, samplers, and hyperplane crossings.
+"""Sphere geometry on point rows: distances, samplers, nets, and hyperplane crossings.
 
 Conventions used throughout the package:
 
-* a point of S^n is a unit vector in R^(n+1), so ``n`` always denotes the
-  sphere dimension and ``n + 1`` the ambient dimension;
+* a point of S^n is a unit vector in R^(n+1), held as a row of a (k, n+1)
+  array, so ``n`` always denotes the sphere dimension and ``n + 1`` the
+  ambient dimension;
 * distances are normalized geodesic distances, arccos of the inner product
   divided by pi, so antipodal points sit at distance exactly 1;
 * the sign of 0 is +1 everywhere a sign is taken.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeodesicError, DimensionMismatchError, InvalidDimensionError
+from .errors import DimensionMismatchError, InvalidDimensionError
 
 UNIT_NORM_TOL = 1e-9
 ANTIPODAL_TOL = 1e-12
@@ -24,59 +25,6 @@ ANTIPODAL_TOL = 1e-12
 # pair's lower-index endpoint moved along a gaussian tangent scaled by CLOSE_SCALE
 CLOSE_PAIRS = 10
 CLOSE_SCALE = 0.05
-
-
-class UnitVector:
-    """A point on S^n, validated to unit length.
-
-    Parameters
-    ----------
-    coords : array_like
-        Ambient coordinates, at least two of them.  The Euclidean norm must
-        equal 1 within ``UNIT_NORM_TOL``; use :meth:`normalized` to project
-        an arbitrary nonzero vector onto the sphere first.
-    """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        arr = np.array(coords, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise InvalidDimensionError(
-                f"a sphere point needs at least 2 coordinates, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("sphere point coordinates must be finite")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"not a unit vector: |norm - 1| = {abs(norm - 1.0):.3e}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coords", arr)
-
-    @classmethod
-    def normalized(cls, coords) -> "UnitVector":
-        arr = np.asarray(coords, dtype=float)
-        norm = np.linalg.norm(arr)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(arr / norm)
-
-    @property
-    def ambient(self) -> int:
-        return self.coords.size
-
-    @property
-    def n(self) -> int:
-        """Sphere dimension (ambient dimension minus 1)."""
-        return self.coords.size - 1
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.coords.astype(dtype)
-        return self.coords
-
-    def __repr__(self):
-        return f"UnitVector(dim={self.n}, coords={np.array2string(self.coords, precision=4)})"
 
 
 @dataclass(frozen=True)
@@ -106,13 +54,6 @@ def _check_same_ambient(*arrs):
     sizes = {a.shape[-1] for a in arrs}
     if len(sizes) != 1:
         raise DimensionMismatchError(f"mixed ambient dimensions: {sorted(sizes)}")
-
-
-def geodesic_distance(x: UnitVector, y: UnitVector) -> float:
-    """Normalized geodesic distance in [0, 1]; antipodal pairs map to 1."""
-    _check_same_ambient(x.coords, y.coords)
-    dot = float(np.clip(x.coords @ y.coords, -1.0, 1.0))
-    return math.acos(dot) / math.pi
 
 
 def pairwise_geodesic(points: np.ndarray) -> np.ndarray:
@@ -148,17 +89,6 @@ def pairwise_chord(points: np.ndarray) -> np.ndarray:
 
 
 # --- samplers ---------------------------------------------------------------
-
-
-def sample_uniform_sphere(n: int, rng: np.random.Generator) -> UnitVector:
-    """Uniform point of S^n (normalized gaussian)."""
-    if n < 1:
-        raise InvalidDimensionError(f"sphere dimension must be >= 1, got {n}")
-    while True:
-        g = rng.standard_normal(n + 1)
-        norm = np.linalg.norm(g)
-        if norm > 0:
-            return UnitVector(g / norm)
 
 
 def uniform_sphere_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -208,9 +138,6 @@ class PointSet:
     @property
     def n(self) -> int:
         return self.points.shape[1] - 1
-
-    def unit(self, i: int) -> UnitVector:
-        return UnitVector(self.points[i])
 
     def subset(self, indices) -> "PointSet":
         return PointSet(self.points[np.asarray(indices, dtype=int)])
@@ -325,7 +252,7 @@ def sparse_net(spec: SparseSpec, size: int, rng: np.random.Generator) -> PointSe
     return PointSet(rows)
 
 
-# --- wedges and geodesics ----------------------------------------------------
+# --- wedges and arc crossings -----------------------------------------------
 
 
 def signs(values: np.ndarray) -> np.ndarray:
@@ -337,33 +264,10 @@ def signs(values: np.ndarray) -> np.ndarray:
 
 
 def wedge_mask(thetas: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized wedge membership for direction rows."""
+    """Vectorized wedge membership for direction rows; ``x`` and ``y`` are unit rows."""
     thetas = np.asarray(thetas, dtype=float)
     _check_same_ambient(thetas, np.asarray(x), np.asarray(y))
     return (thetas @ np.asarray(x) >= 0) != (thetas @ np.asarray(y) >= 0)
-
-
-@dataclass(frozen=True, eq=False)
-class Geodesic:
-    """Minimal great-circle arc between two non-antipodal, distinct points."""
-
-    x: UnitVector
-    y: UnitVector
-    angle: float = 0.0
-
-    def __post_init__(self):
-        _check_same_ambient(self.x.coords, self.y.coords)
-        dot = float(np.clip(self.x.coords @ self.y.coords, -1.0, 1.0))
-        if abs(dot) >= 1.0 - ANTIPODAL_TOL:
-            raise DegenerateGeodesicError(
-                "endpoints are equal or antipodal; the arc is not unique"
-            )
-        object.__setattr__(self, "angle", math.acos(dot))
-
-    @property
-    def length(self) -> float:
-        """Normalized geodesic length, equal to angle / pi."""
-        return self.angle / math.pi
 
 
 def _crossing_fraction(fa, fb, angle: float):
@@ -382,28 +286,35 @@ def _crossing_fraction(fa, fb, angle: float):
     return np.clip(t, 0.0, 1.0)
 
 
-def transversal_mask(thetas: np.ndarray, x: UnitVector, y: UnitVector) -> np.ndarray:
+def transversal_mask(thetas: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Does the hyperplane normal to each direction row cut the arc x..y transversally?
 
-    The crossing must make an angle of at least pi/4 with the arc and sit at
-    geodesic distance at least d(x, y) / 4 from both endpoints.  Directions
-    outside the wedge, and crossings at an endpoint, are reported False,
-    which is the convention Monte Carlo frequency estimates need.  The
+    ``x`` and ``y`` are unit rows, as for :func:`wedge_mask`; equal or
+    antipodal endpoints raise ValueError, since the arc between them is not
+    unique.  The crossing must make an angle of at least pi/4 with the arc
+    and sit at geodesic distance at least d(x, y) / 4 from both endpoints.
+    Directions outside the wedge, and crossings at an endpoint, are reported
+    False, which is the convention Monte Carlo frequency estimates need.  The
     crossing point comes from the closed form of :func:`_crossing_fraction`,
     evaluated on all wedge members at once.
     """
-    geo = Geodesic(x, y)
     thetas = np.asarray(thetas, dtype=float)
-    _check_same_ambient(thetas, x.coords, y.coords)
-    fa = thetas @ x.coords
-    fb = thetas @ y.coords
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    _check_same_ambient(thetas, x, y)
+    dot = float(np.clip(x @ y, -1.0, 1.0))
+    if abs(dot) >= 1.0 - ANTIPODAL_TOL:
+        raise ValueError("endpoints are equal or antipodal; the arc is not unique")
+    a = math.acos(dot)
+    length = a / math.pi
+    fa = thetas @ x
+    fb = thetas @ y
     mask = (fa >= 0) != (fb >= 0)
     out = np.zeros(thetas.shape[0], dtype=bool)
     if not mask.any():
         return out
     fa = fa[mask]
     fb = fb[mask]
-    a = geo.angle
     sin_a = math.sin(a)
     endpoint = (fa == 0.0) | (fb == 0.0)
 
@@ -411,8 +322,8 @@ def transversal_mask(thetas: np.ndarray, x: UnitVector, y: UnitVector) -> np.nda
 
     # distance condition: constant-speed parametrization puts the crossing at
     # arc fraction t_star, so both endpoint distances are fractions of d(x,y)
-    span = np.minimum(t_star, 1.0 - t_star) * geo.length
-    far_enough = span >= geo.length / 4.0
+    span = np.minimum(t_star, 1.0 - t_star) * length
+    far_enough = span >= length / 4.0
 
     tangent = (-np.cos((1.0 - t_star) * a) * fa + np.cos(t_star * a) * fb) / sin_a
     steep_enough = np.arcsin(np.minimum(1.0, np.abs(tangent))) >= math.pi / 4.0

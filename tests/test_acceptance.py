@@ -18,11 +18,9 @@ from onebit import (
     estimate_gaussian_width,
     estimate_hemisphere_width_cholesky,
     estimate_hemisphere_width_empirical,
-    geodesic_distance,
     hemisphere_empirical_samples,
     one_bit_rip,
     run,
-    sample_uniform_sphere,
     sandwich_check,
     shatter_check,
     sign_product_rip,
@@ -33,7 +31,7 @@ from onebit import (
     uniform_sphere_rows,
     wedge_mask,
 )
-from oracles import sign_product_statistic
+from oracles import geodesic_distance, sign_product_statistic
 
 ACCEPT_SEED = 20260817
 
@@ -61,11 +59,10 @@ def test_criterion_01_crofton_identity():
     hits = 0
     for i in range(20):
         rng = substream(ACCEPT_SEED, "acceptance-crofton", i)
-        x = sample_uniform_sphere(3, rng)
-        y = sample_uniform_sphere(3, rng)
+        x, y = uniform_sphere_rows(3, 2, rng)
         d = geodesic_distance(x, y)
         thetas = uniform_sphere_rows(3, m, rng)
-        freq = float(wedge_mask(thetas, x.coords, y.coords).mean())
+        freq = float(wedge_mask(thetas, x, y).mean())
         bound = 3.0 * math.sqrt(d * (1.0 - d) / m)
         hits += abs(freq - d) <= bound
     print(f"criterion 1: {hits}/20 pairs within 3 sigma")
@@ -77,8 +74,7 @@ def test_criterion_02_transversal_quarter_density():
     hits = 0
     for i in range(20):
         rng = substream(ACCEPT_SEED, "acceptance-transversal", i)
-        x = sample_uniform_sphere(3, rng)
-        y = sample_uniform_sphere(3, rng)
+        x, y = uniform_sphere_rows(3, 2, rng)
         target = geodesic_distance(x, y) / 4.0
         thetas = uniform_sphere_rows(3, m, rng)
         freq = float(transversal_mask(thetas, x, y).mean())
@@ -90,7 +86,7 @@ def test_criterion_02_transversal_quarter_density():
 
 def test_criterion_03_sign_product_constant():
     rng = substream(ACCEPT_SEED, "acceptance-signconst")
-    x = sample_uniform_sphere(64, rng)
+    x = uniform_sphere_rows(64, 1, rng)[0]
     ens = MeasurementEnsemble(rng.standard_normal((100_000, 65)))
     # with x = y the centered statistic is (1/m) sum |<x, g_j>| minus sqrt(2/pi)
     gap = abs(sign_product_statistic(ens, x, x).statistic)
@@ -155,12 +151,12 @@ def test_criterion_07_hemisphere_process_fingerprint():
     samples = hemisphere_empirical_samples(points, 10_000, n_draws, rng)
     variances = samples.var(axis=0, ddof=1)
     var_ok = np.abs(variances - 0.25) <= 0.05 * 0.25
+    dist = points.pairwise_geodesic()
     worst_z = 0.0
     cov_ok = 0
     for j in range(20):
         a, b = samples[:, 2 * j], samples[:, 2 * j + 1]
-        d = geodesic_distance(points.unit(2 * j), points.unit(2 * j + 1))
-        target = 0.25 - 0.5 * d
+        target = 0.25 - 0.5 * dist[2 * j, 2 * j + 1]
         cov = float(np.cov(a, b, ddof=1)[0, 1])
         se = math.sqrt((variances[2 * j] * variances[2 * j + 1] + cov**2) / (n_draws - 1))
         z = abs(cov - target) / se

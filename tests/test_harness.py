@@ -10,12 +10,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from onebit import (
-    EXPERIMENTS, ExperimentConfig, ReportRow, harness, nets, resolve_m, run, run_experiment,
-    summarize, verify,
+    EXPERIMENTS, ExperimentConfig, ReportRow, harness, nets, pairwise_geodesic, resolve_m, run,
+    run_experiment, substream, summarize, uniform_sphere_rows, verify,
 )
 from onebit.cli import main, parse_config
 from onebit.harness import (
@@ -288,6 +288,19 @@ def test_run_experiment_row_structure():
     assert verdict
 
 
+@pytest.mark.parametrize("experiment", ["crofton", "transversal"])
+def test_crossing_trial_draws_its_pair_as_the_first_two_rows(experiment):
+    # the pair is the first uniform_sphere_rows draw of the trial's stream, and
+    # the distance row is pairwise_geodesic's entry for it, bit for bit
+    cfg = ExperimentConfig(experiment=experiment, m=300, trials=20, seed=9)
+    rows, _ = run_experiment(experiment, cfg)
+    distances = {r.trial: r.value for r in rows if r.statistic == "distance"}
+    assert sorted(distances) == list(range(20))
+    for trial, value in distances.items():
+        pair = uniform_sphere_rows(3, 2, substream(9, experiment, trial))
+        assert value == float(pairwise_geodesic(pair)[0, 1])
+
+
 def test_every_scored_statistic_occurs_in_rows():
     # a scored name that no row carries would leave its verdict vacuously true
     cfg = ExperimentConfig(experiment="all", delta=0.3, m=200, trials=1, net_size=20, seed=1)
@@ -481,6 +494,13 @@ def test_parse_config_rejects_bool_m(tmp_path, capsys):
     assert not out.exists()
 
 
+# delta / 4 underflows to 0: validation must reject it, not greedy_packing inside a trial
+_SUBNORMAL_DELTA = [
+    "metric-ratio", "--delta", "5e-324", "--m", "1", "--net-size", "2", "--trials", "1",
+    "--seed", "0",
+]
+
+
 @pytest.fixture
 def no_runs(monkeypatch):
     """Fail the test if a trial starts: each trial first draws its stream."""
@@ -522,6 +542,8 @@ def no_runs(monkeypatch):
         ["widths", "--m", "2000000"],
         ["rip", "--delta", "0.2", "--n", "100000000", "--m", "1"],  # (k, n + 1) net points
         ["nets", "--delta", "0.2", "--n", "10000000000"],
+        _SUBNORMAL_DELTA,  # the packing radius delta / 4 underflows to 0
+        ["metric-ratio", "--delta", "1e-323", "--m", "1", "--net-size", "2", "--trials", "1"],
     ],
 )
 def test_main_rejects_unrunnable_experiments_before_any_work(argv, tmp_path, capsys, no_runs):
@@ -741,6 +763,7 @@ def _small_argvs(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(argv=_small_argvs())
+@example(argv=_SUBNORMAL_DELTA)
 def test_cli_exits_0_1_or_2_and_rejects_before_any_trial(argv, tmp_path, monkeypatch, capsys):
     # an exception escaping main fails the property; exit 2 must come before the first stream
     monkeypatch.delenv("ONEBIT_SEED", raising=False)

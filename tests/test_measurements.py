@@ -13,18 +13,13 @@ from onebit import (
     MeasurementEnsemble,
     PointSet,
     SparseSpec,
-    UnitVector,
     measurements,
     sign_matrix,
     signs,
     sparse_net,
     substream,
 )
-from oracles import gaussian_ensemble, sign_product_statistic, unit_ensemble
-
-
-def unit(*coords):
-    return UnitVector.normalized(np.array(coords, dtype=float))
+from oracles import gaussian_ensemble, sign_product_statistic, unit, unit_ensemble
 
 
 # --- MeasurementEnsemble validation ---------------------------------------------
@@ -63,9 +58,9 @@ def test_ensemble_directions_are_read_only():
 # --- one_bit_map and sign conventions --------------------------------------------
 
 
-def one_bit_map(ens: MeasurementEnsemble, x: UnitVector) -> np.ndarray:
+def one_bit_map(ens: MeasurementEnsemble, x: np.ndarray) -> np.ndarray:
     """Scalar oracle for ``sign_matrix``: the signs of one point's measurements."""
-    return signs(ens.directions @ x.coords)
+    return signs(ens.directions @ x)
 
 
 def test_one_bit_map_zero_dot_counts_positive():
@@ -85,7 +80,7 @@ def test_sign_matrix_rows_match_one_bit_map():
     matrix = sign_matrix(ens, pts)
     assert matrix.shape == (6, 32)
     for i in range(6):
-        assert np.array_equal(matrix[i], one_bit_map(ens, pts.unit(i)))
+        assert np.array_equal(matrix[i], one_bit_map(ens, pts.points[i]))
 
 
 @pytest.mark.parametrize(
@@ -119,7 +114,7 @@ def test_positive_row_scaling_never_flips_signs():
     rng = substream(9, "test-scaling")
     scales = rng.uniform(0.1, 10.0, size=64)
     scaled = MeasurementEnsemble(ens.directions * scales[:, None])
-    x = UnitVector.normalized(rng.standard_normal(5))
+    x = unit(*rng.standard_normal(5))
     assert np.array_equal(one_bit_map(ens, x), one_bit_map(scaled, x))
 
 
@@ -157,7 +152,7 @@ def test_sign_product_centers_on_diagonal():
     # on x = y the raw mean of sign(g.x) (g.x) concentrates at lam
     ens = gaussian_ensemble(8, 20_000, seed=13)
     rng = substream(13, "test-signprod-diag")
-    x = UnitVector.normalized(rng.standard_normal(9))
+    x = unit(*rng.standard_normal(9))
     report = sign_product_statistic(ens, x, x)
     assert abs(report.statistic) <= 0.02
 
@@ -167,7 +162,7 @@ def test_sign_product_tracks_inner_product():
     ens = gaussian_ensemble(2, 20_000, seed=14)
     x = unit(1, 0, 0)
     y = unit(1, math.sqrt(3), 0)  # x.y = 1/2
-    assert math.isclose(float(x.coords @ y.coords), 0.5, abs_tol=1e-12)
+    assert math.isclose(float(x @ y), 0.5, abs_tol=1e-12)
     assert abs(sign_product_statistic(ens, x, y).statistic) <= 0.02
     z = unit(0, 0, 1)
     assert abs(sign_product_statistic(ens, x, z).statistic) <= 0.02

@@ -13,9 +13,11 @@ SRC = pathlib.Path(onebit.__file__).resolve().parent
 REMOVED = (
     "CellReport",
     "CovarianceMatrix",
+    "DegenerateGeodesicError",
     "EnsembleKind",
     "EnsembleKindError",
     "GeneratorTag",
+    "Geodesic",
     "MeasurementEnsemble.__len__",
     "MeasurementEnsemble.gaussian",
     "MeasurementEnsemble.kind",
@@ -24,15 +26,18 @@ REMOVED = (
     "MeasurementEnsemble.uniform",
     "MetricRatioReport",
     "NotSeparatingError",
+    "PointSet.unit",
     "ProcessMetric",
     "RipReport",
     "SignPattern",
     "SignProductReport",
     "SudakovReport.max_ratio",
+    "UnitVector",
     "VcEntropyReport",
     "WidthMethod",
     "conditional_metric_sq",
     "embedding_size",
+    "geodesic_distance",
     "geodesic_point",
     "hamming_distance",
     "hemisphere_covariance",
@@ -45,6 +50,7 @@ REMOVED = (
     "one_bit_map",
     "sample_convex_sparse",
     "sample_sparse_unit",
+    "sample_uniform_sphere",
     "sauer_bound",
     "sign_product_statistic",
     "symmetrized_process_sup",

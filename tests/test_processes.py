@@ -14,8 +14,6 @@ from onebit import (
     NumericalError,
     PointSet,
     SparseSpec,
-    UnitVector,
-    geodesic_distance,
     covariance_matrix,
     estimate_gaussian_width,
     estimate_hemisphere_width_cholesky,
@@ -29,10 +27,7 @@ from onebit import (
     sudakov_check,
 )
 from onebit.processes import _cholesky_factor
-
-
-def unit(*coords):
-    return UnitVector.normalized(np.array(coords, dtype=float))
+from oracles import geodesic_distance, unit
 
 
 def circle_points(k: int) -> PointSet:
@@ -43,7 +38,7 @@ def circle_points(k: int) -> PointSet:
 # --- covariance ------------------------------------------------------------------
 
 
-def hemisphere_covariance(x: UnitVector, y: UnitVector) -> float:
+def hemisphere_covariance(x: np.ndarray, y: np.ndarray) -> float:
     """Scalar oracle for ``covariance_matrix``: 1/4 - d(x, y)/2 for one pair."""
     return 0.25 - 0.5 * geodesic_distance(x, y)
 
@@ -65,7 +60,7 @@ def test_covariance_matrix_matches_pairwise_formula():
         for j in range(4):
             if i == j:
                 continue  # diagonal is exact above; the scalar oracle has arccos roundoff
-            expected = hemisphere_covariance(pts.unit(i), pts.unit(j))
+            expected = hemisphere_covariance(pts.points[i], pts.points[j])
             assert math.isclose(cov[i, j], expected, abs_tol=1e-12)
 
 

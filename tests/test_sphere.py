@@ -1,4 +1,4 @@
-"""Geometry layer: points, metrics, samplers, wedges, arc crossings."""
+"""Geometry layer: point rows, metrics, samplers, wedges, arc crossings."""
 
 import math
 
@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from onebit import (
-    DegenerateGeodesicError,
-    Geodesic,
+    DimensionMismatchError,
     PointSet,
     SparseSpec,
-    UnitVector,
-    geodesic_distance,
     pairwise_chord,
     pairwise_geodesic,
-    sample_uniform_sphere,
     signs,
     sparse_net,
     substream,
@@ -26,42 +22,39 @@ from onebit import (
     wedge_mask,
 )
 from onebit.sphere import CLOSE_PAIRS, CLOSE_SCALE, _close_pair_rows, _crossing_fraction
-
-
-def unit(*coords):
-    return UnitVector.normalized(np.array(coords, dtype=float))
-
+from oracles import (
+    arc_angle,
+    geodesic_distance,
+    geodesic_point,
+    in_wedge,
+    transversal_separation,
+    unit,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-# --- UnitVector and SparseSpec -------------------------------------------------
+# --- unit rows and SparseSpec --------------------------------------------------
+#
+# a point is a unit row; PointSet is where the library checks one
 
 
 def test_unit_vector_rejects_non_unit():
-    with pytest.raises(ValueError):
-        UnitVector([1.0, 1.0])
+    with pytest.raises(ValueError, match="rows must be unit vectors"):
+        PointSet([[1.0, 1.0]])
 
 
 def test_unit_vector_rejects_scalar_and_short():
     with pytest.raises(ValueError):
-        UnitVector([1.0])
+        PointSet([1.0, 0.0])  # one row needs a (1, n+1) array
     with pytest.raises(ValueError):
-        UnitVector(np.ones((2, 2)))
-
-
-def test_normalized_projects_and_validates():
-    v = UnitVector.normalized([3.0, 4.0])
-    assert v.ambient == 2 and v.n == 1
-    assert math.isclose(float(np.linalg.norm(v.coords)), 1.0, abs_tol=1e-15)
-    with pytest.raises(ValueError):
-        UnitVector.normalized([0.0, 0.0])
+        PointSet([[1.0]])  # S^0 is not a sphere point here
 
 
 def test_unit_vector_coords_are_read_only():
-    v = unit(1.0, 0.0)
+    points = PointSet([unit(1.0, 0.0)]).points
     with pytest.raises(ValueError):
-        v.coords[0] = 0.5
+        points[0, 0] = 0.5
 
 
 def test_sparse_spec_bounds():
@@ -82,8 +75,9 @@ def test_distance_trivial_values():
     e1 = unit(1, 0, 0)
     e2 = unit(0, 1, 0)
     assert geodesic_distance(e1, e1) == 0.0
-    assert geodesic_distance(e1, UnitVector(-e1.coords)) == 1.0
+    assert geodesic_distance(e1, -e1) == 1.0
     assert math.isclose(geodesic_distance(e1, e2), 0.5, abs_tol=1e-15)
+    assert pairwise_geodesic(np.stack([e1, -e1]))[0, 1] == 1.0
 
 
 def test_distance_of_quarter_arc_point():
@@ -96,7 +90,7 @@ def test_distance_of_quarter_arc_point():
 @settings(max_examples=40, deadline=None)
 def test_metric_axioms_on_random_triples(seed):
     rng = substream(seed, "metric-axioms")
-    x, y, z = (sample_uniform_sphere(4, rng) for _ in range(3))
+    x, y, z = uniform_sphere_rows(4, 3, rng)
     dxy = geodesic_distance(x, y)
     dyx = geodesic_distance(y, x)
     assert dxy == dyx
@@ -116,7 +110,7 @@ def test_pairwise_matches_scalar_distance(seed):
             if i == j:
                 continue
             assert math.isclose(
-                mat[i, j], geodesic_distance(pts.unit(i), pts.unit(j)), abs_tol=1e-12
+                mat[i, j], geodesic_distance(pts.points[i], pts.points[j]), abs_tol=1e-12
             )
 
 
@@ -125,11 +119,6 @@ def test_pairwise_accepts_raw_rows():
     mat = pairwise_geodesic(rows)
     assert mat.shape == (3, 3)
     assert math.isclose(mat[0, 1], 0.5, abs_tol=1e-15)
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(ValueError):
-        geodesic_distance(unit(1, 0), unit(1, 0, 0))
 
 
 # --- samplers ------------------------------------------------------------------
@@ -403,17 +392,6 @@ def test_signs_match_a_select_on_every_input_kind(values):
     assert np.array_equal(out, expected)
 
 
-def in_wedge(theta: UnitVector, x: UnitVector, y: UnitVector) -> bool:
-    """Scalar oracle for ``wedge_mask``: does the hyperplane normal to theta separate x from y?
-
-    Membership is a sign disagreement of the two inner products, with the
-    sign of 0 taken as +1, so tangent hyperplanes count as non-separating.
-    """
-    a = float(theta.coords @ x.coords)
-    b = float(theta.coords @ y.coords)
-    return (a >= 0) != (b >= 0)
-
-
 def test_wedge_explicit_cases():
     x, y = unit(1, 0, 0), unit(0, 1, 0)
     assert in_wedge(unit(1, -1, 0), x, y)
@@ -427,72 +405,79 @@ def test_wedge_explicit_cases():
 @settings(max_examples=25, deadline=None)
 def test_wedge_mask_matches_scalar(seed):
     rng = substream(seed, "wedge")
-    x = sample_uniform_sphere(3, rng)
-    y = sample_uniform_sphere(3, rng)
+    x, y = uniform_sphere_rows(3, 2, rng)
     thetas = uniform_sphere_rows(3, 64, rng)
-    mask = wedge_mask(thetas, x.coords, y.coords)
+    mask = wedge_mask(thetas, x, y)
     for i in range(64):
-        assert mask[i] == in_wedge(UnitVector(thetas[i]), x, y)
+        assert mask[i] == in_wedge(thetas[i], x, y)
 
 
 def test_wedge_frequency_estimates_distance():
     rng = substream(2024, "crofton-smoke")
-    x = sample_uniform_sphere(3, rng)
-    y = sample_uniform_sphere(3, rng)
+    x, y = uniform_sphere_rows(3, 2, rng)
     d = geodesic_distance(x, y)
-    freq = float(wedge_mask(uniform_sphere_rows(3, 200_000, rng), x.coords, y.coords).mean())
+    freq = float(wedge_mask(uniform_sphere_rows(3, 200_000, rng), x, y).mean())
     assert abs(freq - d) < 4.0 * math.sqrt(d * (1 - d) / 200_000)
 
 
-# --- geodesics -----------------------------------------------------------------
+def test_masks_reject_mixed_ambient_dimensions():
+    thetas = uniform_sphere_rows(2, 8, substream(0, "test-mixed-ambient"))
+    x, y = unit(1, 0, 0), unit(0, 1, 0)
+    mixed = [
+        (thetas, unit(1, 0), unit(0, 1)),  # both endpoints on S^1, directions in R^3
+        (thetas, x, unit(0, 1)),  # one endpoint on S^1
+        (thetas, x, unit(0, 1, 0, 0)),  # one endpoint on S^3
+        (thetas[:, :2], x, y),  # directions in R^2
+    ]
+    for mask in (wedge_mask, transversal_mask):
+        for args in mixed:
+            with pytest.raises(DimensionMismatchError):
+                mask(*args)
+
+
+# --- arcs ----------------------------------------------------------------------
 
 
 def test_geodesic_angle_and_length():
-    geo = Geodesic(unit(1, 0, 0), unit(0, 1, 0))
-    assert math.isclose(geo.angle, math.pi / 2, abs_tol=1e-15)
-    assert math.isclose(geo.length, 0.5, abs_tol=1e-15)
+    # the quarter arc e1..e2 has angle pi/2 and normalized length 1/2, as the kernel measures it
+    x, y = unit(1, 0, 0), unit(0, 1, 0)
+    assert math.isclose(arc_angle(x, y), math.pi / 2, abs_tol=1e-15)
+    assert math.isclose(geodesic_distance(x, y), 0.5, abs_tol=1e-15)
+    assert geodesic_distance(x, y) == pairwise_geodesic(np.stack([x, y]))[0, 1]
 
 
-def test_geodesic_degenerate_endpoints():
+def test_transversal_mask_rejects_equal_and_antipodal_endpoints():
+    thetas = uniform_sphere_rows(2, 8, substream(0, "test-degenerate-arc"))
     x = unit(1, 0, 0)
-    with pytest.raises(DegenerateGeodesicError):
-        Geodesic(x, x)
-    with pytest.raises(DegenerateGeodesicError):
-        Geodesic(x, UnitVector(-x.coords))
-
-
-def geodesic_point(geo: Geodesic, t: float) -> UnitVector:
-    """Constant-speed parametrization of the arc; t in [0, 1]."""
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    a = geo.angle
-    s = math.sin(a)
-    coords = (math.sin((1.0 - t) * a) * geo.x.coords + math.sin(t * a) * geo.y.coords) / s
-    return UnitVector.normalized(coords)
+    near = unit(1, 1e-7, 0)  # inner product 1 - 5e-15, inside ANTIPODAL_TOL
+    for y in (x, -x, near, -near):
+        with pytest.raises(ValueError, match="equal or antipodal"):
+            transversal_mask(thetas, x, y)
+    # inner products 1 - 5e-11 are outside it: the arc is unique
+    for y in (unit(1, 1e-5, 0), unit(-1, 1e-5, 0)):
+        assert transversal_mask(thetas, x, y).shape == (8,)
 
 
 def test_geodesic_point_endpoints_and_midpoint():
     x, y = unit(1, 0, 0), unit(0, 1, 0)
-    geo = Geodesic(x, y)
-    assert np.allclose(geodesic_point(geo, 0.0).coords, x.coords, atol=1e-15)
-    assert np.allclose(geodesic_point(geo, 1.0).coords, y.coords, atol=1e-15)
-    mid = geodesic_point(geo, 0.5)
-    assert np.allclose(mid.coords, np.array([1.0, 1.0, 0.0]) / math.sqrt(2), atol=1e-14)
+    assert np.allclose(geodesic_point(x, y, 0.0), x, atol=1e-15)
+    assert np.allclose(geodesic_point(x, y, 1.0), y, atol=1e-15)
+    mid = geodesic_point(x, y, 0.5)
+    assert np.allclose(mid, np.array([1.0, 1.0, 0.0]) / math.sqrt(2), atol=1e-14)
     with pytest.raises(ValueError):
-        geodesic_point(geo, 1.5)
+        geodesic_point(x, y, 1.5)
 
 
 @given(seeds, st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=40, deadline=None)
 def test_geodesic_point_constant_speed(seed, t):
     rng = substream(seed, "speed")
-    x = sample_uniform_sphere(3, rng)
-    y = sample_uniform_sphere(3, rng)
-    geo = Geodesic(x, y)
-    z = geodesic_point(geo, t)
+    x, y = uniform_sphere_rows(3, 2, rng)
+    length = geodesic_distance(x, y)
+    z = geodesic_point(x, y, t)
     # arccos amplifies unit roundoff to ~1e-8 near the endpoints
-    assert math.isclose(geodesic_distance(x, z), t * geo.length, abs_tol=1e-7)
-    assert math.isclose(geodesic_distance(z, y), (1.0 - t) * geo.length, abs_tol=1e-7)
+    assert math.isclose(geodesic_distance(x, z), t * length, abs_tol=1e-7)
+    assert math.isclose(geodesic_distance(z, y), (1.0 - t) * length, abs_tol=1e-7)
 
 
 # --- transversal crossings -----------------------------------------------------
@@ -505,49 +490,7 @@ def test_geodesic_point_constant_speed(seed, t):
 def _mid_normal(c):
     # unit normal hitting the e1..e2 arc at its midpoint with sin(angle) = c
     base = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
-    out = c * base + math.sqrt(1.0 - c * c) * np.array([0.0, 0.0, 1.0])
-    return UnitVector.normalized(out)
-
-
-def _tangent_component(geo: Geodesic, theta: np.ndarray, t) -> np.ndarray:
-    """theta . gamma'(t) / |gamma'(t)| for the constant-speed parametrization.
-
-    gamma'(t) = (-a cos((1-t)a) x + a cos(ta) y) / sin(a) has norm a, so the
-    normalized tangent component is the bracket divided by sin(a).
-    """
-    a = geo.angle
-    ax = theta @ geo.x.coords
-    ay = theta @ geo.y.coords
-    return (-np.cos((1.0 - t) * a) * ax + np.cos(t * a) * ay) / math.sin(a)
-
-
-def transversal_separation(theta: UnitVector, x: UnitVector, y: UnitVector) -> bool:
-    """Scalar oracle for ``transversal_mask`` on one direction.
-
-    Places the crossing on the arc with :func:`geodesic_point` and measures
-    its endpoint distances with ``geodesic_distance``, where the kernel uses
-    arc fractions.  Raises ValueError when theta is not in the wedge of the
-    pair, and :class:`DegenerateGeodesicError` when the arc is degenerate.
-    """
-    geo = Geodesic(x, y)
-    if not in_wedge(theta, x, y):
-        raise ValueError("direction does not separate the pair")
-    th = theta.coords
-    fa = float(th @ x.coords)
-    fb = float(th @ y.coords)
-    if fa == 0.0 or fb == 0.0:
-        # crossing at an endpoint: the distance condition cannot hold
-        return False
-
-    t_star = float(_crossing_fraction(fa, fb, geo.angle))
-    z = geodesic_point(geo, t_star)
-    d_xy = geodesic_distance(x, y)
-    d_min = min(geodesic_distance(z, x), geodesic_distance(z, y))
-    if d_min < d_xy / 4.0:
-        return False
-    sin_angle = abs(float(_tangent_component(geo, th, t_star)))
-    angle = math.asin(min(1.0, sin_angle))
-    return angle >= math.pi / 4.0
+    return unit(*(c * base + math.sqrt(1.0 - c * c) * np.array([0.0, 0.0, 1.0])))
 
 
 def test_transversal_perpendicular_mid_crossing():
@@ -565,7 +508,7 @@ def test_transversal_near_endpoint_rejected():
     x, y = unit(1, 0, 0), unit(0, 1, 0)
     a = math.pi / 2
     t_star = 0.1  # crossing at 10% of the arc: closer than a quarter of d
-    theta = UnitVector.normalized([-math.sin(t_star * a), math.cos(t_star * a), 0.0])
+    theta = unit(-math.sin(t_star * a), math.cos(t_star * a), 0.0)
     assert in_wedge(theta, x, y)
     assert not transversal_separation(theta, x, y)
 
@@ -580,14 +523,13 @@ def test_transversal_requires_wedge_membership():
 @settings(max_examples=20, deadline=None)
 def test_transversal_mask_matches_scalar(seed):
     rng = substream(seed, "transversal")
-    x = sample_uniform_sphere(3, rng)
-    y = sample_uniform_sphere(3, rng)
+    x, y = uniform_sphere_rows(3, 2, rng)
     thetas = uniform_sphere_rows(3, 80, rng)
     mask = transversal_mask(thetas, x, y)
-    wedge = wedge_mask(thetas, x.coords, y.coords)
+    wedge = wedge_mask(thetas, x, y)
     for i in range(80):
         if wedge[i]:
-            assert mask[i] == transversal_separation(UnitVector(thetas[i]), x, y)
+            assert mask[i] == transversal_separation(thetas[i], x, y)
         else:
             assert not mask[i]
 
@@ -621,14 +563,14 @@ def _bisect_crossing(fa, fb, a, tol=1e-12):
 
 def _transversal_mask_reference(thetas, x, y):
     """transversal_mask with the crossing found by bisection."""
-    geo = Geodesic(x, y)
-    a = geo.angle
-    fa = thetas @ x.coords
-    fb = thetas @ y.coords
+    a = arc_angle(x, y)
+    length = a / math.pi
+    fa = thetas @ x
+    fb = thetas @ y
     wedge = (fa >= 0) != (fb >= 0)
     fa, fb = fa[wedge], fb[wedge]
     t_star = _bisect_crossing(fa, fb, a)
-    far_enough = np.minimum(t_star, 1.0 - t_star) * geo.length >= geo.length / 4.0
+    far_enough = np.minimum(t_star, 1.0 - t_star) * length >= length / 4.0
     tangent = (-np.cos((1.0 - t_star) * a) * fa + np.cos(t_star * a) * fb) / math.sin(a)
     steep_enough = np.arcsin(np.minimum(1.0, np.abs(tangent))) >= math.pi / 4.0
     out = np.zeros(thetas.shape[0], dtype=bool)
@@ -638,12 +580,12 @@ def _transversal_mask_reference(thetas, x, y):
 
 def _arc_pair(n, distance, rng):
     """A uniform x and a y at the given normalized geodesic distance from it."""
-    x = sample_uniform_sphere(n, rng).coords
+    x = uniform_sphere_rows(n, 1, rng)[0]
     t = rng.standard_normal(n + 1)
     t -= (t @ x) * x
     t /= np.linalg.norm(t)
     angle = distance * math.pi
-    return UnitVector(x), UnitVector.normalized(math.cos(angle) * x + math.sin(angle) * t)
+    return x, unit(*(math.cos(angle) * x + math.sin(angle) * t))
 
 
 @pytest.mark.parametrize("distance", [1e-4, 0.01, 0.3, 0.5, 0.8, 1.0 - 1e-4])
@@ -652,7 +594,7 @@ def test_transversal_mask_matches_bisection_reference(distance):
     # which uniform directions almost never hit on short arcs
     rng = substream(7, "test-transversal-closed-form", int(distance * 1e4))
     x, y = _arc_pair(3, distance, rng)
-    mid = x.coords + y.coords
+    mid = x + y
     mid /= np.linalg.norm(mid)
     near = rng.standard_normal((20_000, 4))
     near -= np.outer(near @ mid, mid) * (1.0 - math.tan(distance * math.pi / 2.0))
@@ -662,9 +604,9 @@ def test_transversal_mask_matches_bisection_reference(distance):
     assert np.array_equal(transversal_mask(thetas, x, y), expected)
     assert expected.any()
     # the crossing points themselves agree to the bisection's resolution
-    fa, fb = thetas @ x.coords, thetas @ y.coords
+    fa, fb = thetas @ x, thetas @ y
     wedge = (fa >= 0) != (fb >= 0)
-    a = Geodesic(x, y).angle
+    a = arc_angle(x, y)
     gap = _crossing_fraction(fa[wedge], fb[wedge], a) - _bisect_crossing(fa[wedge], fb[wedge], a)
     assert np.abs(gap).max() <= 1e-12
 
@@ -674,5 +616,5 @@ def test_transversal_endpoint_crossings_rejected():
     x, y = unit(1, 0, 0), unit(0, 1, 0)
     thetas = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     assert not transversal_mask(thetas, x, y).any()
-    assert not transversal_separation(UnitVector([0.0, -1.0, 0.0]), x, y)
-    assert not transversal_separation(UnitVector([-1.0, 0.0, 0.0]), x, y)
+    assert not transversal_separation(thetas[1], x, y)
+    assert not transversal_separation(thetas[3], x, y)

@@ -14,7 +14,6 @@ from onebit import (
     PointSet,
     PreconditionError,
     SparseSpec,
-    UnitVector,
     finite_embedding,
     greedy_packing,
     linear_l1_rip,
@@ -27,11 +26,7 @@ from onebit import (
     substream,
     verify,
 )
-from oracles import cell_audit, gaussian_ensemble, sign_product_statistic, unit_ensemble
-
-
-def unit(*coords):
-    return UnitVector.normalized(np.array(coords, dtype=float))
+from oracles import cell_audit, gaussian_ensemble, sign_product_statistic, unit, unit_ensemble
 
 
 # --- small cells -----------------------------------------------------------------
@@ -176,7 +171,7 @@ def test_sign_product_rip_matches_scalar_statistic():
     worst = 0.0
     for i in range(4):
         for j in range(4):
-            s = abs(sign_product_statistic(ens, pts.unit(i), pts.unit(j)).statistic)
+            s = abs(sign_product_statistic(ens, pts.points[i], pts.points[j]).statistic)
             worst = max(worst, s)
     assert math.isclose(report.sup, worst, rel_tol=1e-10)
     assert report.passed
@@ -206,7 +201,7 @@ def test_linear_l1_rip_validation():
 
 def linear_l1_distance(ens, x, y):
     """Scalar twin of the audit's statistic: sum_j |g_j . (x - y)| / (m sqrt(2/pi))."""
-    return float(np.abs(ens.directions @ (x.coords - y.coords)).sum() / (ens.m * HALF_NORMAL_MEAN))
+    return float(np.abs(ens.directions @ (x - y)).sum() / (ens.m * HALF_NORMAL_MEAN))
 
 
 def test_linear_l1_identical_points_is_zero():
@@ -218,9 +213,9 @@ def test_linear_l1_identical_points_is_zero():
 def test_linear_l1_estimates_euclidean_distance():
     ens = gaussian_ensemble(5, 100_000, seed=21)
     rng = substream(21, "test-l1-pair")
-    x = UnitVector.normalized(rng.standard_normal(6))
-    y = UnitVector.normalized(rng.standard_normal(6))
-    chord = float(np.linalg.norm(x.coords - y.coords))
+    x = unit(*rng.standard_normal(6))
+    y = unit(*rng.standard_normal(6))
+    chord = float(np.linalg.norm(x - y))
     assert math.isclose(linear_l1_distance(ens, x, y), chord, abs_tol=0.02)
 
 
@@ -234,8 +229,9 @@ def test_linear_l1_rip_matches_scalar_statistic():
         for j in range(5):
             if i == j:
                 continue
-            est = linear_l1_distance(ens, pts.unit(i), pts.unit(j))
-            chord = float(np.linalg.norm(pts.unit(i).coords - pts.unit(j).coords))
+            x, y = pts.points[i], pts.points[j]
+            est = linear_l1_distance(ens, x, y)
+            chord = float(np.linalg.norm(x - y))
             worst = max(worst, abs(est - chord))
     assert math.isclose(report.sup, worst, rel_tol=1e-10)
 
