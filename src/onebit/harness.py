@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
@@ -618,9 +619,14 @@ _DISCREPANCY_STATISTICS = frozenset(
 
 
 def run_experiment(experiment: str, cfg: ExperimentConfig, workers: int = 1):
-    """Rows and verdict for a single experiment under cfg's master seed."""
+    """Rows and verdict for a single experiment under cfg's master seed.
+
+    Raises ValueError, before any trial, on a bad workers count or a config
+    that ``validate`` rejects.
+    """
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    cfg.validate()
     spec = REGISTRY[experiment]
     eff = _effective(experiment, cfg)
 
@@ -692,14 +698,19 @@ def write_report(cfg: ExperimentConfig, rows: list[ReportRow]) -> str:
 def run(cfg: ExperimentConfig, workers: int = 1) -> int:
     """Execute the configured experiment(s), write the report, return exit status.
 
+    As each experiment finishes, one line with its verdict and wall seconds
+    goes to stderr, such as ``onebit rip: FAIL (0.13 s)``; the report holds
+    no timings, so its bytes stay deterministic.
     0: every experiment verdict passed.  1: at least one verdict failed.
     I/O failures propagate as OSError for the CLI to translate.
     """
-    cfg.validate()
     rows: list[ReportRow] = []
     verdicts: list[bool] = []
     for name in _selected_experiments(cfg):
+        start = time.perf_counter()
         batch, verdict = run_experiment(name, cfg, workers=workers)
+        seconds = time.perf_counter() - start
+        print(f"onebit {name}: {'pass' if verdict else 'FAIL'} ({seconds:.2f} s)", file=sys.stderr)
         rows.extend(batch)
         verdicts.append(verdict)
     write_report(cfg, rows)

@@ -190,35 +190,20 @@ def _close_pair_rows(dist: np.ndarray, count: int) -> list[int]:
     index order, as that sort reaches the diagonal last.
 
     Each pair is the row minimum of at most two rows, so the 2 * count
-    smallest row minima come from at least ``count`` distinct pairs, all at
-    or below the largest of them, t.  Only entries <= t are looked at:
-    those below t lie in fewer than 2 * count rows, and entries equal to t
-    are read row by row in index order until enough pairs are found.
+    smallest row minima, all at or below the largest of them, t, come from at
+    least ``count`` distinct pairs.  Every pair at or below t lies in rows
+    whose minimum is at most t, so only those rows' entries <= t are sorted.
     """
     k = dist.shape[0]
     row_min = dist.min(axis=1)
     # with fewer than 2 * count rows every pair is a candidate (distances <= 1)
     t = np.partition(row_min, 2 * count - 1)[2 * count - 1] if k >= 2 * count else 1.0
-    chosen: list[int] = []
-    seen: set[tuple[int, int]] = set()
-
-    def take(i: int, j: int) -> bool:
-        key = (min(i, j), max(i, j))
-        if key not in seen:
-            seen.add(key)
-            chosen.append(i)
-        return len(chosen) == count
-
-    below = np.flatnonzero(row_min < t)
-    ii, jj = np.nonzero(dist[below] < t)
-    ii = below[ii]
-    for n in np.lexsort((jj, ii, dist[ii, jj])):
-        if take(int(ii[n]), int(jj[n])):
-            return chosen
-    for i in np.flatnonzero(row_min <= t):
-        for j in np.flatnonzero(dist[i] == t):
-            if take(int(i), int(j)):
-                return chosen
+    rows = np.flatnonzero(row_min <= t)
+    ii, jj = np.nonzero(dist[rows] <= t)
+    ii = rows[ii]
+    upper = ii < jj
+    ii, jj = ii[upper], jj[upper]
+    chosen = ii[np.lexsort((jj, ii, dist[ii, jj]))[:count]].tolist()
     return chosen + list(range(min(k, count - len(chosen))))
 
 

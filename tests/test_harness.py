@@ -1,10 +1,13 @@
 """Harness and CLI: config resolution, reports, determinism, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -589,6 +592,16 @@ def test_run_and_run_experiment_reject_bad_workers(workers, tmp_path, no_runs):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("kw", [{"trials": 0}, {"trials": -3}, {"delta": 1.5}, {"m": "banana"}])
+def test_run_experiment_rejects_what_validate_rejects(kw, no_runs):
+    # run_experiment is public: a config validate() rejects must not run, or pass vacuously
+    cfg = ExperimentConfig(**{"experiment": "rip", "delta": 0.2, **kw})
+    with pytest.raises(ValueError) as rejected:
+        cfg.validate()
+    with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
+        run_experiment("rip", cfg)
+
+
 @pytest.mark.parametrize(
     "argv, label",
     [
@@ -804,22 +817,62 @@ def test_python_dash_m_runs_the_cli():
     assert "usage" in helped.stdout
 
 
-def test_run_all_script_matches_combined_report(tmp_path):
+# fails some experiments' verdicts (rip's among them) and passes the others'
+_MIXED_FLAGS = ["--delta", "0.1", "--m", "200", "--trials", "2", "--net-size", "20", "--seed", "3"]
+
+
+@pytest.fixture(scope="module")
+def mixed_battery(tmp_path_factory):
+    """`onebit all` at _MIXED_FLAGS: its exit code, stdout, stderr and CSV report lines."""
+    out = tmp_path_factory.mktemp("battery") / "all.csv"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["all", *_MIXED_FLAGS, "--out", str(out)])
+    lines = out.read_text(encoding="utf-8").splitlines()
+    return code, stdout.getvalue(), stderr.getvalue().splitlines(), lines
+
+
+def test_all_writes_one_verdict_line_per_experiment_to_stderr(mixed_battery):
+    code, stdout, stderr, _ = mixed_battery
+    lines = [re.fullmatch(r"onebit ([a-z-]+): (pass|FAIL) \(\d+\.\d\d s\)", x) for x in stderr]
+    assert all(lines), stderr
+    assert [line[1] for line in lines] == list(EXPERIMENT_ORDER)
+    # the FAIL lines name exactly the experiments whose verdict failed
+    cfg, _ = parse_config(["all", *_MIXED_FLAGS])
+    failed = [n for n in EXPERIMENT_ORDER if not run_experiment(n, cfg)[1]]
+    assert "rip" in failed and len(failed) < len(EXPERIMENT_ORDER)
+    assert [line[1] for line in lines if line[2] == "FAIL"] == failed
+    assert code == 1
+    assert stdout.splitlines()[-1].startswith("onebit all: FAIL (report: ")
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_ORDER)
+def test_each_subcommand_report_is_its_lines_of_the_all_report(
+    experiment, mixed_battery, tmp_path, capsys
+):
+    # trial t of experiment e draws only from the stream (seed, e, t), so an
+    # experiment run alone writes exactly its rows of the battery's report
+    _, _, battery_stderr, (header, *rows) = mixed_battery
+    out = tmp_path / f"{experiment}.csv"
+    code = main([experiment, *_MIXED_FLAGS, "--out", str(out)])
+    own = [row for row in rows if row.startswith(f"{experiment},")]
+    assert own and out.read_text(encoding="utf-8").splitlines() == [header, *own]
+    verdict = "pass" if code == 0 else "FAIL"
+    assert f"onebit {experiment}: {verdict} (" in battery_stderr[EXPERIMENT_ORDER.index(experiment)]
+    assert capsys.readouterr().err.startswith(f"onebit {experiment}: {verdict} (")
+
+
+def test_peak_rss_script_prints_a_row_per_experiment_alone_and_in_sequence():
     repo = pathlib.Path(__file__).resolve().parents[1]
-    results = tmp_path / "results"
     proc = subprocess.run(
-        [sys.executable, str(repo / "scripts" / "run_all.py"), "--trials", "1",
-         "--seed", "3", "--workers", "1", "--results-dir", str(results)],
-        env={**os.environ, "PYTHONPATH": str(repo / "src")},
-        capture_output=True, text=True, timeout=300,
+        [sys.executable, str(repo / "scripts" / "peak_rss.py"), "--net-size", "30",
+         "--seed", "1", "--passes", "1", "rip", "nets"],
+        capture_output=True, text=True, timeout=120,
     )
-    for name in EXPERIMENT_ORDER:
-        lines = (results / f"{name}.csv").read_text(encoding="utf-8").splitlines()
-        assert len(lines) > 1 and all(line.startswith(f"{name},") for line in lines[1:])
-    produced = (results / "all.json").read_bytes()
-    cfg = ExperimentConfig(
-        experiment="all", delta=0.2, trials=1, seed=3, net_size=200,
-        out_path=str(results / "all.json"), format="json",
-    )
-    assert run(cfg) == proc.returncode, proc.stderr
-    assert (results / "all.json").read_bytes() == produced
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    alone = lines.index("alone")
+    sequence = next(i for i, line in enumerate(lines) if line.startswith("in sequence"))
+    for block in (lines[alone + 1 : sequence], lines[sequence + 1 :]):
+        assert [row.split()[0] for row in block] == ["rip", "nets"]
+        assert all(float(row.split()[1]) > 0 for row in block)
