@@ -9,10 +9,11 @@ A refactor that keeps every output leaves this sha unchanged:
 
     python3 scripts/report_sha.py
 
-A second line names the numpy version, the BLAS build and the BLAS thread
-setting the report was made with: the bytes hold for one numpy/BLAS build
-and one BLAS thread count (with OpenBLAS, ``OPENBLAS_NUM_THREADS=1`` gives
-another sha than the default).
+A second line names the numpy version, the BLAS build and the thread count
+that numpy's bundled OpenBLAS reports in this interpreter, which the onebit
+run inherits through the same environment: the bytes hold for one
+numpy/BLAS build and one BLAS thread count (``OPENBLAS_NUM_THREADS=1`` gives
+another sha than the default on a machine with more than one cpu).
 
 Exits with onebit's status: 0 when every verdict passed, 1 when one failed
 (the sha is still printed), 2 or 3 when no report was written.
@@ -31,18 +32,17 @@ import numpy as np
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 ARGS = ["all", "--delta", "0.2", "--seed", "11", "--format", "json"]
-# OpenBLAS reads the first of these that is set, else uses every cpu
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+sys.path.insert(0, str(SRC))
+
+from onebit.blas import blas_threads  # noqa: E402
 
 
 def provenance() -> str:
-    """The numpy version, BLAS build and BLAS thread setting of this interpreter."""
+    """The numpy version, BLAS build and BLAS thread count of this interpreter."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    threads = next(
-        (f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS if os.environ.get(var)),
-        f"default ({os.cpu_count()} cpus)",
-    )
-    return f"numpy {np.__version__}, blas {blas.get('name')} {blas.get('version')}, threads {threads}"
+    threads = blas_threads()
+    count = "unknown (numpy does not run on scipy-openblas)" if threads is None else threads
+    return f"numpy {np.__version__}, blas {blas.get('name')} {blas.get('version')}, threads {count}"
 
 
 def main() -> int:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .errors import FeasibilityError, NumericalError
 from .nets import first_uncovered_cover
 from .sphere import PointSet, pairwise_chord, pairwise_geodesic
@@ -28,6 +29,8 @@ from .sphere import PointSet, pairwise_chord, pairwise_geodesic
 CHOLESKY_MAX_POINTS = 2000
 # output columns per product with the Cholesky factor's lower triangle
 CHOLESKY_BLOCK_COLUMNS = 256
+# float64 normals that one row block of the Cholesky width draws
+CHOLESKY_ROW_BYTES = 4 * 2**20
 _JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # a factorization at this jitter or below proves the covariance PSD
 CERTIFIED_JITTER = 1e-9
@@ -37,6 +40,8 @@ MIN_EMPIRICAL_INNER = 10_000
 HEMISPHERE_CHUNK_BYTES = 16 * 2**20
 # threads that split the trials of hemisphere_empirical_samples
 _SAMPLER_THREADS = 2
+# generators that hemisphere_empirical_samples spawns at a time, about 0.9 KB each
+_SPAWN_BLOCK = 1024
 # OpenBLAS runs a GEMM of m * n * k multiply-adds below 65536 * 4 on one thread
 _GEMM_ONE_THREAD = 2**18 - 1
 
@@ -54,22 +59,59 @@ def _width_estimate(sups: np.ndarray) -> WidthEstimate:
     return WidthEstimate(value=float(sups.mean()), std_error=se)
 
 
-def _cholesky_factor(entries: np.ndarray) -> np.ndarray:
-    """Read-only Cholesky factor of a hemisphere covariance, checked first.
+def _factor_upper(entries: np.ndarray) -> bool:
+    """Overwrite the upper triangle of entries with U, entries = U^T U; False if not PD.
 
-    ``entries`` must be square and finite with a diagonal of exactly 1/4,
-    and positive semidefinite up to roundoff (smallest eigenvalue >= -1e-8);
-    a matrix that fails raises ValueError.  The factor is that of
-    entries + jitter * I at the first rung of ``_JITTERS`` that factors.
-    Each rung is written onto the diagonal of ``entries``, and the saved
-    diagonal is restored exactly before returning, so ``entries`` ends
-    bitwise as it came and no (k, k) copy is made.  When every rung fails,
-    NumericalError is raised.
+    The strict lower triangle is left as it was.  Without numpy's bundled
+    OpenBLAS, ``numpy.linalg.cholesky`` factors a copy whose transpose is
+    written back.
+    """
+    if blas.openblas() is not None:
+        return blas.potrf_upper(entries)
+    try:
+        lower = np.linalg.cholesky(entries)
+    except np.linalg.LinAlgError:
+        return False
+    for row in range(len(entries)):
+        entries[row, row:] = lower[row:, row]
+    return True
+
+
+def _mirror_lower(entries: np.ndarray, diag: np.ndarray) -> None:
+    """Rebuild a symmetric matrix from its strict lower triangle and a saved diagonal."""
+    k = len(entries)
+    for lo in range(0, k, CHOLESKY_BLOCK_COLUMNS):
+        hi = min(lo + CHOLESKY_BLOCK_COLUMNS, k)
+        entries[lo:hi, hi:] = entries[hi:, lo:hi].T
+        block = entries[lo:hi, lo:hi]
+        upper = np.triu_indices(hi - lo, 1)
+        block[upper] = block.T[upper]
+    np.fill_diagonal(entries, diag)
+
+
+def _cholesky_factor(entries: np.ndarray) -> np.ndarray:
+    """Read-only Cholesky factor of a hemisphere covariance, checked first, in its storage.
+
+    ``entries`` must be a C-contiguous float64 array, square and finite
+    with a diagonal of exactly 1/4, and positive semidefinite up to
+    roundoff (smallest eigenvalue >= -1e-8); a matrix that fails raises
+    ValueError.  The factor is that of entries + jitter * I at the first
+    rung of ``_JITTERS`` that factors, bitwise ``numpy.linalg.cholesky``'s.
+    When every rung fails, NumericalError is raised.
+
+    No (k, k) copy is made.  Each rung is written onto the diagonal and
+    factored in place as entries = U^T U, into the upper triangle, while
+    the strict lower triangle keeps the covariance.  A rung that fails is
+    undone by mirroring that triangle back and rewriting the saved
+    diagonal, so on every failure path ``entries`` comes back bitwise as
+    built.  On success the strict lower triangle is zeroed and the factor
+    returned is the lower-triangular view ``entries.T``.
 
     A factorization at jitter <= ``CERTIFIED_JITTER`` of at most
     ``CHOLESKY_MAX_POINTS`` points proves PSD: its backward error bounds
     lambda_min from below by -1e-9 - O(k eps |A|), inside the -1e-8
-    tolerance.  Any other outcome falls back to ``eigvalsh``.
+    tolerance.  Any other outcome rebuilds the covariance for ``eigvalsh``
+    and, when it passes, factors it again at the same rung.
     """
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("covariance must be square")
@@ -78,33 +120,34 @@ def _cholesky_factor(entries: np.ndarray) -> np.ndarray:
     diag = np.diagonal(entries).copy()
     if np.abs(diag - 0.25).max() > 1e-12:
         raise ValueError("hemisphere covariance diagonal must equal 1/4")
-    factor = None
-    try:
-        for jitter in _JITTERS:
-            np.fill_diagonal(entries, diag + jitter)
-            try:
-                factor = np.linalg.cholesky(entries)
-                break
-            except np.linalg.LinAlgError:
-                continue
-    finally:
-        np.fill_diagonal(entries, diag)
-    certified = (
-        factor is not None
-        and jitter <= CERTIFIED_JITTER
-        and entries.shape[0] <= CHOLESKY_MAX_POINTS
-    )
+    factored = False
+    for jitter in _JITTERS:
+        np.fill_diagonal(entries, diag + jitter)
+        factored = _factor_upper(entries)
+        if factored:
+            break
+        _mirror_lower(entries, diag)
+    certified = factored and jitter <= CERTIFIED_JITTER and len(entries) <= CHOLESKY_MAX_POINTS
     if not certified:
+        if factored:
+            _mirror_lower(entries, diag)
         smallest = float(np.linalg.eigvalsh(entries)[0])
         if smallest < -1e-8:
             raise ValueError(
                 f"covariance is not PSD within tolerance: lambda_min = {smallest:.3e}"
             )
-    if factor is None:
-        raise NumericalError(
-            f"cholesky failed for every jitter up to {_JITTERS[-1]:g}; "
-            "covariance is badly conditioned"
-        )
+        if not factored:
+            raise NumericalError(
+                f"cholesky failed for every jitter up to {_JITTERS[-1]:g}; "
+                "covariance is badly conditioned"
+            )
+        np.fill_diagonal(entries, diag + jitter)
+        if not _factor_upper(entries):
+            _mirror_lower(entries, diag)
+            raise NumericalError(f"cholesky at jitter {jitter:g} failed on a second try")
+    for row in range(1, len(entries)):
+        entries[row, :row] = 0.0
+    factor = entries.T
     factor.flags.writeable = False
     return factor
 
@@ -149,13 +192,15 @@ def estimate_hemisphere_width_cholesky(
     set of at most that many points takes one product of the full operands,
     so its estimate is bitwise that of ``y @ factor.T``; a larger set sums
     each entry in different pieces, and its estimate can move in the last
-    bits.  The generator draws the same normals either way.
+    bits.
 
-    Working memory while sampling: the factor, the (trials, k) normals and
-    one (trials, ``CHOLESKY_BLOCK_COLUMNS``) block, which is reduced into
-    running row maxima and minima before the next block overwrites it.
-    Max and min are exact, so no (trials, k) product is needed for the
-    same bits.
+    Working memory while sampling: the factor, which reuses the storage of
+    the covariance it was factored from, one block of
+    ``CHOLESKY_ROW_BYTES`` of the (trials, k) normals, drawn row block by
+    row block into one reused buffer in the generator's order, and one
+    (rows, ``CHOLESKY_BLOCK_COLUMNS``) block of their product, reduced into
+    running row maxima and minima before the next overwrites it.  Max and
+    min are exact, so no (trials, k) array is needed for the same bits.
     """
     if len(points) > CHOLESKY_MAX_POINTS:
         raise FeasibilityError(
@@ -163,21 +208,25 @@ def estimate_hemisphere_width_cholesky(
         )
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
-    # only the factor outlives this line: the (k, k) entries are freed before sampling
     factor = _cholesky_factor(covariance_matrix(points))
     k = len(points)
-    y = rng.standard_normal((trials, k))
-    block = np.empty((trials, min(k, CHOLESKY_BLOCK_COLUMNS)))
+    rows = max(1, min(trials, CHOLESKY_ROW_BYTES // (8 * k)))
+    normals = np.empty((rows, k))
+    block = np.empty((rows, min(k, CHOLESKY_BLOCK_COLUMNS)))
     hi = np.full(trials, -np.inf)
     lo = np.full(trials, np.inf)
-    # column block [a, b) of y @ factor^T reads only factor[a:b, :b]: the
-    # factor is lower-triangular, so the columns of y past b meet zeros
-    for a in range(0, k, CHOLESKY_BLOCK_COLUMNS):
-        b = min(a + CHOLESKY_BLOCK_COLUMNS, k)
-        z = block[:, : b - a]
-        np.matmul(y[:, :b], factor[a:b, :b].T, out=z)
-        np.maximum(hi, z.max(axis=1), out=hi)
-        np.minimum(lo, z.min(axis=1), out=lo)
+    for r0 in range(0, trials, rows):
+        r1 = min(r0 + rows, trials)
+        y = normals[: r1 - r0]
+        rng.standard_normal(out=y)
+        # column block [a, b) of y @ factor^T reads only factor[a:b, :b]: the
+        # factor is lower-triangular, so the columns of y past b meet zeros
+        for a in range(0, k, CHOLESKY_BLOCK_COLUMNS):
+            b = min(a + CHOLESKY_BLOCK_COLUMNS, k)
+            z = block[: r1 - r0, : b - a]
+            np.matmul(y[:, :b], factor[a:b, :b].T, out=z)
+            np.maximum(hi[r0:r1], z.max(axis=1), out=hi[r0:r1])
+            np.minimum(lo[r0:r1], z.min(axis=1), out=lo[r0:r1])
     return _width_estimate(hi - lo)
 
 
@@ -193,7 +242,10 @@ def hemisphere_empirical_samples(
 
     Streams, work and memory: trial t draws its directions from child t of
     ``rng.spawn(trials)``, so row t depends only on the caller's generator
-    and t.  A pool of ``_SAMPLER_THREADS`` threads splits the trials.  Each
+    and t.  The children are spawned in order from the calling thread,
+    ``_SPAWN_BLOCK`` at a time, and the next block is spawned while the
+    current one is counted, so at most two blocks of generators are alive.
+    A pool of ``_SAMPLER_THREADS`` threads splits each block's trials.  Each
     thread draws a trial in pieces into its own float64 buffer (8 * ambient
     bytes per direction) and bool hit array (k bytes per direction), which
     together hold at most ``HEMISPHERE_CHUNK_BYTES``.  Projections go through
@@ -207,20 +259,19 @@ def hemisphere_empirical_samples(
         raise ValueError("trials must be >= 1")
     k, ambient = len(points), points.ambient
     out = np.empty((trials, k))
-    streams = rng.spawn(trials)
     rows_cap = max(1, min(m_inner, HEMISPHERE_CHUNK_BYTES // (8 * ambient + k)))
     cols = max(1, min(rows_cap, _GEMM_ONE_THREAD // (k * ambient)))
     threads = min(_SAMPLER_THREADS, trials)
 
-    def count_trials(first: int):
+    def count_trials(start: int, streams, first: int):
         g = np.empty((rows_cap, ambient))
         hits = np.empty((k, rows_cap), dtype=bool)
         block = np.empty(k * cols)
         counts = np.empty(k, dtype=np.intp)
-        for t in range(first, trials, threads):
+        for t in range(first, len(streams), threads):
             counts[:] = 0
-            for start in range(0, m_inner, rows_cap):
-                span = min(rows_cap, m_inner - start)
+            for piece_start in range(0, m_inner, rows_cap):
+                span = min(rows_cap, m_inner - piece_start)
                 piece = g[:span]
                 streams[t].standard_normal(out=piece)
                 for a in range(0, span, cols):
@@ -231,11 +282,17 @@ def hemisphere_empirical_samples(
                 # count_nonzero on a contiguous row is far faster than along an axis
                 for i, row in enumerate(hits[:, :span]):
                     counts[i] += np.count_nonzero(row)
-            out[t] = (counts - m_inner / 2.0) / math.sqrt(m_inner)
+            out[start + t] = (counts - m_inner / 2.0) / math.sqrt(m_inner)
 
     with ThreadPoolExecutor(threads) as pool:
-        for future in [pool.submit(count_trials, first) for first in range(threads)]:
-            future.result()
+        streams = rng.spawn(min(_SPAWN_BLOCK, trials))
+        for start in range(0, trials, _SPAWN_BLOCK):
+            futures = [pool.submit(count_trials, start, streams, first) for first in range(threads)]
+            following = min(_SPAWN_BLOCK, trials - start - _SPAWN_BLOCK)
+            if following > 0:
+                streams = rng.spawn(following)
+            for future in futures:
+                future.result()
     return out
 
 

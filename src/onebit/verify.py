@@ -21,10 +21,10 @@ from .sphere import PointSet, pairwise_chord
 # working memory of linear_l1_rip's pair tile: 4 x 8 pairs at the battery's m = 2773,
 # well inside one core's L2
 L1_TILE_BYTES = 768 * 2**10
-# float32 counts +-1 agreements exactly in blocks of fewer than 2^24 columns
-HAMMING_BLOCK_COLUMNS = 2**24 - 1
-# rows of the (k, k) matrices that _hamming_audit folds at a time: 1 MiB of float64 per block
-HAMMING_ROW_BYTES = 2**20
+# sign columns per float32 agreement product: far below the 2^24 that float32 counts exactly
+HAMMING_TILE_COLUMNS = 512
+# rows of the (k, k) matrices that the pair audits visit at a time: 2 MiB of float64 per block
+HAMMING_ROW_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -68,35 +68,37 @@ def _check_audit(
         raise ValueError(f"{name} must be finite and positive, got {bound}")
 
 
-def _agreements(points: PointSet, ens: MeasurementEnsemble) -> np.ndarray:
-    """(k, k) sums over the measurements of s_i s_l, the agreeing minus disagreeing signs.
+def _agreement_tile(bits: np.ndarray, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+    """(hi - lo, k - lo) float64 sums of s_i s_j, i in [lo, hi), j in [lo, k).
 
-    Every entry is an exact integer.  Each block of fewer than 2^24 columns is
-    multiplied in float32: every partial sum of its +-1 products is an
-    integer below 2^24 in magnitude, so float32 holds it exactly, and
-    several blocks add up exactly in float64.  A block's float32 signs are
-    freed as soon as its product is formed.  An empty ensemble is one empty
-    block, whose product is the (k, k) zero matrix.
+    Each entry is the number of agreeing minus disagreeing signs, an exact
+    integer.  Columns of the int8 signs are cast into ``buf`` (a float32
+    (k, c) buffer) at most c = ``HAMMING_TILE_COLUMNS`` at a time; every
+    partial sum of such a chunk's +-1 products is an integer below 2^24 in
+    magnitude, which float32 holds exactly, and the chunks add up exactly
+    in float64.  An empty ensemble gives the zero tile.
     """
-    bits = sign_matrix(ens, points)
-    total = None
-    for lo in range(0, max(ens.m, 1), HAMMING_BLOCK_COLUMNS):
-        block = bits[:, lo : lo + HAMMING_BLOCK_COLUMNS].astype(np.float32)
-        agree = block @ block.T
-        del block
-        total = agree if total is None else np.add(total, agree, dtype=np.float64)
-    return total
+    k, m = bits.shape
+    agree = np.zeros((hi - lo, k - lo))
+    prod = np.empty(agree.shape, dtype=np.float32)
+    for c0 in range(0, m, buf.shape[1]):
+        c1 = min(c0 + buf.shape[1], m)
+        cols = buf[: k - lo, : c1 - c0]
+        cols[...] = bits[lo:, c0:c1]
+        np.matmul(cols[: hi - lo], cols.T, out=prod)
+        agree += prod
+    return agree
 
 
 def _hamming(agree: np.ndarray, m: int) -> np.ndarray:
-    """Float64 Hamming distances (m - agreements) / 2m of exact agreement counts.
+    """Hamming distances (m - agreements) / 2m of exact agreement counts, in their place.
 
-    The counts are exact integers, so any block of rows is bitwise those
-    rows of the whole (k, k) Hamming matrix.
+    The counts are exact integers, so any tile is bitwise those entries of
+    the whole (k, k) Hamming matrix.
     """
-    ham = np.subtract(float(m), agree, dtype=np.float64)
-    ham /= 2.0 * m
-    return ham
+    np.subtract(float(m), agree, out=agree)
+    agree /= 2.0 * m
+    return agree
 
 
 def _hamming_audit(
@@ -104,24 +106,36 @@ def _hamming_audit(
 ) -> tuple[float, tuple[int, int]]:
     """Fold the sign agreements into the geodesic matrix; return its largest off-diagonal entry.
 
-    The agreements are counted first, so the float32 signs are freed before
-    the (k, k) geodesic matrix is built.  Its diagonal is set to 1.0, so a
-    fold may divide by it.  ``fold(lo, agree, dist)`` gets HAMMING_ROW_BYTES
-    of rows at a time, from row ``lo`` on: the exact agreement counts
-    ``agree``, of which ``_hamming`` forms those rows' Hamming distances, and
-    the geodesic rows ``dist``, which it overwrites with the statistic of
-    those pairs.  So no (k, k) float64 Hamming matrix is formed.  The
-    diagonal is then zeroed, and ties go to the first pair in row-major
-    order.
+    The geodesic matrix is built whole, and its diagonal is set to 1.0, so
+    a fold may divide by it.  Only its upper block triangle is visited:
+    ``fold(lo, agree, dist)`` gets rows [lo, lo + r) against columns
+    [lo, k), with r the rows of HAMMING_ROW_BYTES of float64.  ``agree``
+    holds their exact agreement counts from ``_agreement_tile``, of which
+    ``_hamming`` forms the Hamming distances, and the fold overwrites the
+    geodesic tile ``dist`` with the statistic of those pairs.  Besides the
+    geodesic matrix and the (k, m) int8 signs the audit holds one tile and
+    one float32 column buffer, so no (k, k) agreement or Hamming matrix is
+    formed.  The statistics are symmetric, and the first maximum of a
+    symmetric matrix in row-major order lies at i <= j, so a running
+    strict maximum over the tiles in row order returns the pair a whole
+    (k, k) argmax would, the diagonal counting as 0; when every statistic
+    is 0 that is (0, 0).
     """
-    agree = _agreements(points, ens)
+    bits = sign_matrix(ens, points)
     dist = points.pairwise_geodesic()
     np.fill_diagonal(dist, 1.0)
-    step = max(1, HAMMING_ROW_BYTES // (8 * len(dist)))
-    for lo in range(0, len(dist), step):
-        fold(lo, agree[lo : lo + step], dist[lo : lo + step])
-    np.fill_diagonal(dist, 0.0)
-    return _argmax_pair(dist)
+    k = len(dist)
+    step = max(1, HAMMING_ROW_BYTES // (8 * k))
+    buf = np.empty((k, min(max(ens.m, 1), HAMMING_TILE_COLUMNS)), dtype=np.float32)
+    sup, pair = 0.0, (0, 0)
+    for lo in range(0, k, step):
+        tile = dist[lo : lo + step, lo:]
+        fold(lo, _agreement_tile(bits, lo, lo + len(tile), buf), tile)
+        np.fill_diagonal(tile, 0.0)
+        value, (i, j) = _argmax_pair(tile)
+        if value > sup:
+            sup, pair = value, (lo + i, lo + j)
+    return sup, pair
 
 
 def small_cells_check(
@@ -133,24 +147,25 @@ def small_cells_check(
     ensemble leaves a single cell covering everything.  Two points share a
     cell exactly when their signs agree on all m directions, so the widest
     cell's diameter is the largest geodesic distance over such pairs (0 when
-    every cell is a singleton), and a point opens a cell unless an earlier
-    point shares its pattern.  Returns the number of cells and the audit,
+    every cell is a singleton), and a point j opens a cell unless some
+    i < j shares its pattern.  Returns the number of cells and the audit,
     which passes when the diameter stays below ``delta``.
     """
     _check_dims(points, ens)
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    num_cells = 0
+    shared = np.zeros(len(points), dtype=bool)
 
     def fold(lo, agree, dist):
-        nonlocal num_cells
         same = agree == ens.m
-        # the first point sharing row i's pattern is i itself when i opens a cell
-        first = np.argmax(same, axis=1)
-        num_cells += int(np.count_nonzero(first == np.arange(lo, lo + len(same))))
         dist *= same
+        # every pair i < j lies in the tile of row i: keep only those of the diagonal block
+        square = same[:, : len(same)]
+        square[...] = np.triu(square, 1)
+        np.logical_or(shared[lo:], same.any(axis=0), out=shared[lo:])
 
     sup, pair = _hamming_audit(points, ens, fold)
+    num_cells = len(points) - int(np.count_nonzero(shared))
     return num_cells, PairAudit(sup, pair, float(delta), sup < delta)
 
 
@@ -175,26 +190,34 @@ def sign_product_rip(
     The product sgn(P) P^T / m with P = X G^T (points X, directions G) is
     summed through the ambient dimension as (sgn(P) G) X^T / m: it skips the
     k^2 m multiply-adds of the (k, k) product over the m measurements for
-    k m (n + 1) + k^2 (n + 1).  The signs overwrite P, so one (k, m) array
-    is alive at a time.  The reassociated sums round differently, so
-    ``sup`` can move in its last bits, and ``pair`` only between pairs that
-    tie to within that rounding.
+    k m (n + 1) + k^2 (n + 1).  The signs come from ``sign_matrix``, and
+    the statistic is formed for HAMMING_ROW_BYTES of rows at a time, less
+    HALF_NORMAL_MEAN times those rows of the Gram matrix X X^T; a running
+    strict maximum over the blocks in row order keeps the first witness in
+    row-major order.  So besides the (k, m) int8 signs the audit holds one
+    block of float64 signs and two (rows, k) blocks, and no (k, m) float64
+    or (k, k) array.  The reassociated sums and the row-blocked Gram round
+    differently from the product over the measurements, so ``sup`` can move
+    in its last bits, and ``pair`` only between pairs that tie to within
+    that rounding.
     """
     _check_audit(points, ens, "delta_target", delta_target, min_points=1)
-    sgn = points.points @ ens.directions.T  # (k, m)
-    # 1.0 where the projection is >= 0, else 0.0, then +-1: sign(0) = +1
-    np.greater_equal(sgn, 0.0, out=sgn)
-    sgn *= 2.0
-    sgn -= 1.0
-    summed = sgn @ ens.directions  # (k, n + 1)
-    del sgn
-    stats = summed @ points.points.T
-    stats /= ens.m
-    gram = points.points @ points.points.T
-    gram *= HALF_NORMAL_MEAN
-    stats -= gram
-    np.abs(stats, out=stats)
-    sup, pair = _argmax_pair(stats)
+    bits = sign_matrix(ens, points)
+    x = points.points
+    k = len(x)
+    step = max(1, HAMMING_ROW_BYTES // (8 * max(k, ens.m)))
+    sup, pair = -math.inf, (0, 0)
+    for lo in range(0, k, step):
+        summed = bits[lo : lo + step].astype(np.float64) @ ens.directions  # (rows, n + 1)
+        stats = summed @ x.T
+        stats /= ens.m
+        gram = x[lo : lo + step] @ x.T
+        gram *= HALF_NORMAL_MEAN
+        stats -= gram
+        np.abs(stats, out=stats)
+        value, (i, j) = _argmax_pair(stats)
+        if value > sup:
+            sup, pair = value, (lo + i, j)
     return PairAudit(sup, pair, float(delta_target), sup <= delta_target)
 
 

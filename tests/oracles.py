@@ -164,3 +164,59 @@ def cell_audit(points: PointSet, ens: MeasurementEnsemble) -> tuple[int, float]:
         members = np.flatnonzero(inverse == cell)
         widest = max(widest, float(dist[np.ix_(members, members)].max()))
     return num_cells, widest
+
+
+# --- pair audits over whole (k, k) matrices --------------------------------------
+
+
+def _first_max(values: np.ndarray) -> tuple[float, tuple[int, int]]:
+    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+    return float(values[i, j]), (int(i), int(j))
+
+
+def agreements(points: PointSet, ens: MeasurementEnsemble) -> np.ndarray:
+    """(k, k) agreeing minus disagreeing signs, in one float32 product of the (k, m) signs.
+
+    The single-product form the Hamming audits' tiles replace: every partial
+    sum of +-1 products is an integer, exact in float32 while m < 2^24.
+    """
+    bits = sign_matrix(ens, points).astype(np.float32)
+    return (bits @ bits.T).astype(np.float64)
+
+
+def hamming_audits(points: PointSet, ens: MeasurementEnsemble) -> dict:
+    """(sup, pair) of each Hamming audit's statistic over whole (k, k) matrices.
+
+    ``rip`` is one_bit_rip's |hamming - geodesic|, ``ratio``
+    metric_ratio_check's |hamming - geodesic| / geodesic (meaningful on a
+    packed set) and ``cells`` small_cells_check's same-cell diameter, with
+    the diagonal at 0 and ties to the first pair in row-major order.
+    ``num_cells`` counts the points whose first equal pattern is their own.
+    """
+    agree = agreements(points, ens)
+    ham = (ens.m - agree) / (2.0 * ens.m)
+    dist = points.pairwise_geodesic()
+    np.fill_diagonal(dist, 1.0)
+    same = agree == ens.m
+    out = {}
+    for name, stat in (
+        ("rip", np.abs(ham - dist)),
+        ("ratio", np.abs(ham - dist) / dist),
+        ("cells", dist * same),
+    ):
+        np.fill_diagonal(stat, 0.0)
+        out[name] = _first_max(stat)
+    out["num_cells"] = int(np.count_nonzero(np.argmax(same, axis=1) == np.arange(len(same))))
+    return out
+
+
+def sign_product_whole(points: PointSet, ens: MeasurementEnsemble) -> tuple[float, tuple[int, int]]:
+    """sign_product_rip's (sup, pair) from whole arrays: the (k, m) float64 signs of
+    one product X G^T, then (sgn G) X^T / m less sqrt(2/pi) X X^T, all (k, k)."""
+    sgn = np.where(points.points @ ens.directions.T >= 0.0, 1.0, -1.0)
+    stats = (sgn @ ens.directions) @ points.points.T
+    stats /= ens.m
+    gram = points.points @ points.points.T
+    gram *= HALF_NORMAL_MEAN
+    stats -= gram
+    return _first_max(np.abs(stats))

@@ -339,7 +339,9 @@ def test_metric_ratio_fails_on_a_constant_sign_map(monkeypatch):
     rows, verdict = run_experiment("metric-ratio", cfg)
     assert verdict and all(r.value < 0.2 for r in rows if r.statistic == "sup_ratio")
     monkeypatch.setattr(
-        verify, "_agreements", lambda points, ens: np.full((len(points),) * 2, float(ens.m))
+        verify,
+        "_agreement_tile",
+        lambda bits, lo, hi, buf: np.full((hi - lo, len(bits) - lo), float(bits.shape[1])),
     )
     rows, verdict = run_experiment("metric-ratio", cfg)
     assert [(r.value, r.passed) for r in rows if r.statistic == "sup_ratio"] == [(1.0, False)] * 5

@@ -14,6 +14,7 @@ from onebit import (
     NumericalError,
     PointSet,
     SparseSpec,
+    blas,
     covariance_matrix,
     estimate_gaussian_width,
     estimate_hemisphere_width_cholesky,
@@ -91,27 +92,30 @@ def _twin_covariance(gap):
     return np.array([[0.25, 0.25 + gap], [0.25 + gap, 0.25]])
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda rng: PointSet.uniform(3, 50, rng),
-        lambda rng: PointSet.uniform(63, 400, rng),
-        # repeated points make the covariance singular
-        lambda rng: PointSet(np.vstack([PointSet.uniform(3, 20, rng).points] * 3)),
-        lambda rng: sparse_net(SparseSpec(64, 4), 300, rng),
-    ],
-)
+_FACTOR_SETS = [
+    lambda rng: PointSet.uniform(3, 50, rng),
+    lambda rng: PointSet.uniform(63, 400, rng),
+    # repeated points make the covariance singular
+    lambda rng: PointSet(np.vstack([PointSet.uniform(3, 20, rng).points] * 3)),
+    lambda rng: sparse_net(SparseSpec(64, 4), 300, rng),
+]
+
+
+@pytest.mark.parametrize("make", _FACTOR_SETS)
 def test_covariance_factor_matches_jitter_ladder(make):
     cov = covariance_matrix(make(substream(6, "test-cov-factor")))
+    expected = _chol_with_jitter_reference(cov)
     factor = _cholesky_factor(cov)
-    assert np.array_equal(factor, _chol_with_jitter_reference(cov))
+    assert np.array_equal(factor, expected)  # bitwise, zeros above the diagonal included
+    assert np.shares_memory(factor, cov)
     assert not factor.flags.writeable
 
 
 def test_covariance_factor_from_a_higher_rung_is_kept():
     # factors at jitter 1e-8 only; lambda_min = -5e-9 passes the eigvalsh fallback
     entries = _twin_covariance(5e-9)
-    assert np.array_equal(_cholesky_factor(entries), _chol_with_jitter_reference(entries))
+    expected = _chol_with_jitter_reference(entries)
+    assert np.array_equal(_cholesky_factor(entries), expected)
 
 
 def test_covariance_factored_only_at_a_high_rung_is_rejected():
@@ -122,24 +126,52 @@ def test_covariance_factored_only_at_a_high_rung_is_rejected():
         _cholesky_factor(entries)
 
 
-def test_ladder_leaves_entries_as_built_and_read_only(monkeypatch):
-    # the 5e-9 twin climbs three rungs, each written onto the diagonal and undone
-    built = _twin_covariance(5e-9)
+def _assert_ladder_factors_in_place_and_restores_failures(monkeypatch):
+    # success reuses the input's storage; every failure path hands it back bitwise as built
+    built = _twin_covariance(5e-9)  # climbs three rungs
     expected = _chol_with_jitter_reference(built)
     factor = _cholesky_factor(built)
-    assert built.tobytes() == _twin_covariance(5e-9).tobytes()
+    assert np.shares_memory(factor, built)
     assert np.array_equal(factor, expected)
     assert not factor.flags.writeable
-    # a ladder that fails at every rung still restores the diagonal
-    monkeypatch.setattr(processes, "_JITTERS", (-1.0,))
-    pts = PointSet.uniform(2, 5, substream(4, "test-ladder-restores"))
-    cov = covariance_matrix(pts)
-    with pytest.raises(NumericalError):
-        _cholesky_factor(cov)
-    expected = pts.pairwise_geodesic()
-    expected *= -0.5
-    expected += 0.25
-    assert cov.tobytes() == expected.tobytes()
+    # factored at jitter 1e-7, then rebuilt for eigvalsh, which rejects it
+    rejected = _twin_covariance(5e-8)
+    with pytest.raises(ValueError, match="not PSD"):
+        _cholesky_factor(rejected)
+    assert rejected.tobytes() == _twin_covariance(5e-8).tobytes()
+    # a rung that leaves cov + jitter * I just short of PSD fails at the last
+    # pivot of 310, over a partial factor of every earlier one
+    cov = covariance_matrix(sparse_net(SparseSpec(64, 4), 300, substream(4, "test-ladder")))
+    as_built = cov.copy()
+    jitter = -float(np.linalg.eigvalsh(cov)[0]) - 1e-7
+    with monkeypatch.context() as patch:
+        patch.setattr(processes, "_JITTERS", (jitter,))
+        with pytest.raises(NumericalError):
+            _cholesky_factor(cov)
+        assert cov.tobytes() == as_built.tobytes()
+        # a failed rung is undone before the next one factors
+        patch.setattr(processes, "_JITTERS", (jitter, 1e-10))
+        factor = _cholesky_factor(cov)
+    assert np.array_equal(factor, np.linalg.cholesky(as_built + 1e-10 * np.eye(len(cov))))
+    assert np.shares_memory(factor, cov)
+
+
+def test_ladder_factors_in_place_and_restores_the_input_on_failure(monkeypatch):
+    if blas.openblas() is None:
+        pytest.skip("numpy does not run on scipy-openblas")
+    _assert_ladder_factors_in_place_and_restores_failures(monkeypatch)
+
+
+def test_ladder_without_openblas_falls_back_to_numpy(monkeypatch):
+    # the same contract and the same bits through numpy.linalg.cholesky
+    monkeypatch.setattr(blas, "openblas", lambda: None)
+    for make in _FACTOR_SETS:
+        cov = covariance_matrix(make(substream(6, "test-cov-factor")))
+        expected = _chol_with_jitter_reference(cov)
+        factor = _cholesky_factor(cov)
+        assert np.array_equal(factor, expected)
+        assert np.shares_memory(factor, cov)
+    _assert_ladder_factors_in_place_and_restores_failures(monkeypatch)
 
 
 def test_eigvalsh_runs_only_when_the_ladder_cannot_certify(monkeypatch):
@@ -261,19 +293,23 @@ def test_cholesky_width_in_blocks_matches_the_full_product(k):
     assert est == pytest.approx(ref, rel=0, abs=1e-12)
 
 
-def test_cholesky_width_memory_holds_three_k_by_k_arrays():
-    # the factor, the (k, k) normals and one block trace ~2.3 k^2 float64; the
-    # entries or a whole (trials, k) product kept alive as well would pass 3 k^2
+def test_cholesky_width_memory_holds_one_k_by_k_array():
+    # the covariance, factored in its own storage, plus one row block of the
+    # normals and one block of their product; a second k^2 array (a copy of
+    # the entries, a whole (trials, k) normals or product) would pass the budget
     k = 1000
     pts = PointSet.uniform(7, k, substream(20, "test-hw-mem"))
     rng = substream(20, "test-hw-mem-draws")
+    rows = processes.CHOLESKY_ROW_BYTES // (8 * k)
+    budget = 8 * k * k + 8 * rows * (k + processes.CHOLESKY_BLOCK_COLUMNS) + 2**20
+    assert budget < 2 * 8 * k * k
     tracemalloc.start()
     try:
         estimate_hemisphere_width_cholesky(pts, k, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * k * k
+    assert peak < budget
 
 
 def test_empirical_samples_validation():
@@ -344,6 +380,17 @@ def test_empirical_samples_match_reference(k, trials):
     # at the default budget a whole trial of 10^4 directions is one piece
     rows = _assert_samples_match_reference(k, trials, seed=17)
     assert rows == [[10_000]] * trials
+
+
+def test_empirical_samples_spawn_their_streams_in_blocks(monkeypatch):
+    # 18 trials in blocks of 4 over 2 threads: the same children, spawned 4, 4, 4, 4, 2
+    monkeypatch.setattr(processes, "_SPAWN_BLOCK", 4)
+    sizes = []
+    spawn = _DrawSpy.spawn
+    monkeypatch.setattr(_DrawSpy, "spawn", lambda spy, n: sizes.append(n) or spawn(spy, n))
+    rows = _assert_samples_match_reference(7, 18, seed=17)
+    assert rows == [[10_000]] * 18
+    assert sizes == [4, 4, 4, 4, 2]
 
 
 @pytest.mark.parametrize("k", [1, 7, 40])

@@ -26,7 +26,16 @@ from onebit import (
     substream,
     verify,
 )
-from oracles import cell_audit, gaussian_ensemble, sign_product_statistic, unit, unit_ensemble
+from onebit.measurements import SIGN_BLOCK_BYTES
+from oracles import (
+    cell_audit,
+    gaussian_ensemble,
+    hamming_audits,
+    sign_product_statistic,
+    sign_product_whole,
+    unit,
+    unit_ensemble,
+)
 
 
 # --- small cells -----------------------------------------------------------------
@@ -553,22 +562,27 @@ def test_l1_screen_stays_within_its_bound(tile):
 @pytest.mark.parametrize("m", [1, 50, 2773])
 @pytest.mark.parametrize("block_columns", [None, 7])
 def test_hamming_matrix_matches_float64_product(m, block_columns, monkeypatch):
-    # block_columns = 7 sums several float32 blocks, the last one partial
+    # block_columns = 7 sums several float32 column chunks, the last one partial;
+    # the 57-row tiles leave a partial last tile, and each reaches the last column
     if block_columns is not None:
-        monkeypatch.setattr(verify, "HAMMING_BLOCK_COLUMNS", block_columns)
+        monkeypatch.setattr(verify, "HAMMING_TILE_COLUMNS", block_columns)
     rng = substream(18, "test-hamming-blocks", m)
     net = sparse_net(SparseSpec(64, 4), 200, rng)
     ens = unit_ensemble(64, m, seed=18)
-    bits = sign_matrix(ens, net).astype(float)
-    expected = (ens.m - bits @ bits.T) / (2.0 * ens.m)
-    hamming = verify._hamming(verify._agreements(net, ens), ens.m)
-    assert np.array_equal(hamming, expected)
+    bits = sign_matrix(ens, net)
+    expected = (ens.m - bits.astype(float) @ bits.T.astype(float)) / (2.0 * ens.m)
+    buf = np.empty((len(net), min(m, verify.HAMMING_TILE_COLUMNS)), dtype=np.float32)
+    for lo in range(0, len(net), 57):
+        hi = min(lo + 57, len(net))
+        hamming = verify._hamming(verify._agreement_tile(bits, lo, hi, buf), ens.m)
+        assert np.array_equal(hamming, expected[lo:hi, lo:])
 
 
 def test_agreements_of_an_empty_ensemble_are_zero():
     pts = PointSet.uniform(2, 5, substream(19, "test-agree-empty"))
-    agree = verify._agreements(pts, MeasurementEnsemble(np.empty((0, 3))))
-    assert agree.shape == (5, 5)
+    bits = sign_matrix(MeasurementEnsemble(np.empty((0, 3))), pts)
+    agree = verify._agreement_tile(bits, 1, 4, np.empty((5, 1), dtype=np.float32))
+    assert agree.shape == (3, 4)
     assert not agree.any()
 
 
@@ -611,8 +625,78 @@ def test_hamming_audits_in_row_blocks_match_the_whole_matrix(row_bytes, monkeypa
 
 
 def test_hamming_blocks_count_exactly_in_float32():
-    # every partial sum of a block's +-1 products must be a float32 integer
-    assert verify.HAMMING_BLOCK_COLUMNS < 2**24
+    # every partial sum of a chunk's +-1 products must be a float32 integer
+    assert verify.HAMMING_TILE_COLUMNS < 2**24
+
+
+def _pair_audit_shapes(k: int):
+    """A sparse net of k points (the rip and small-cells shape), a packed sparse
+    sample (metric-ratio's) and an ensemble of m = 2773 gaussian directions in R^65."""
+    rng = substream(k, "test-audit-shapes")
+    net = sparse_net(SparseSpec(64, 4), k, rng)
+    sample = PointSet.sparse(SparseSpec(64, 4), k, rng)
+    packed = greedy_packing(sample, 0.05, rng).centers
+    return net, packed, gaussian_ensemble(64, 2773, seed=k)
+
+
+@pytest.mark.parametrize("k", [200, 2000])  # the battery's nets (210 points) and wide-net's
+def test_pair_audits_match_the_whole_matrix_forms(k):
+    # the tiled agreements are bitwise the single float32 product's, and the
+    # upper-triangle fold finds the same first witness as a whole argmax
+    net, packed, ens = _pair_audit_shapes(k)
+    whole = hamming_audits(net, ens)
+    report = one_bit_rip(net, ens, 0.2)
+    assert (report.sup, report.pair) == whole["rip"]
+    num_cells, cells = small_cells_check(net, ens, 0.2)
+    assert (num_cells, (cells.sup, cells.pair)) == (whole["num_cells"], whole["cells"])
+    coarse = MeasurementEnsemble(ens.directions[:9])  # cells of several points
+    num_cells, cells = small_cells_check(net, coarse, 0.2)
+    whole = hamming_audits(net, coarse)
+    assert num_cells < len(net)
+    assert (num_cells, (cells.sup, cells.pair)) == (whole["num_cells"], whole["cells"])
+    report = metric_ratio_check(packed, ens, 0.05)
+    assert (report.sup, report.pair) == hamming_audits(packed, ens)["ratio"]
+    # the blocked sums can round differently in the last bit; the witness does not move
+    report = sign_product_rip(net, ens, 0.2)
+    sup, pair = sign_product_whole(net, ens)
+    assert report.pair == pair
+    assert abs(report.sup - sup) <= 4 * np.spacing(sup)
+
+
+def _audit_peak(audit, *args) -> int:
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        audit(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
+def test_pair_audits_hold_no_k_by_k_array_beside_the_geodesic_matrix():
+    # Hamming audits: the geodesic matrix, the (k, m) int8 signs, one float32
+    # column buffer and one tile; sign-product: the int8 signs and its row
+    # blocks of float64 signs, statistics and Gram rows.  A (k, k) float32 agreement matrix or a (k, m) float32 copy
+    # would pass the first budget, and any (k, k) float64 array the second.
+    k, m = 2000, 500
+    rng = substream(25, "test-audit-mem")
+    pts = PointSet.sparse(SparseSpec(64, 4), k, rng)
+    ens = gaussian_ensemble(64, m, seed=25)
+    rows = verify.HAMMING_ROW_BYTES // (8 * k)
+    tile = 8 * rows * k + 4 * rows * k
+    buffer = 4 * k * verify.HAMMING_TILE_COLUMNS
+    hamming_budget = 8 * k * k + k * m + buffer + tile + 2**20
+    assert hamming_budget < 8 * k * k + 4 * k * k
+    assert _audit_peak(one_bit_rip, pts, ens, 0.2) < hamming_budget
+    assert _audit_peak(small_cells_check, pts, ens, 0.2) < hamming_budget
+    packed = greedy_packing(pts, 0.05, rng).centers
+    assert _audit_peak(metric_ratio_check, packed, ens, 0.05) < hamming_budget
+    step = verify.HAMMING_ROW_BYTES // (8 * k)
+    # sign_matrix's projection block comes and goes before the rows are visited
+    product_budget = k * m + SIGN_BLOCK_BYTES + 8 * step * (m + 2 * k) + 2**20
+    assert product_budget < 8 * k * k
+    assert _audit_peak(sign_product_rip, pts, ens, 0.2) < product_budget
 
 
 # --- sign-product audit against the product over the measurements ------------------
