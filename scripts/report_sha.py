@@ -9,10 +9,12 @@ A refactor that keeps every output leaves this sha unchanged:
 
     python3 scripts/report_sha.py
 
-A second line names the numpy version, the BLAS build and the thread count
-that numpy's bundled OpenBLAS reports in this interpreter, which the onebit
-run inherits through the same environment: the bytes hold for one
-numpy/BLAS build and one BLAS thread count (``OPENBLAS_NUM_THREADS=1`` gives
+A second line names the numpy version, the BLAS build, and the route of
+onebit's Gram, Cholesky-width and agreement kernels: numpy's bundled
+OpenBLAS with the thread count it reports in this interpreter, or numpy's
+fallback, whose width product rounds differently.  The onebit run inherits
+both through the same environment: the bytes hold for one numpy/BLAS build,
+one route and one BLAS thread count (``OPENBLAS_NUM_THREADS=1`` gives
 another sha than the default on a machine with more than one cpu).
 
 Exits with onebit's status: 0 when every verdict passed, 1 when one failed
@@ -34,15 +36,16 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 ARGS = ["all", "--delta", "0.2", "--seed", "11", "--format", "json"]
 sys.path.insert(0, str(SRC))
 
-from onebit.blas import blas_threads  # noqa: E402
+from onebit.blas import kernel_route  # noqa: E402
 
 
 def provenance() -> str:
-    """The numpy version, BLAS build and BLAS thread count of this interpreter."""
+    """The numpy version, BLAS build and onebit's kernel route in this interpreter."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    threads = blas_threads()
-    count = "unknown (numpy does not run on scipy-openblas)" if threads is None else threads
-    return f"numpy {np.__version__}, blas {blas.get('name')} {blas.get('version')}, threads {count}"
+    return (
+        f"numpy {np.__version__}, blas {blas.get('name')} {blas.get('version')}, "
+        f"kernels {kernel_route()}"
+    )
 
 
 def main() -> int:

@@ -5,8 +5,14 @@ numpy's wheels link a scipy-openblas build, whose symbols carry a
 library is already loaded by numpy's core extension, so its symbols are
 looked up through that extension's handle: this finds the very library
 numpy's own linear algebra runs on, whatever its file is called.  Under a
-numpy that links another BLAS, :func:`openblas` returns None and callers
-take their numpy fallback.
+numpy that links another BLAS, :func:`openblas` returns None and each
+wrapper takes its numpy fallback, so callers have one code path.
+
+Fortran reads a C-ordered matrix as its transpose, so each wrapper states
+its product on the C-ordered arrays it takes and makes the transposed
+column-major call.  A wrong dtype, stride or shape handed to Fortran
+corrupts memory or kills the interpreter, so every wrapper checks its
+arrays first, on either route, and raises ValueError.
 """
 
 from __future__ import annotations
@@ -18,6 +24,30 @@ import importlib
 import numpy as np
 
 _INT = ctypes.c_int64
+_P_INT = ctypes.POINTER(_INT)
+_CHAR = ctypes.c_char_p
+_PTR = ctypes.c_void_p
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+_FLOAT = ctypes.POINTER(ctypes.c_float)
+# argument types of each routine, in Fortran order, the hidden string lengths left out
+_SIGNATURES = (
+    ("scipy_dpotrf_64_", (_CHAR, _P_INT, _PTR, _P_INT, _P_INT)),
+    (
+        "scipy_dsyrk_64_",
+        (_CHAR, _CHAR, _P_INT, _P_INT, _DOUBLE, _PTR, _P_INT, _DOUBLE, _PTR, _P_INT),
+    ),
+    (
+        "scipy_dtrmm_64_",
+        (_CHAR, _CHAR, _CHAR, _CHAR, _P_INT, _P_INT, _DOUBLE, _PTR, _P_INT, _PTR, _P_INT),
+    ),
+    (
+        "scipy_sgemm_64_",
+        (
+            _CHAR, _CHAR, _P_INT, _P_INT, _P_INT, _FLOAT, _PTR, _P_INT, _PTR, _P_INT, _FLOAT,
+            _PTR, _P_INT,
+        ),
+    ),
+)
 
 
 @functools.cache
@@ -33,15 +63,13 @@ def openblas() -> ctypes.CDLL | None:
         return None
     try:
         lib = ctypes.CDLL(core.__file__)
-        potrf = lib.scipy_dpotrf_64_
+        routines = [(getattr(lib, name), argtypes) for name, argtypes in _SIGNATURES]
         threads = lib.scipy_openblas_get_num_threads64_
     except (OSError, AttributeError):
         return None
-    potrf.argtypes = [
-        ctypes.c_char_p, ctypes.POINTER(_INT), ctypes.c_void_p,
-        ctypes.POINTER(_INT), ctypes.POINTER(_INT),
-    ]
-    potrf.restype = None
+    for routine, argtypes in routines:
+        routine.argtypes = argtypes
+        routine.restype = None
     threads.argtypes = []
     threads.restype = ctypes.c_int
     return lib
@@ -53,6 +81,38 @@ def blas_threads() -> int | None:
     return None if lib is None else int(lib.scipy_openblas_get_num_threads64_())
 
 
+def kernel_route() -> str:
+    """Where the Gram, Cholesky and agreement kernels run: OpenBLAS and its threads, or numpy.
+
+    The Cholesky width's product sums in another order in numpy's
+    fallback, so its bits depend on this route.
+    """
+    threads = blas_threads()
+    if threads is None:
+        return "numpy fallback (numpy does not run on scipy-openblas)"
+    return f"scipy-openblas through ctypes, threads {threads}"
+
+
+def _check(name: str, a, dtype, writeable: bool = False) -> tuple[int, int]:
+    """Shape of a 2-d, C-contiguous, aligned array of dtype (writeable if asked); else ValueError."""
+    if not isinstance(a, np.ndarray) or a.dtype != dtype or a.ndim != 2:
+        raise ValueError(f"{name} must be a 2-d {np.dtype(dtype).name} array")
+    if not (a.flags.c_contiguous and a.flags.aligned):
+        raise ValueError(f"{name} must be C-contiguous and aligned")
+    if writeable and not a.flags.writeable:
+        raise ValueError(f"{name} must be writeable")
+    return a.shape
+
+
+def _check_apart(out: np.ndarray, *inputs: np.ndarray):
+    if any(np.may_share_memory(out, a) for a in inputs):
+        raise ValueError("the output must not overlap an input")
+
+
+def _ints(*values: int):
+    return [ctypes.byref(_INT(v)) for v in values]
+
+
 def potrf_upper(a: np.ndarray) -> bool:
     """Cholesky factor a = U^T U of a symmetric matrix, in a's own storage.
 
@@ -62,18 +122,104 @@ def potrf_upper(a: np.ndarray) -> bool:
     of ``numpy.linalg.cholesky``'s factor) and the strict lower triangle is
     neither read nor written.  Returns False when a leading minor is not
     positive definite; the upper triangle then holds a partial factor.
-    Needs :func:`openblas`.
+    Without :func:`openblas`, ``numpy.linalg.cholesky`` factors a from its
+    lower triangle and the transpose of its factor is written into the
+    upper triangle; a is left as it was when that fails.
     """
+    n, cols = _check("a", a, np.float64, writeable=True)
+    if n != cols:
+        raise ValueError("need a square matrix")
     lib = openblas()
     if lib is None:
-        raise RuntimeError("numpy does not run on scipy-openblas")
-    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("need a square float64 matrix")
-    if not (a.flags.c_contiguous and a.flags.writeable):
-        raise ValueError("need a writeable C-contiguous matrix")
-    n = _INT(a.shape[0])
+        try:
+            lower = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return False
+        for row in range(n):
+            a[row, row:] = lower[row:, row]
+        return True
     info = _INT(0)
-    lib.scipy_dpotrf_64_(b"L", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ctypes.byref(info))
+    lib.scipy_dpotrf_64_(b"L", *_ints(n), a.ctypes.data, *_ints(max(1, n)), ctypes.byref(info))
     if info.value < 0:
         raise ValueError(f"dpotrf rejected argument {-info.value}")
     return info.value == 0
+
+
+def syrk_upper(a: np.ndarray, c: np.ndarray) -> None:
+    """Write the Gram a a^T of the rows of a into the upper triangle of c, diagonal included.
+
+    ``a`` is a C-contiguous (k, n) float64 array and ``c`` a writeable,
+    C-contiguous (k, k) float64 array apart from it.  This is the dsyrk call
+    numpy's ``a @ a.T`` makes (row-major, upper, no transpose), so the
+    triangle is bitwise numpy's, and c's strict lower triangle is neither
+    read nor written.  Without :func:`openblas`, numpy's ``a @ a.T`` fills
+    the whole of c.
+    """
+    k, n = _check("a", a, np.float64)
+    if _check("c", c, np.float64, writeable=True) != (k, k):
+        raise ValueError(f"c must have shape {(k, k)}, got {c.shape}")
+    _check_apart(c, a)
+    lib = openblas()
+    if lib is None:
+        np.matmul(a, a.T, out=c)
+        return
+    one, zero = ctypes.c_double(1.0), ctypes.c_double(0.0)
+    lib.scipy_dsyrk_64_(
+        b"L", b"T", *_ints(k, n), ctypes.byref(one), a.ctypes.data, *_ints(max(1, n)),
+        ctypes.byref(zero), c.ctypes.data, *_ints(max(1, k)),
+    )
+
+
+def trmm_upper(b: np.ndarray, u: np.ndarray) -> None:
+    """Overwrite b with b @ u for an upper-triangular u.
+
+    ``b`` is a writeable, C-contiguous (r, k) float64 array and ``u`` a
+    C-contiguous (k, k) float64 array apart from it.  dtrmm reads only u's
+    upper triangle, diagonal included, and forms each row of the product
+    from that row of b alone.  Without :func:`openblas`, numpy's full
+    ``b @ u`` reads all of u and sums in another order.
+    """
+    r, k = _check("b", b, np.float64, writeable=True)
+    if _check("u", u, np.float64) != (k, k):
+        raise ValueError(f"u must have shape {(k, k)}, got {u.shape}")
+    _check_apart(b, u)
+    lib = openblas()
+    if lib is None:
+        b[...] = b @ u
+        return
+    one = ctypes.c_double(1.0)
+    lib.scipy_dtrmm_64_(
+        b"L", b"L", b"N", b"N", *_ints(k, r), ctypes.byref(one), u.ctypes.data,
+        *_ints(max(1, k)), b.ctypes.data, *_ints(max(1, k)),
+    )
+
+
+def sgemm_nt(a: np.ndarray, b: np.ndarray, c: np.ndarray, beta: float) -> None:
+    """Overwrite c with a @ b.T + beta * c, in float32.
+
+    ``a`` (r, p) and ``b`` (q, p) are C-contiguous float32 arrays, which may
+    share memory, and ``c`` a writeable, C-contiguous (r, q) float32 array
+    apart from both.  At beta 0 the old contents of c are not read.  Without
+    :func:`openblas`, numpy forms the product and adds it.
+    """
+    r, p = _check("a", a, np.float32)
+    q, p_b = _check("b", b, np.float32)
+    if p_b != p:
+        raise ValueError(f"a and b need the same number of columns, got {p} and {p_b}")
+    if _check("c", c, np.float32, writeable=True) != (r, q):
+        raise ValueError(f"c must have shape {(r, q)}, got {c.shape}")
+    _check_apart(c, a, b)
+    lib = openblas()
+    if lib is None:
+        if beta == 0:
+            np.matmul(a, b.T, out=c)
+        else:
+            c *= np.float32(beta)
+            c += a @ b.T
+        return
+    one, scale = ctypes.c_float(1.0), ctypes.c_float(beta)
+    lib.scipy_sgemm_64_(
+        b"T", b"N", *_ints(q, r, p), ctypes.byref(one), b.ctypes.data, *_ints(max(1, p)),
+        a.ctypes.data, *_ints(max(1, p)), ctypes.byref(scale), c.ctypes.data,
+        *_ints(max(1, q)),
+    )

@@ -98,8 +98,10 @@ class ExperimentConfig:
     def validate(self):
         """Reject a field of the wrong type or range, then resolve every selected experiment.
 
-        The one home of the config rules: the CLI only parses.  Resolving
-        surfaces every per-experiment error (a missing delta, an out-of-range
+        The one home of the config rules: the CLI only parses.  A single
+        experiment rejects an n, s or m that its trials never read (``all``
+        takes them for the experiments that do).  Resolving surfaces every
+        per-experiment error (a missing delta, an out-of-range
         s, an auto m below 1, a net without a pair, an array of directions,
         net points, pair matrices or projections past the 1 GiB limit)
         before any trial runs.
@@ -129,6 +131,8 @@ class ExperimentConfig:
             raise ValueError("safety must be positive and finite")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
+        if self.experiment != "all":
+            _reject_unread(REGISTRY[self.experiment], self)
         for name in _selected_experiments(self):
             _effective(name, self)
 
@@ -188,6 +192,15 @@ class _Stat(NamedTuple):
 
 
 # --- parameter resolution ----------------------------------------------------
+
+
+def _reject_unread(spec: Experiment, cfg: ExperimentConfig):
+    """Reject an explicit n, s or m that no trial of spec reads, which would be silently ignored."""
+    given = {"n": cfg.n is not None, "s": cfg.s is not None, "m": cfg.m != "auto"}
+    unread = spec.ignores + (("m",) if spec.auto_m is None else ())
+    for flag in unread:
+        if given[flag]:
+            raise ValueError(f"{spec.name} never reads --{flag}; leave it out")
 
 
 def _sparse_budget(safety, delta, n, s, net_size) -> float:
@@ -521,8 +534,10 @@ class Experiment:
     ``trial`` maps the resolved parameters and the trial's generator to its
     statistics; the pass flags of the ``scored`` statistics feed ``verdict``.
     ``auto_m(safety, delta, n, s, net_size)`` is the unrounded auto budget,
-    or None when the trial draws no directions, so m resolves to 0 even
-    when one is given.  ``net_companions`` counts the points a trial's net
+    or None when the trial draws no directions, so m resolves to 0 and an
+    explicit m is rejected unless ``all`` runs it.  ``ignores`` names the
+    flags among n and s that the trial never reads, rejected the same way.
+    ``net_companions`` counts the points a trial's net
     adds to net_size (a sparse net's CLOSE_PAIRS close companions), or is
     None when no trial reads net_size.  ``limits`` rejects resolved
     parameters the trial cannot use.
@@ -537,6 +552,7 @@ class Experiment:
     needs_delta: bool = False
     needs_s: bool = False
     default_n: int = _FALLBACK_N
+    ignores: tuple[str, ...] = ()
     net_companions: int | None = None
     limits: Callable[[_Effective], None] | None = None
 
@@ -551,12 +567,12 @@ REGISTRY: dict[str, Experiment] = {
         Experiment(
             "crofton", "wedge frequency vs geodesic distance for random pairs",
             _trial_crofton, ("abs_error",), _crossing_verdict, _fixed_budget(100_000),
-            default_n=3,
+            default_n=3, ignores=("s",),
         ),
         Experiment(
             "transversal", "well-separated crossing frequency vs a quarter of the distance",
             _trial_transversal, ("abs_error",), _crossing_verdict, _fixed_budget(100_000),
-            default_n=3, limits=_transversal_limits,
+            default_n=3, ignores=("s",), limits=_transversal_limits,
         ),
         Experiment(
             "small-cells", "sign-pattern cell diameters under a random tessellation",
@@ -591,12 +607,12 @@ REGISTRY: dict[str, Experiment] = {
         Experiment(
             "vc", "cap shattering on canonical witnesses plus Cover's count on 8 random points",
             _trial_vc, tuple(f"shatter_n{n}" for n in _VC_WITNESS_RANGE) + ("cover_count_ok",),
-            all, None,
+            all, None, ignores=("n", "s"),
         ),
         Experiment(
             "nets", "greedy packing/covering sandwich on a random net",
             _trial_nets, ("sandwich_ok",), all, None,
-            needs_delta=True, net_companions=0, limits=_nets_limits,
+            needs_delta=True, ignores=("s",), net_companions=0, limits=_nets_limits,
         ),
         Experiment(
             "metric-ratio", "relative hamming/geodesic error on a separated net",
@@ -606,7 +622,7 @@ REGISTRY: dict[str, Experiment] = {
         Experiment(
             "embed", "one-bit embedding of a finite set at computed budget",
             _trial_embed, ("sup_discrepancy",), _rate_verdict, _embed_budget,
-            needs_delta=True, net_companions=0,
+            needs_delta=True, ignores=("s",), net_companions=0,
         ),
     )
 }

@@ -24,11 +24,9 @@ import numpy as np
 from . import blas
 from .errors import FeasibilityError, NumericalError
 from .nets import first_uncovered_cover
-from .sphere import PointSet, pairwise_chord, pairwise_geodesic
+from .sphere import PointSet, mirror_upper, pairwise_chord, pairwise_geodesic
 
 CHOLESKY_MAX_POINTS = 2000
-# output columns per product with the Cholesky factor's lower triangle
-CHOLESKY_BLOCK_COLUMNS = 256
 # float64 normals that one row block of the Cholesky width draws
 CHOLESKY_ROW_BYTES = 4 * 2**20
 _JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -59,33 +57,9 @@ def _width_estimate(sups: np.ndarray) -> WidthEstimate:
     return WidthEstimate(value=float(sups.mean()), std_error=se)
 
 
-def _factor_upper(entries: np.ndarray) -> bool:
-    """Overwrite the upper triangle of entries with U, entries = U^T U; False if not PD.
-
-    The strict lower triangle is left as it was.  Without numpy's bundled
-    OpenBLAS, ``numpy.linalg.cholesky`` factors a copy whose transpose is
-    written back.
-    """
-    if blas.openblas() is not None:
-        return blas.potrf_upper(entries)
-    try:
-        lower = np.linalg.cholesky(entries)
-    except np.linalg.LinAlgError:
-        return False
-    for row in range(len(entries)):
-        entries[row, row:] = lower[row:, row]
-    return True
-
-
 def _mirror_lower(entries: np.ndarray, diag: np.ndarray) -> None:
     """Rebuild a symmetric matrix from its strict lower triangle and a saved diagonal."""
-    k = len(entries)
-    for lo in range(0, k, CHOLESKY_BLOCK_COLUMNS):
-        hi = min(lo + CHOLESKY_BLOCK_COLUMNS, k)
-        entries[lo:hi, hi:] = entries[hi:, lo:hi].T
-        block = entries[lo:hi, lo:hi]
-        upper = np.triu_indices(hi - lo, 1)
-        block[upper] = block.T[upper]
+    mirror_upper(entries.T)
     np.fill_diagonal(entries, diag)
 
 
@@ -123,7 +97,7 @@ def _cholesky_factor(entries: np.ndarray) -> np.ndarray:
     factored = False
     for jitter in _JITTERS:
         np.fill_diagonal(entries, diag + jitter)
-        factored = _factor_upper(entries)
+        factored = blas.potrf_upper(entries)
         if factored:
             break
         _mirror_lower(entries, diag)
@@ -142,7 +116,7 @@ def _cholesky_factor(entries: np.ndarray) -> np.ndarray:
                 "covariance is badly conditioned"
             )
         np.fill_diagonal(entries, diag + jitter)
-        if not _factor_upper(entries):
+        if not blas.potrf_upper(entries):
             _mirror_lower(entries, diag)
             raise NumericalError(f"cholesky at jitter {jitter:g} failed on a second try")
     for row in range(1, len(entries)):
@@ -187,20 +161,17 @@ def estimate_hemisphere_width_cholesky(
     and returns, and averages the range of the resulting gaussian vector.  The
     exact factorization limits the set to ``CHOLESKY_MAX_POINTS`` points.
 
-    The product with the factor runs in blocks of ``CHOLESKY_BLOCK_COLUMNS``
-    output columns and skips the factor's upper triangle, which is zero.  A
-    set of at most that many points takes one product of the full operands,
-    so its estimate is bitwise that of ``y @ factor.T``; a larger set sums
-    each entry in different pieces, and its estimate can move in the last
-    bits.
-
     Working memory while sampling: the factor, which reuses the storage of
-    the covariance it was factored from, one block of
+    the covariance it was factored from, and one block of
     ``CHOLESKY_ROW_BYTES`` of the (trials, k) normals, drawn row block by
-    row block into one reused buffer in the generator's order, and one
-    (rows, ``CHOLESKY_BLOCK_COLUMNS``) block of their product, reduced into
-    running row maxima and minima before the next overwrites it.  Max and
-    min are exact, so no (trials, k) array is needed for the same bits.
+    row block into one reused buffer in the generator's order.  Each block
+    y is overwritten with its product y @ factor^T by one in-place
+    ``blas.trmm_upper``, which reads only the factor's nonzero triangle, and
+    reduced into its rows' maxima and minima, so no (trials, k) array is
+    needed.  The triangular product sums each entry in another order than a
+    full matrix product, so its estimate can differ from that of
+    ``y @ factor.T`` in the last bits.  Without numpy's bundled OpenBLAS
+    ``blas.trmm_upper`` forms that full product.
     """
     if len(points) > CHOLESKY_MAX_POINTS:
         raise FeasibilityError(
@@ -208,25 +179,19 @@ def estimate_hemisphere_width_cholesky(
         )
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
-    factor = _cholesky_factor(covariance_matrix(points))
+    upper = _cholesky_factor(covariance_matrix(points)).T  # y @ factor^T = y @ upper
     k = len(points)
     rows = max(1, min(trials, CHOLESKY_ROW_BYTES // (8 * k)))
     normals = np.empty((rows, k))
-    block = np.empty((rows, min(k, CHOLESKY_BLOCK_COLUMNS)))
-    hi = np.full(trials, -np.inf)
-    lo = np.full(trials, np.inf)
+    hi = np.empty(trials)
+    lo = np.empty(trials)
     for r0 in range(0, trials, rows):
         r1 = min(r0 + rows, trials)
-        y = normals[: r1 - r0]
-        rng.standard_normal(out=y)
-        # column block [a, b) of y @ factor^T reads only factor[a:b, :b]: the
-        # factor is lower-triangular, so the columns of y past b meet zeros
-        for a in range(0, k, CHOLESKY_BLOCK_COLUMNS):
-            b = min(a + CHOLESKY_BLOCK_COLUMNS, k)
-            z = block[: r1 - r0, : b - a]
-            np.matmul(y[:, :b], factor[a:b, :b].T, out=z)
-            np.maximum(hi[r0:r1], z.max(axis=1), out=hi[r0:r1])
-            np.minimum(lo[r0:r1], z.min(axis=1), out=lo[r0:r1])
+        z = normals[: r1 - r0]
+        rng.standard_normal(out=z)
+        blas.trmm_upper(z, upper)
+        z.max(axis=1, out=hi[r0:r1])
+        z.min(axis=1, out=lo[r0:r1])
     return _width_estimate(hi - lo)
 
 

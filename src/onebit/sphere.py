@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .errors import DimensionMismatchError, InvalidDimensionError
 
 UNIT_NORM_TOL = 1e-9
@@ -25,6 +26,12 @@ ANTIPODAL_TOL = 1e-12
 # pair's lower-index endpoint moved along a gaussian tangent scaled by CLOSE_SCALE
 CLOSE_PAIRS = 10
 CLOSE_SCALE = 0.05
+# rows of a pair matrix that mirror_upper visits at a time: few enough bands that a
+# 210-point matrix costs no more than numpy's mirrored x @ x.T, and narrow enough that
+# a transform skips most of the lower triangle
+MIRROR_ROWS = 128
+_STRICT_LOWER = np.tri(MIRROR_ROWS, k=-1, dtype=bool)
+_STRICT_LOWER.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -56,36 +63,76 @@ def _check_same_ambient(*arrs):
         raise DimensionMismatchError(f"mixed ambient dimensions: {sorted(sizes)}")
 
 
+def mirror_upper(a: np.ndarray, transform=None) -> None:
+    """Copy the strict upper triangle of a square array onto its strict lower triangle.
+
+    Runs in row blocks of ``MIRROR_ROWS``.  Each block's diagonal square is
+    mirrored through one mask; then ``transform``, if given, maps the
+    block's entries from its diagonal rightwards elementwise and in place;
+    then the block right of its square is copied, transposed, below it.  So
+    a transform reaches only the upper block triangle, and every mirrored
+    entry is its transformed twin.  A matrix of at most ``MIRROR_ROWS`` rows
+    takes one block.
+    """
+    k = len(a)
+    for lo in range(0, k, MIRROR_ROWS):
+        hi = min(lo + MIRROR_ROWS, k)
+        square = a[lo:hi, lo:hi]
+        np.copyto(square, square.T, where=_STRICT_LOWER[: hi - lo, : hi - lo])
+        if transform is not None:
+            transform(a[lo:hi, lo:])
+        a[hi:, lo:hi] = a[lo:hi, hi:].T
+
+
+def _pairwise(points, transform) -> np.ndarray:
+    """(k, k) symmetric matrix of transform(<x_i, x_j>) over the rows of points, diagonal 0.
+
+    ``transform`` maps Gram entries elementwise, in place.
+    ``blas.syrk_upper`` writes the Gram's upper triangle by the dsyrk call
+    numpy's ``x @ x.T`` makes, and :func:`mirror_upper` transforms only the
+    upper block triangle and mirrors it.  The transforms act entry by
+    entry, so every bit equals that of transforming the whole of
+    ``x @ x.T``.  Input that is not C-ordered float64 is copied first.
+    """
+    points = np.ascontiguousarray(points, dtype=float)
+    out = np.empty((len(points), len(points)))
+    blas.syrk_upper(points, out)
+    mirror_upper(out, transform)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _geodesic_of_gram(gram: np.ndarray) -> None:
+    np.clip(gram, -1.0, 1.0, out=gram)
+    np.arccos(gram, out=gram)
+    gram /= np.pi
+
+
+def _chord_of_gram(gram: np.ndarray) -> None:
+    # scaling by -2 is exact, so the bits equal those of sqrt(2 - 2 <x, y>)
+    np.clip(gram, -1.0, 1.0, out=gram)
+    gram *= -2.0
+    gram += 2.0
+    np.sqrt(gram, out=gram)
+
+
 def pairwise_geodesic(points: np.ndarray) -> np.ndarray:
     """Normalized geodesic distance matrix for rows of a (k, n+1) array.
 
-    The diagonal is set to exactly 0 so downstream covariance constructions
-    see the identity d(x, x) = 0 without arccos roundoff.
+    arccos of the inner product clipped to [-1, 1], over pi.  The diagonal
+    is set to exactly 0 so downstream covariance constructions see the
+    identity d(x, x) = 0 without arccos roundoff.
     """
-    points = np.asarray(points, dtype=float)
-    dist = points @ points.T
-    np.clip(dist, -1.0, 1.0, out=dist)
-    np.arccos(dist, out=dist)
-    dist /= np.pi
-    np.fill_diagonal(dist, 0.0)
-    return dist
+    return _pairwise(points, _geodesic_of_gram)
 
 
 def pairwise_chord(points: np.ndarray) -> np.ndarray:
     """Euclidean chord |x - y|_2 matrix for rows of a (k, n+1) array of unit rows.
 
     Computed in place as sqrt(2 - 2 <x, y>) with the inner product clipped
-    to [-1, 1]; scaling by -2 is exact, so the bits equal those of the
-    out-of-place formula.  The diagonal is set to exactly 0.
+    to [-1, 1].  The diagonal is set to exactly 0.
     """
-    points = np.asarray(points, dtype=float)
-    chord = points @ points.T
-    np.clip(chord, -1.0, 1.0, out=chord)
-    chord *= -2.0
-    chord += 2.0
-    np.fill_diagonal(chord, 0.0)
-    np.sqrt(chord, out=chord)
-    return chord
+    return _pairwise(points, _chord_of_gram)
 
 
 # --- samplers ---------------------------------------------------------------

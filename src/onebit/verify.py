@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .errors import DimensionMismatchError, PreconditionError
 from .measurements import HALF_NORMAL_MEAN, MeasurementEnsemble, sign_matrix
 from .sphere import PointSet, pairwise_chord
@@ -21,8 +22,11 @@ from .sphere import PointSet, pairwise_chord
 # working memory of linear_l1_rip's pair tile: 4 x 8 pairs at the battery's m = 2773,
 # well inside one core's L2
 L1_TILE_BYTES = 768 * 2**10
-# sign columns per float32 agreement product: far below the 2^24 that float32 counts exactly
+# sign columns cast to float32 at a time for the agreement products
 HAMMING_TILE_COLUMNS = 512
+# sign columns whose agreement counts a float32 tile sums before it flushes them into
+# float64: float32 holds every integer of magnitude up to 2^24 exactly
+FLOAT32_EXACT_COUNTS = 2**24
 # rows of the (k, k) matrices that the pair audits visit at a time: 2 MiB of float64 per block
 HAMMING_ROW_BYTES = 2 * 2**20
 
@@ -72,21 +76,30 @@ def _agreement_tile(bits: np.ndarray, lo: int, hi: int, buf: np.ndarray) -> np.n
     """(hi - lo, k - lo) float64 sums of s_i s_j, i in [lo, hi), j in [lo, k).
 
     Each entry is the number of agreeing minus disagreeing signs, an exact
-    integer.  Columns of the int8 signs are cast into ``buf`` (a float32
-    (k, c) buffer) at most c = ``HAMMING_TILE_COLUMNS`` at a time; every
-    partial sum of such a chunk's +-1 products is an integer below 2^24 in
-    magnitude, which float32 holds exactly, and the chunks add up exactly
-    in float64.  An empty ensemble gives the zero tile.
+    integer.  Columns of the int8 signs are cast into ``buf`` (float32, of
+    (k, c) elements) at most c = ``buf.shape[1]`` at a time, and each
+    chunk's products are added in place into one float32 tile of counts by
+    ``blas.sgemm_nt``.  Every partial sum is an integer no larger in
+    magnitude than the columns summed so far, which float32 holds exactly
+    up to ``FLOAT32_EXACT_COUNTS``; before that many, the counts are added
+    into the float64 tile, where the sums stay exact.  An empty ensemble
+    gives the zero tile.
     """
     k, m = bits.shape
     agree = np.zeros((hi - lo, k - lo))
-    prod = np.empty(agree.shape, dtype=np.float32)
+    counts = np.empty(agree.shape, dtype=np.float32)
+    summed = 0
     for c0 in range(0, m, buf.shape[1]):
         c1 = min(c0 + buf.shape[1], m)
-        cols = buf[: k - lo, : c1 - c0]
+        if summed and summed + (c1 - c0) > FLOAT32_EXACT_COUNTS:
+            agree += counts
+            summed = 0
+        cols = buf.reshape(-1)[: (k - lo) * (c1 - c0)].reshape(k - lo, c1 - c0)
         cols[...] = bits[lo:, c0:c1]
-        np.matmul(cols[: hi - lo], cols.T, out=prod)
-        agree += prod
+        blas.sgemm_nt(cols[: hi - lo], cols, counts, 1.0 if summed else 0.0)
+        summed += c1 - c0
+    if summed:
+        agree += counts
     return agree
 
 
@@ -113,13 +126,13 @@ def _hamming_audit(
     holds their exact agreement counts from ``_agreement_tile``, of which
     ``_hamming`` forms the Hamming distances, and the fold overwrites the
     geodesic tile ``dist`` with the statistic of those pairs.  Besides the
-    geodesic matrix and the (k, m) int8 signs the audit holds one tile and
-    one float32 column buffer, so no (k, k) agreement or Hamming matrix is
-    formed.  The statistics are symmetric, and the first maximum of a
-    symmetric matrix in row-major order lies at i <= j, so a running
-    strict maximum over the tiles in row order returns the pair a whole
-    (k, k) argmax would, the diagonal counting as 0; when every statistic
-    is 0 that is (0, 0).
+    geodesic matrix and the (k, m) int8 signs the audit holds one float64
+    tile, the float32 tile that counts it and one float32 column buffer, so
+    no (k, k) agreement or Hamming matrix is formed.  The statistics are
+    symmetric, and the first maximum of a symmetric matrix in row-major
+    order lies at i <= j, so a running strict maximum over the tiles in row
+    order returns the pair a whole (k, k) argmax would, the diagonal
+    counting as 0; when every statistic is 0 that is (0, 0).
     """
     bits = sign_matrix(ens, points)
     dist = points.pairwise_geodesic()

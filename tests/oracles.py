@@ -184,6 +184,28 @@ def agreements(points: PointSet, ens: MeasurementEnsemble) -> np.ndarray:
     return (bits @ bits.T).astype(np.float64)
 
 
+def exact_agreements(bits: np.ndarray) -> np.ndarray:
+    """(k, k) agreeing minus disagreeing signs of (k, m) +-1 rows, summed in int64, as float64."""
+    wide = bits.astype(np.int64)
+    return (wide @ wide.T).astype(np.float64)
+
+
+def gram_geodesic(points) -> np.ndarray:
+    """pairwise_geodesic's formula over the whole of numpy's x @ x.T, diagonal 0."""
+    x = np.asarray(points, dtype=float)
+    dist = np.arccos(np.clip(x @ x.T, -1.0, 1.0)) / np.pi
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def gram_chord(points) -> np.ndarray:
+    """pairwise_chord's formula sqrt(2 - 2 <x, y>) over the whole of numpy's x @ x.T, diagonal 0."""
+    x = np.asarray(points, dtype=float)
+    chord = 2.0 - 2.0 * np.clip(x @ x.T, -1.0, 1.0)
+    np.fill_diagonal(chord, 0.0)
+    return np.sqrt(chord)
+
+
 def hamming_audits(points: PointSet, ens: MeasurementEnsemble) -> dict:
     """(sup, pair) of each Hamming audit's statistic over whole (k, k) matrices.
 

@@ -549,6 +549,10 @@ def no_runs(monkeypatch):
         ["nets", "--delta", "0.2", "--n", "10000000000"],
         _SUBNORMAL_DELTA,  # the packing radius delta / 4 underflows to 0
         ["metric-ratio", "--delta", "1e-323", "--m", "1", "--net-size", "2", "--trials", "1"],
+        ["vc", "--n", "9", "--m", "5", "--trials", "1"],  # flags that no trial reads
+        ["nets", "--m", "5", "--delta", "0.2", "--trials", "1"],
+        ["vc", "--s", "3", "--trials", "1"],
+        ["crofton", "--s", "2", "--m", "1000", "--trials", "1"],
     ],
 )
 def test_main_rejects_unrunnable_experiments_before_any_work(argv, tmp_path, capsys, no_runs):
@@ -856,7 +860,11 @@ def test_each_subcommand_report_is_its_lines_of_the_all_report(
     # experiment run alone writes exactly its rows of the battery's report
     _, _, battery_stderr, (header, *rows) = mixed_battery
     out = tmp_path / f"{experiment}.csv"
-    code = main([experiment, *_MIXED_FLAGS, "--out", str(out)])
+    flags = _MIXED_FLAGS
+    if harness.REGISTRY[experiment].auto_m is None:  # run alone, vc and nets reject an m
+        at = flags.index("--m")
+        flags = flags[:at] + flags[at + 2 :]
+    code = main([experiment, *flags, "--out", str(out)])
     own = [row for row in rows if row.startswith(f"{experiment},")]
     assert own and out.read_text(encoding="utf-8").splitlines() == [header, *own]
     verdict = "pass" if code == 0 else "FAIL"

@@ -254,54 +254,60 @@ def _cholesky_width_reference(points, trials, rng):
     return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(trials))
 
 
-def _cholesky_width_full_z(points, trials, rng):
-    """The blocked product kept whole: every block of y @ factor^T in one (trials, k) z."""
-    factor = _cholesky_factor(covariance_matrix(points))
-    k = len(points)
-    y = rng.standard_normal((trials, k))
-    z = np.empty((trials, k))
-    for a in range(0, k, processes.CHOLESKY_BLOCK_COLUMNS):
-        b = min(a + processes.CHOLESKY_BLOCK_COLUMNS, k)
-        np.matmul(y[:, :b], factor[a:b, :b].T, out=z[:, a:b])
+def _cholesky_width_whole(points, trials, rng):
+    """One ``blas.trmm_upper`` over the whole (trials, k) normals at once: (value, std_error)."""
+    upper = _cholesky_factor(covariance_matrix(points)).T
+    z = rng.standard_normal((trials, len(points)))
+    blas.trmm_upper(z, upper)
     sups = z.max(axis=1) - z.min(axis=1)
     return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(trials))
 
 
 def _cholesky_width_pair(k: int):
+    """The estimate at k points and 500 trials, and its full-product reference."""
     points = PointSet.uniform(7, k, substream(k, "test-hw-blocks"))
     rng, ref_rng = substream(k, "test-hw-draws"), substream(k, "test-hw-draws")
     est = estimate_hemisphere_width_cholesky(points, 500, rng)
     ref = _cholesky_width_reference(points, 500, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # the running row max and min keep the bits of the whole blocked product
-    full_z = _cholesky_width_full_z(points, 500, substream(k, "test-hw-draws"))
-    assert (est.value, est.std_error) == full_z
     return (est.value, est.std_error), ref
 
 
 @pytest.mark.parametrize("k", [1, 100, 256])
 def test_cholesky_width_in_one_block_is_the_full_product(k):
-    assert k <= processes.CHOLESKY_BLOCK_COLUMNS
+    # 500 trials of normals fit one row block, and on these draws the
+    # triangular product's row maxima and minima keep the bits of
+    # y @ factor^T, though at k = 100 single entries differ in the last bit
+    assert 500 <= processes.CHOLESKY_ROW_BYTES // (8 * k)
     est, ref = _cholesky_width_pair(k)
     assert est == ref  # bitwise, not approximately
 
 
 @pytest.mark.parametrize("k", [257, 600])
-def test_cholesky_width_in_blocks_matches_the_full_product(k):
-    assert k > processes.CHOLESKY_BLOCK_COLUMNS
+def test_cholesky_width_in_blocks_matches_the_full_product(k, monkeypatch):
+    # 64 rows of normals per block, so 500 trials take 8 row blocks.  Each row
+    # of the triangular product comes from that row alone; at a k that is a
+    # multiple of 8 its bits are also the same in any split of the rows, so
+    # the blocks keep the bits of one product over all the normals.  At other
+    # k OpenBLAS's dtrmm kernels round a row by its place among the rows of
+    # one call, so only the full-product bound holds there
+    monkeypatch.setattr(processes, "CHOLESKY_ROW_BYTES", 8 * k * 64)
     est, ref = _cholesky_width_pair(k)
+    if k % 8 == 0:
+        points = PointSet.uniform(7, k, substream(k, "test-hw-blocks"))
+        assert est == _cholesky_width_whole(points, 500, substream(k, "test-hw-draws"))
     assert est == pytest.approx(ref, rel=0, abs=1e-12)
 
 
 def test_cholesky_width_memory_holds_one_k_by_k_array():
     # the covariance, factored in its own storage, plus one row block of the
-    # normals and one block of their product; a second k^2 array (a copy of
-    # the entries, a whole (trials, k) normals or product) would pass the budget
+    # normals, multiplied in place; a second k^2 array (a copy of the entries,
+    # a whole (trials, k) normals or product) would pass the budget
     k = 1000
     pts = PointSet.uniform(7, k, substream(20, "test-hw-mem"))
     rng = substream(20, "test-hw-mem-draws")
     rows = processes.CHOLESKY_ROW_BYTES // (8 * k)
-    budget = 8 * k * k + 8 * rows * (k + processes.CHOLESKY_BLOCK_COLUMNS) + 2**20
+    budget = 8 * k * k + 8 * rows * k + 2**20
     assert budget < 2 * 8 * k * k
     tracemalloc.start()
     try:

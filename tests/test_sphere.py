@@ -26,6 +26,8 @@ from oracles import (
     arc_angle,
     geodesic_distance,
     geodesic_point,
+    gram_chord,
+    gram_geodesic,
     in_wedge,
     transversal_separation,
     unit,
@@ -112,6 +114,26 @@ def test_pairwise_matches_scalar_distance(seed):
             assert math.isclose(
                 mat[i, j], geodesic_distance(pts.points[i], pts.points[j]), abs_tol=1e-12
             )
+
+
+@pytest.mark.parametrize("k", [1, 2, 210, 255, 256, 257, 600, 2010])
+def test_pairwise_matrices_are_the_whole_gram_formulas_bit_for_bit(k):
+    # the upper block triangle is transformed and mirrored in blocks of
+    # MIRROR_ROWS rows; an antipodal pair can round past -1 and a close one past 1
+    rows = uniform_sphere_rows(64, k, substream(k, "test-pairwise-bits"))
+    if k > 2:
+        rows[-1] = -rows[0]
+        rows[-2] = rows[1] + 1e-9
+    for pairwise, oracle in ((pairwise_geodesic, gram_geodesic), (pairwise_chord, gram_chord)):
+        assert np.array_equal(pairwise(rows), oracle(rows))
+        # rows taken with a stride and a Fortran-ordered copy reach the same
+        # BLAS product in numpy's x @ x.T
+        spread = np.repeat(rows, 2, axis=0)[::2]
+        assert np.array_equal(pairwise(spread), oracle(spread))
+        assert np.array_equal(pairwise(np.asfortranarray(rows)), oracle(rows))
+    signed = np.concatenate([np.eye(4, dtype=int), -np.eye(4, dtype=int)])
+    assert np.array_equal(pairwise_geodesic(signed), gram_geodesic(signed))
+    assert np.array_equal(pairwise_chord(signed), gram_chord(signed))
 
 
 def test_pairwise_accepts_raw_rows():

@@ -14,6 +14,7 @@ from onebit import (
     PointSet,
     PreconditionError,
     SparseSpec,
+    blas,
     finite_embedding,
     greedy_packing,
     linear_l1_rip,
@@ -29,6 +30,7 @@ from onebit import (
 from onebit.measurements import SIGN_BLOCK_BYTES
 from oracles import (
     cell_audit,
+    exact_agreements,
     gaussian_ensemble,
     hamming_audits,
     sign_product_statistic,
@@ -584,6 +586,37 @@ def test_agreements_of_an_empty_ensemble_are_zero():
     agree = verify._agreement_tile(bits, 1, 4, np.empty((5, 1), dtype=np.float32))
     assert agree.shape == (3, 4)
     assert not agree.any()
+
+
+@pytest.mark.parametrize("m", [1, 511, 512, 513, 2773])
+@pytest.mark.parametrize("limit", [None, 1100, 300])
+def test_agreement_tiles_are_the_exact_integer_counts(m, limit, monkeypatch):
+    # the float32 tile counts up to the flush limit: with 512-column chunks a
+    # limit of 1100 flushes after every second chunk and one of 300 after
+    # every chunk, so the tile restarts from zero (no accumulation) there
+    if limit is not None:
+        monkeypatch.setattr(verify, "FLOAT32_EXACT_COUNTS", limit)
+    adds = []
+    sgemm_nt = blas.sgemm_nt
+
+    def recording(a, b, c, beta):
+        adds.append(beta == 1.0)
+        sgemm_nt(a, b, c, beta)
+
+    monkeypatch.setattr(blas, "sgemm_nt", recording)
+    rng = substream(26, "test-agree-exact", m)
+    pts = PointSet.sparse(SparseSpec(64, 4), 60, rng)
+    bits = sign_matrix(gaussian_ensemble(64, m, seed=26), pts)
+    expected = exact_agreements(bits)
+    k = len(pts)
+    buf = np.empty((k, min(m, verify.HAMMING_TILE_COLUMNS)), dtype=np.float32)
+    for lo in range(0, k, 25):
+        hi = min(lo + 25, k)
+        adds.clear()
+        assert np.array_equal(verify._agreement_tile(bits, lo, hi, buf), expected[lo:hi, lo:])
+        chunks = -(-m // verify.HAMMING_TILE_COLUMNS)
+        per_flush = {None: chunks, 1100: 2, 300: 1}[limit]
+        assert adds == [c % per_flush != 0 for c in range(chunks)]
 
 
 def _hamming_reference(points, ens):
