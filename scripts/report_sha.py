@@ -11,11 +11,14 @@ A refactor that keeps every output leaves this sha unchanged:
 
 A second line names the numpy version, the BLAS build, and the route of
 onebit's Gram, Cholesky-width and agreement kernels: numpy's bundled
-OpenBLAS with the thread count it reports in this interpreter, or numpy's
+OpenBLAS with the thread rule each experiment is pinned to, or numpy's
 fallback, whose width product rounds differently.  The onebit run inherits
-both through the same environment: the bytes hold for one numpy/BLAS build,
-one route and one BLAS thread count (``OPENBLAS_NUM_THREADS=1`` gives
-another sha than the default on a machine with more than one cpu).
+both through the same environment: the bytes hold for one numpy/BLAS build
+and one route.  They do not depend on ``OPENBLAS_NUM_THREADS``: every
+experiment runs its trials on 1 BLAS thread below 1000 net points and on 2
+from there on, whatever count the process started with.  What still
+depends on the thread count is library code called outside an experiment,
+which runs at the caller's count.
 
 Exits with onebit's status: 0 when every verdict passed, 1 when one failed
 (the sha is still printed), 2 or 3 when no report was written.

@@ -13,10 +13,15 @@ its product on the C-ordered arrays it takes and makes the transposed
 column-major call.  A wrong dtype, stride or shape handed to Fortran
 corrupts memory or kills the interpreter, so every wrapper checks its
 arrays first, on either route, and raises ValueError.
+
+The module also owns OpenBLAS's process-wide thread count:
+:func:`pinned_threads` sets it for a block and gives the caller's count
+back, and :func:`threads_for` is the count an experiment's net size gets.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import importlib
@@ -64,14 +69,17 @@ def openblas() -> ctypes.CDLL | None:
     try:
         lib = ctypes.CDLL(core.__file__)
         routines = [(getattr(lib, name), argtypes) for name, argtypes in _SIGNATURES]
-        threads = lib.scipy_openblas_get_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
     except (OSError, AttributeError):
         return None
     for routine, argtypes in routines:
         routine.argtypes = argtypes
         routine.restype = None
-    threads.argtypes = []
-    threads.restype = ctypes.c_int
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
     return lib
 
 
@@ -81,8 +89,47 @@ def blas_threads() -> int | None:
     return None if lib is None else int(lib.scipy_openblas_get_num_threads64_())
 
 
+# Nets of at least this many points run on two BLAS threads, smaller ones on
+# one: a second thread is kept where it cuts wall time by about a fifth.
+# Wall seconds of the 8 wide-net experiments (1 trial, medians of 4
+# alternations of best-of-3) at 1 -> 2 threads on a 2-core VM:
+#   points   200: 0.055 -> 0.050    500: 0.145 -> 0.133    750: 0.248 -> 0.226
+#   points  1000: 0.366 -> 0.288   1500: 0.751 -> 0.617   2000: 1.30  -> 0.96
+# and the CPU seconds about double at 2 threads at every size.
+PARALLEL_POINTS = 1000
+
+
+def threads_for(points: int | None) -> int:
+    """The BLAS thread count of a run over a net of ``points`` points (None: no net)."""
+    return 2 if points is not None and points >= PARALLEL_POINTS else 1
+
+
+@contextlib.contextmanager
+def pinned_threads(count: int):
+    """Run the block with OpenBLAS at ``count`` threads, then restore the caller's count.
+
+    The count is process-wide, so pin outside any pool of threads that
+    call BLAS.  The setter runs only when the count differs from the
+    current one, on entry and on exit, and the caller's count comes back
+    also when the block raises; pins nest.  Without :func:`openblas` this
+    does nothing.
+    """
+    lib = openblas()
+    if lib is None:
+        yield
+        return
+    caller = blas_threads()
+    if caller != count:
+        lib.scipy_openblas_set_num_threads64_(count)
+    try:
+        yield
+    finally:
+        if blas_threads() != caller:
+            lib.scipy_openblas_set_num_threads64_(caller)
+
+
 def kernel_route() -> str:
-    """Where the Gram, Cholesky and agreement kernels run: OpenBLAS and its threads, or numpy.
+    """Where the Gram, Cholesky and agreement kernels run, and on how many BLAS threads.
 
     The Cholesky width's product sums in another order in numpy's
     fallback, so its bits depend on this route.
@@ -90,7 +137,10 @@ def kernel_route() -> str:
     threads = blas_threads()
     if threads is None:
         return "numpy fallback (numpy does not run on scipy-openblas)"
-    return f"scipy-openblas through ctypes, threads {threads}"
+    return (
+        f"scipy-openblas through ctypes; experiments pinned to 1 thread below "
+        f"{PARALLEL_POINTS} net points and to 2 at or above; {threads} outside them"
+    )
 
 
 def _check(name: str, a, dtype, writeable: bool = False) -> tuple[int, int]:

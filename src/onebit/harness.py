@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import blas
 from .measurements import MeasurementEnsemble
 from .nets import canonical_witness, greedy_packing, sandwich_check, shatter_check
 from .processes import (
@@ -237,6 +238,11 @@ def resolve_m(experiment: str, cfg: ExperimentConfig, n: int, s: int | None) -> 
     return _effective(experiment, replace(cfg, n=n, s=s)).m
 
 
+def _net_points(spec: Experiment, cfg: ExperimentConfig) -> int | None:
+    """The k points of a trial's net under cfg, or None when no trial builds a net."""
+    return None if spec.net_companions is None else cfg.net_size + spec.net_companions
+
+
 def _effective(experiment: str, cfg: ExperimentConfig) -> _Effective:
     """The n, s, delta and m one experiment's trials use under cfg.
 
@@ -250,7 +256,7 @@ def _effective(experiment: str, cfg: ExperimentConfig) -> _Effective:
     s = cfg.s if cfg.s is not None else (_DEFAULT_SPARSITY if spec.needs_s else None)
     if s is not None and not (0 < s < n + 1):
         raise ValueError(f"need 0 < s < n + 1, got s={s}, n={n}")
-    k = None if spec.net_companions is None else cfg.net_size + spec.net_companions
+    k = _net_points(spec, cfg)
     if k is not None and k < 2:
         raise ValueError(
             f"{experiment}: --net-size {cfg.net_size} builds a net of {k} point; "
@@ -637,8 +643,10 @@ _DISCREPANCY_STATISTICS = frozenset(
 def run_experiment(experiment: str, cfg: ExperimentConfig, workers: int = 1):
     """Rows and verdict for a single experiment under cfg's master seed.
 
-    Raises ValueError, before any trial, on a bad workers count or a config
-    that ``validate`` rejects.
+    The trials run with OpenBLAS pinned to the thread count of the
+    experiment's net size (``blas.threads_for``), so the rows do not depend
+    on the count the process started with.  Raises ValueError, before any
+    trial, on a bad workers count or a config that ``validate`` rejects.
     """
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
@@ -653,11 +661,12 @@ def run_experiment(experiment: str, cfg: ExperimentConfig, workers: int = 1):
             for st in stats
         ]
 
-    if workers <= 1:
-        batches = [one(t) for t in range(cfg.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(one, range(cfg.trials)))
+    with blas.pinned_threads(blas.threads_for(_net_points(spec, cfg))):
+        if workers <= 1:
+            batches = [one(t) for t in range(cfg.trials)]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                batches = list(pool.map(one, range(cfg.trials)))
     rows = [row for batch in batches for row in batch]
     scored = [r.passed for r in rows if r.statistic in spec.scored]
     return rows, spec.verdict(scored)

@@ -116,7 +116,15 @@ def first_uncovered_cover(dist: np.ndarray, radii) -> list[list[int]]:
     than half the indices are contested, only those are decided, in index
     order, against the earlier centers.  Otherwise the centers open in index
     order, each marking and searching only the indices after it.
+
+    Rejects a matrix that is not square and a radius that is negative or
+    NaN.
     """
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise ValueError(f"need a square distance matrix, got shape {dist.shape}")
+    radii = [float(r) for r in radii]
+    if not all(r >= 0.0 for r in radii):
+        raise ValueError(f"radii must be >= 0, got {radii}")
     k = dist.shape[0]
     nearest = _nearest_earlier(dist)
     covers = []

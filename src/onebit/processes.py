@@ -290,6 +290,13 @@ def _root_log(cover_size: int) -> float:
     return math.sqrt(math.log(cover_size)) if cover_size > 1 else 0.0
 
 
+def _ratio(low: float, width: float) -> float:
+    """A lower bound over a width: 0 for a zero bound, inf for a positive bound over zero."""
+    if not low > 0.0:
+        return 0.0
+    return low / width if width > 0.0 else math.inf
+
+
 def sudakov_check(points: PointSet, deltas, gaussian: float, hemisphere: float) -> SudakovReport:
     """Entropy lower bounds of both processes against their widths, per scale.
 
@@ -301,11 +308,16 @@ def sudakov_check(points: PointSet, deltas, gaussian: float, hemisphere: float) 
     one is built, so one (k, k) matrix is alive at a time.  Ratios near or
     below a small constant are the expected outcome of the minoration.  A
     bound of 0 (a cover of one center) gives a ratio of 0, and a zero
-    envelope an infinite chain.
+    envelope an infinite chain; a positive bound over a zero width gives an
+    infinite ratio.  Rejects an empty, non-finite or non-positive delta and
+    a width that is not finite and non-negative.
     """
     deltas = tuple(float(d) for d in deltas)
-    if not deltas or any(d <= 0.0 for d in deltas):
-        raise ValueError("deltas must be positive")
+    if not deltas or not all(math.isfinite(d) and d > 0.0 for d in deltas):
+        raise ValueError(f"deltas must be finite and positive, got {deltas}")
+    for name, width in (("gaussian", gaussian), ("hemisphere", hemisphere)):
+        if not (math.isfinite(width) and width >= 0.0):
+            raise ValueError(f"the {name} width must be finite and >= 0, got {width}")
     roots = tuple(math.sqrt(d) for d in deltas)
     chord_covers = first_uncovered_cover(pairwise_chord(points.points), deltas)
     dist = pairwise_geodesic(points.points)
@@ -313,11 +325,9 @@ def sudakov_check(points: PointSet, deltas, gaussian: float, hemisphere: float) 
     root_covers = first_uncovered_cover(dist, roots)
     gauss, hemi, chains = [], [], []
     for delta, root, chord_cover, root_cover in zip(deltas, roots, chord_covers, root_covers):
-        low = delta * _root_log(len(chord_cover))
-        gauss.append(low / gaussian if low > 0.0 else 0.0)
+        gauss.append(_ratio(delta * _root_log(len(chord_cover)), gaussian))
         root_log = _root_log(len(root_cover))
-        low = root * root_log
-        hemi.append(low / hemisphere if low > 0.0 else 0.0)
+        hemi.append(_ratio(root * root_log, hemisphere))
         envelope = min(gaussian / delta, hemisphere / root)
         chains.append(root_log / envelope if envelope > 0 else math.inf)
     return SudakovReport(tuple(gauss), tuple(hemi), tuple(chains))

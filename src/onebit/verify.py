@@ -72,6 +72,15 @@ def _check_audit(
         raise ValueError(f"{name} must be finite and positive, got {bound}")
 
 
+def _check_distance_bound(name: str, bound: float):
+    """Reject a bound outside (0, 1) on a distance or a gap of two distances in [0, 1].
+
+    Such a value never exceeds 1, so a bound of 1 or more could not fail.
+    """
+    if not (0.0 < bound < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), got {bound}")
+
+
 def _agreement_tile(bits: np.ndarray, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
     """(hi - lo, k - lo) float64 sums of s_i s_j, i in [lo, hi), j in [lo, k).
 
@@ -165,8 +174,7 @@ def small_cells_check(
     which passes when the diameter stays below ``delta``.
     """
     _check_dims(points, ens)
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_distance_bound("delta", delta)
     shared = np.zeros(len(points), dtype=bool)
 
     def fold(lo, agree, dist):
@@ -183,8 +191,9 @@ def small_cells_check(
 
 
 def one_bit_rip(points: PointSet, ens: MeasurementEnsemble, delta_target: float) -> PairAudit:
-    """Sup over pairs of |hamming - geodesic| against an additive target."""
+    """Sup over pairs of |hamming - geodesic| against an additive target in (0, 1)."""
     _check_audit(points, ens, "delta_target", delta_target)
+    _check_distance_bound("delta_target", delta_target)
 
     def fold(lo, agree, dist):
         ham = _hamming(agree, ens.m)
@@ -382,7 +391,9 @@ def finite_embedding(
 
     The audit passes when every pair's Hamming distance is delta-close to
     its geodesic distance, which m of order delta^-2 log k ensures for k
-    points with high probability.
+    points with high probability.  A delta outside (0, 1) is rejected
+    before any direction is drawn.
     """
+    _check_distance_bound("delta", delta)
     ens = MeasurementEnsemble(rng.standard_normal((m, points.ambient)))
     return one_bit_rip(points, ens, delta)

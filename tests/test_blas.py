@@ -37,6 +37,53 @@ def test_blas_threads_are_the_count_openblas_started_with():
     assert 1 <= blas.blas_threads() <= max(1, os.cpu_count() or 1)
 
 
+def test_pinned_threads_set_the_count_and_restore_the_callers_also_when_the_block_raises():
+    caller = blas.blas_threads()
+    with blas.pinned_threads(3):
+        assert blas.blas_threads() == 3
+        with blas.pinned_threads(1):  # pins nest
+            assert blas.blas_threads() == 1
+        assert blas.blas_threads() == 3
+        with pytest.raises(RuntimeError), blas.pinned_threads(2):
+            assert blas.blas_threads() == 2
+            raise RuntimeError("a failing trial")
+        assert blas.blas_threads() == 3
+    assert blas.blas_threads() == caller
+
+
+def test_pinned_threads_call_the_setter_only_on_a_change(monkeypatch):
+    lib = blas.openblas()
+    calls = []
+    setter = lib.scipy_openblas_set_num_threads64_
+    monkeypatch.setattr(
+        lib, "scipy_openblas_set_num_threads64_", lambda n: (calls.append(n), setter(n))
+    )
+    caller = blas.blas_threads()
+    with blas.pinned_threads(caller):
+        pass
+    assert calls == []
+    other = 1 if caller != 1 else 2
+    with blas.pinned_threads(other):
+        pass
+    assert calls == [other, caller]
+
+
+def test_pinned_threads_without_openblas_do_nothing(monkeypatch):
+    lib = blas.openblas()
+    caller = blas.blas_threads()
+    monkeypatch.setattr(blas, "openblas", lambda: None)
+    with blas.pinned_threads(3 if caller != 3 else 1):
+        assert blas.blas_threads() is None
+        assert lib.scipy_openblas_get_num_threads64_() == caller
+    assert lib.scipy_openblas_get_num_threads64_() == caller
+
+
+def test_threads_for_takes_two_threads_from_parallel_points_on():
+    k = blas.PARALLEL_POINTS
+    assert [blas.threads_for(p) for p in (None, 2, k - 1, k, 10 * k)] == [1, 1, 1, 2, 2]
+    assert f"1 thread below {k} net points and to 2 at or above" in blas.kernel_route()
+
+
 def test_potrf_upper_takes_only_a_writeable_c_ordered_square_float64_matrix():
     spd = np.eye(3) + 0.5
     for bad in (spd.astype(np.float32), spd[:, :2].copy(), np.asfortranarray(spd[:, ::-1])):

@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from onebit import (
-    EXPERIMENTS, ExperimentConfig, ReportRow, harness, nets, pairwise_geodesic, resolve_m, run,
-    run_experiment, substream, summarize, uniform_sphere_rows, verify,
+    EXPERIMENTS, ExperimentConfig, ReportRow, blas, harness, nets, pairwise_geodesic, resolve_m,
+    run, run_experiment, substream, summarize, uniform_sphere_rows, verify,
 )
 from onebit.cli import main, parse_config
 from onebit.harness import (
@@ -803,6 +803,73 @@ def test_cli_exits_0_1_or_2_and_rejects_before_any_trial(argv, tmp_path, monkeyp
         assert streams == [] and not out.exists(), argv
     else:
         assert streams and out.exists(), argv
+
+
+# (experiment, net_size, threads): k = net_size plus the net's companions, and
+# an experiment without a net runs on one thread
+_PINS = [
+    ("crofton", 200, 1),
+    ("vc", 2000, 1),
+    ("rip", blas.PARALLEL_POINTS - CLOSE_PAIRS - 1, 1),
+    ("rip", blas.PARALLEL_POINTS - CLOSE_PAIRS, 2),
+    ("widths", blas.PARALLEL_POINTS - 1, 1),
+    ("widths", blas.PARALLEL_POINTS, 2),
+]
+
+
+@pytest.mark.skipif(blas.openblas() is None, reason="numpy does not run on scipy-openblas")
+@pytest.mark.parametrize("experiment, net_size, threads", _PINS)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trials_run_on_one_blas_thread_below_parallel_points_and_two_from_it(
+    experiment, net_size, threads, workers, monkeypatch
+):
+    seen = []
+
+    def probe(eff, rng):
+        seen.append(blas.blas_threads())
+        return []
+
+    spec = dataclasses.replace(REGISTRY[experiment], trial=probe)
+    monkeypatch.setitem(REGISTRY, experiment, spec)
+    cfg = ExperimentConfig(experiment="all", delta=0.2, trials=3, net_size=net_size)
+    caller = blas.blas_threads()
+    for outer in (1, 3):
+        with blas.pinned_threads(outer):
+            run_experiment(experiment, cfg, workers=workers)
+            assert blas.blas_threads() == outer
+    assert seen == [threads] * 6
+    assert blas.blas_threads() == caller
+
+
+@pytest.mark.skipif(blas.openblas() is None, reason="numpy does not run on scipy-openblas")
+def test_a_failing_trial_gives_the_caller_its_blas_thread_count_back(monkeypatch):
+    def failing(eff, rng):
+        raise RuntimeError("a failing trial")
+
+    monkeypatch.setitem(REGISTRY, "rip", dataclasses.replace(REGISTRY["rip"], trial=failing))
+    with blas.pinned_threads(3):
+        with pytest.raises(RuntimeError):
+            run_experiment("rip", _cfg(trials=2))
+        assert blas.blas_threads() == 3
+
+
+def test_reports_are_byte_identical_at_1_2_and_4_blas_threads(tmp_path):
+    # unpinned, sign-product trials 2-4 and widths trial 4 of this run round
+    # differently at 1 and 2 threads
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    reports = []
+    for threads in ("1", "2", "4"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(repo / "src"), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "onebit", "all", "--delta", "0.2", "--seed", "11",
+             "--trials", "5", "--format", "json", "--out", "report.json"],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append((cwd / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -239,6 +239,16 @@ def test_first_uncovered_cover_edge_cases():
         assert _first_uncovered_cover_reference(matrix, radius) == centers
 
 
+def test_first_uncovered_cover_rejects_a_non_square_matrix_and_a_negative_or_nan_radius():
+    dist = PointSet.uniform(2, 20, substream(8, "test-cover-reject")).pairwise_geodesic()
+    for bad in (dist[:5], dist[:, :5], dist[0]):
+        with pytest.raises(ValueError, match="square"):
+            first_uncovered_cover(bad, [0.3])
+    for radius in (-1.0, -1e-300, math.nan):
+        with pytest.raises(ValueError, match="radii"):
+            first_uncovered_cover(dist, [0.3, radius])
+
+
 def _sudakov_reference(points, deltas, gaussian, hemisphere):
     """sudakov_check's three tuples, one scale and one metric at a time."""
 

@@ -526,6 +526,25 @@ def test_sudakov_validation():
         sudakov_check(pts, [], width, width)
     with pytest.raises(ValueError):
         sudakov_check(pts, [0.1, 0.0], width, width)
+    # NaN compares False with 0, so a d <= 0 check alone would let it through
+    for deltas in ([math.nan], [0.1, math.nan], [math.inf], [-0.1]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            sudakov_check(pts, deltas, width, width)
+    for widths in ((math.nan, width), (width, math.nan), (math.inf, width), (width, -0.5)):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            sudakov_check(pts, [0.1], *widths)
+
+
+def test_sudakov_zero_widths_give_infinite_ratios_and_chains():
+    pts = PointSet.uniform(2, 10, substream(13, "test-sud-zero"))
+    report = sudakov_check(pts, [0.1], 0.0, 0.0)
+    assert report.gaussian_ratios == (math.inf,)
+    assert report.hemisphere_ratios == (math.inf,)
+    assert report.chains == (math.inf,)
+    width = sudakov_check(pts, [0.1], 1.0, 1.0)
+    mixed = sudakov_check(pts, [0.1], 0.0, 1.0)
+    assert mixed.gaussian_ratios == (math.inf,)
+    assert mixed.hemisphere_ratios == width.hemisphere_ratios
 
 
 def test_sudakov_covering_numbers_monotone():

@@ -308,6 +308,22 @@ def test_pair_audits_reject_bounds_that_are_not_finite_and_positive(check, bound
         check(pts, unit_ensemble(2, 16, seed=20), bound)
 
 
+@pytest.mark.parametrize("bound", [1.0, 2.0, 1e300])
+def test_distance_gap_audits_reject_a_bound_that_cannot_fail(bound):
+    # Hamming and geodesic distances both lie in [0, 1], so no gap exceeds 1
+    pts = PointSet.uniform(2, 10, substream(21, "test-unit-bound"))
+    ens = unit_ensemble(2, 16, seed=21)
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+        one_bit_rip(pts, ens, bound)
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+        small_cells_check(pts, ens, bound)
+    rng = substream(21, "test-unit-bound-embed")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+        finite_embedding(pts, 10, bound, rng)
+    assert rng.bit_generator.state == state  # rejected before any direction was drawn
+
+
 # --- finite embedding ----------------------------------------------------------
 
 
