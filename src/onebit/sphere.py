@@ -95,6 +95,8 @@ def _pairwise(points, transform) -> np.ndarray:
     ``x @ x.T``.  Input that is not C-ordered float64 is copied first.
     """
     points = np.ascontiguousarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError("point coordinates must be finite")
     out = np.empty((len(points), len(points)))
     blas.syrk_upper(points, out)
     mirror_upper(out, transform)
@@ -116,12 +118,32 @@ def _chord_of_gram(gram: np.ndarray) -> None:
     np.sqrt(gram, out=gram)
 
 
+def geodesic_tile(points: np.ndarray, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+    """(hi - lo, k - lo) normalized geodesic distances of rows [lo, hi) against rows [lo, k).
+
+    One GEMM ``x[lo:hi] @ x[lo:].T`` writes the Gram rows into the front of
+    ``buf``, a reused float64 buffer of at least (hi - lo)(k - lo) elements,
+    and ``pairwise_geodesic``'s transform maps them in place; the diagonal
+    is left as computed.  A tile of rows [0, k) is numpy's ``x @ x.T`` and
+    so bitwise ``pairwise_geodesic`` off its diagonal.  A shorter tile is a
+    general product, which can round a Gram entry differently from the
+    whole one in its last bit, and its diagonal square need not be
+    symmetric.
+    """
+    k = len(points)
+    tile = buf.reshape(-1)[: (hi - lo) * (k - lo)].reshape(hi - lo, k - lo)
+    np.matmul(points[lo:hi], points[lo:].T, out=tile)
+    _geodesic_of_gram(tile)
+    return tile
+
+
 def pairwise_geodesic(points: np.ndarray) -> np.ndarray:
     """Normalized geodesic distance matrix for rows of a (k, n+1) array.
 
     arccos of the inner product clipped to [-1, 1], over pi.  The diagonal
     is set to exactly 0 so downstream covariance constructions see the
-    identity d(x, x) = 0 without arccos roundoff.
+    identity d(x, x) = 0 without arccos roundoff.  Non-finite coordinates
+    raise ``ValueError`` before any product is formed.
     """
     return _pairwise(points, _geodesic_of_gram)
 
@@ -130,7 +152,8 @@ def pairwise_chord(points: np.ndarray) -> np.ndarray:
     """Euclidean chord |x - y|_2 matrix for rows of a (k, n+1) array of unit rows.
 
     Computed in place as sqrt(2 - 2 <x, y>) with the inner product clipped
-    to [-1, 1].  The diagonal is set to exactly 0.
+    to [-1, 1].  The diagonal is set to exactly 0.  Non-finite coordinates
+    raise ``ValueError`` before any product is formed.
     """
     return _pairwise(points, _chord_of_gram)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import blas
 from .errors import DimensionMismatchError, PreconditionError
 from .measurements import HALF_NORMAL_MEAN, MeasurementEnsemble, sign_matrix
-from .sphere import PointSet, pairwise_chord
+from .sphere import PointSet, geodesic_tile, pairwise_chord
 
 # working memory of linear_l1_rip's pair tile: 4 x 8 pairs at the battery's m = 2773,
 # well inside one core's L2
@@ -27,7 +27,7 @@ HAMMING_TILE_COLUMNS = 512
 # sign columns whose agreement counts a float32 tile sums before it flushes them into
 # float64: float32 holds every integer of magnitude up to 2^24 exactly
 FLOAT32_EXACT_COUNTS = 2**24
-# rows of the (k, k) matrices that the pair audits visit at a time: 2 MiB of float64 per block
+# rows of the pairs that the pair audits visit at a time: 2 MiB of float64 per block
 HAMMING_ROW_BYTES = 2 * 2**20
 
 
@@ -126,34 +126,41 @@ def _hamming(agree: np.ndarray, m: int) -> np.ndarray:
 def _hamming_audit(
     points: PointSet, ens: MeasurementEnsemble, fold
 ) -> tuple[float, tuple[int, int]]:
-    """Fold the sign agreements into the geodesic matrix; return its largest off-diagonal entry.
+    """Fold the sign agreements into geodesic tiles; return the largest statistic of a pair i < j.
 
-    The geodesic matrix is built whole, and its diagonal is set to 1.0, so
-    a fold may divide by it.  Only its upper block triangle is visited:
-    ``fold(lo, agree, dist)`` gets rows [lo, lo + r) against columns
-    [lo, k), with r the rows of HAMMING_ROW_BYTES of float64.  ``agree``
-    holds their exact agreement counts from ``_agreement_tile``, of which
-    ``_hamming`` forms the Hamming distances, and the fold overwrites the
-    geodesic tile ``dist`` with the statistic of those pairs.  Besides the
-    geodesic matrix and the (k, m) int8 signs the audit holds one float64
-    tile, the float32 tile that counts it and one float32 column buffer, so
-    no (k, k) agreement or Hamming matrix is formed.  The statistics are
-    symmetric, and the first maximum of a symmetric matrix in row-major
-    order lies at i <= j, so a running strict maximum over the tiles in row
-    order returns the pair a whole (k, k) argmax would, the diagonal
-    counting as 0; when every statistic is 0 that is (0, 0).
+    Only the upper block triangle of the pairs is visited, and no (k, k)
+    array is formed: ``fold(lo, agree, dist)`` gets rows [lo, lo + r)
+    against columns [lo, k), with r the rows of HAMMING_ROW_BYTES of
+    float64.  ``agree`` holds their exact agreement counts from
+    ``_agreement_tile``, of which ``_hamming`` forms the Hamming distances,
+    and ``dist`` their geodesic distances from ``geodesic_tile``, built in
+    one reused float64 buffer; the fold overwrites ``dist`` with the
+    statistic of those pairs.  The tile's diagonal square holds 1.0 on and
+    below its diagonal, so a fold may divide by it and sees each pair of the
+    square once; those entries count as 0 after the fold.  Besides the
+    (k, m) int8 signs the audit holds the geodesic tile, the float64 tile of
+    counts, the float32 tile that sums them and one float32 column buffer.
+    A running strict maximum over the tiles in row order returns the first
+    maximum of the pairs i < j in row-major order, the witness a whole
+    (k, k) argmax of the symmetric statistic finds; when every statistic is
+    0 that is (0, 0).
     """
     bits = sign_matrix(ens, points)
-    dist = points.pairwise_geodesic()
-    np.fill_diagonal(dist, 1.0)
-    k = len(dist)
-    step = max(1, HAMMING_ROW_BYTES // (8 * k))
+    k = len(points)
+    step = min(k, max(1, HAMMING_ROW_BYTES // (8 * k)))
+    geo = np.empty(step * k)
     buf = np.empty((k, min(max(ens.m, 1), HAMMING_TILE_COLUMNS)), dtype=np.float32)
+    # the square's pairs j <= i: the diagonal and the twins of pairs the tile holds above it
+    lower = np.tri(step, dtype=bool)
     sup, pair = 0.0, (0, 0)
     for lo in range(0, k, step):
-        tile = dist[lo : lo + step, lo:]
-        fold(lo, _agreement_tile(bits, lo, lo + len(tile), buf), tile)
-        np.fill_diagonal(tile, 0.0)
+        hi = min(lo + step, k)
+        tile = geodesic_tile(points.points, lo, hi, geo)
+        square = tile[:, : hi - lo]
+        mask = lower[: hi - lo, : hi - lo]
+        np.copyto(square, 1.0, where=mask)
+        fold(lo, _agreement_tile(bits, lo, hi, buf), tile)
+        np.copyto(square, 0.0, where=mask)
         value, (i, j) = _argmax_pair(tile)
         if value > sup:
             sup, pair = value, (lo + i, lo + j)

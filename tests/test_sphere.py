@@ -21,7 +21,10 @@ from onebit import (
     uniform_sphere_rows,
     wedge_mask,
 )
-from onebit.sphere import CLOSE_PAIRS, CLOSE_SCALE, _close_pair_rows, _crossing_fraction
+from onebit import sphere
+from onebit.sphere import (
+    CLOSE_PAIRS, CLOSE_SCALE, _close_pair_rows, _crossing_fraction, geodesic_tile,
+)
 from oracles import (
     arc_angle,
     geodesic_distance,
@@ -134,6 +137,32 @@ def test_pairwise_matrices_are_the_whole_gram_formulas_bit_for_bit(k):
     signed = np.concatenate([np.eye(4, dtype=int), -np.eye(4, dtype=int)])
     assert np.array_equal(pairwise_geodesic(signed), gram_geodesic(signed))
     assert np.array_equal(pairwise_chord(signed), gram_chord(signed))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pairwise_matrices_reject_non_finite_rows_before_any_product(bad, monkeypatch):
+    rows = np.eye(3)
+    rows[1, 2] = bad
+    monkeypatch.setattr(sphere.blas, "syrk_upper", lambda *a: pytest.fail("product formed"))
+    for pairwise in (pairwise_geodesic, pairwise_chord):
+        with pytest.raises(ValueError, match="finite"):
+            pairwise(rows)
+
+
+@pytest.mark.parametrize("k", [1, 210, 600])
+def test_geodesic_tiles_are_their_rows_of_the_gram_formula(k):
+    # a tile of every row is numpy's x @ x.T, bitwise the pairwise matrix off its
+    # diagonal; a shorter one is the formula over its own product of rows
+    rows = uniform_sphere_rows(64, k, substream(k, "test-geodesic-tiles"))
+    buf = np.full(k * k, np.nan)
+    whole = geodesic_tile(rows, 0, k, buf)
+    off = ~np.eye(k, dtype=bool)
+    assert np.array_equal(whole[off], pairwise_geodesic(rows)[off])
+    for lo, hi in ((0, 1), (k // 3, min(k // 3 + 7, k)), (k - 1, k)):
+        tile = geodesic_tile(rows, lo, hi, buf)
+        expected = np.arccos(np.clip(rows[lo:hi] @ rows[lo:].T, -1.0, 1.0)) / np.pi
+        assert tile.shape == (hi - lo, k - lo)
+        assert np.array_equal(tile, expected)
 
 
 def test_pairwise_accepts_raw_rows():

@@ -635,12 +635,6 @@ def test_agreement_tiles_are_the_exact_integer_counts(m, limit, monkeypatch):
         assert adds == [c % per_flush != 0 for c in range(chunks)]
 
 
-def _hamming_reference(points, ens):
-    """The whole (k, k) float64 Hamming matrix from the float64 product of the bits."""
-    bits = sign_matrix(ens, points).astype(float)
-    return (ens.m - bits @ bits.T) / (2.0 * ens.m)
-
-
 def _argmax_reference(values):
     i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     return float(values[i, j]), (int(i), int(j))
@@ -648,29 +642,41 @@ def _argmax_reference(values):
 
 @pytest.mark.parametrize("row_bytes", [None, 8 * 217 * 7, 1])  # one block, 7 rows, 1 row
 def test_hamming_audits_in_row_blocks_match_the_whole_matrix(row_bytes, monkeypatch):
+    # a geodesic tile is a general product whose diagonal square need not be
+    # symmetric: at every step each audit finds the whole matrix's first witness,
+    # at i <= j, and so does a statistic whose lower twins differ
     if row_bytes is not None:
         monkeypatch.setattr(verify, "HAMMING_ROW_BYTES", row_bytes)
     rng = substream(21, "test-hamming-rows")
     net = sparse_net(SparseSpec(64, 4), 207, rng)
     ens = gaussian_ensemble(64, 300, seed=21)
-    gap = np.abs(_hamming_reference(net, ens) - net.pairwise_geodesic())
-    np.fill_diagonal(gap, 0.0)
-    report = one_bit_rip(net, ens, 0.2)
-    assert (report.sup, report.pair) == _argmax_reference(gap)
     # 8 hyperplanes leave cells of several points, whose rows straddle the blocks
     coarse = MeasurementEnsemble(ens.directions[:8])
-    num_cells, cells = small_cells_check(net, coarse, 0.2)
-    assert num_cells < len(net)
-    assert (num_cells, cells.sup) == cell_audit(net, coarse)
-
     packed = greedy_packing(PointSet.sparse(SparseSpec(64, 4), 300, rng), 0.05, rng).centers
-    dist = packed.pairwise_geodesic()
-    np.fill_diagonal(dist, 1.0)
-    ratio = np.abs(_hamming_reference(packed, ens) - dist) / dist
-    np.fill_diagonal(ratio, 0.0)
-    report = metric_ratio_check(packed, ens, 0.05)
-    assert len(packed) > 7
-    assert (report.sup, report.pair) == _argmax_reference(ratio)
+    k = len(net)
+    asymmetric = substream(21, "test-hamming-asymmetric").random((k, k))
+
+    def fold(lo, agree, dist):
+        dist[...] = asymmetric[lo : lo + len(dist), lo:]
+
+    num_cells, cells = small_cells_check(net, coarse, 0.2)
+    rip = one_bit_rip(net, ens, 0.2)
+    ratio = metric_ratio_check(packed, ens, 0.05)
+    found = {
+        "rip": (rip.sup, rip.pair),
+        "cells": (cells.sup, cells.pair),
+        "ratio": (ratio.sup, ratio.pair),
+        "asymmetric": verify._hamming_audit(net, ens, fold),
+    }
+    assert found == {
+        "rip": hamming_audits(net, ens)["rip"],
+        "cells": hamming_audits(net, coarse)["cells"],
+        "ratio": hamming_audits(packed, ens)["ratio"],
+        "asymmetric": _argmax_reference(np.triu(asymmetric, 1)),
+    }
+    assert all(i <= j for _, (i, j) in found.values())
+    assert num_cells < len(net) and len(packed) > 7
+    assert (num_cells, cells.sup) == cell_audit(net, coarse)
 
 
 def test_hamming_blocks_count_exactly_in_float32():
@@ -723,11 +729,11 @@ def _audit_peak(audit, *args) -> int:
     return peak - base
 
 
-def test_pair_audits_hold_no_k_by_k_array_beside_the_geodesic_matrix():
-    # Hamming audits: the geodesic matrix, the (k, m) int8 signs, one float32
-    # column buffer and one tile; sign-product: the int8 signs and its row
-    # blocks of float64 signs, statistics and Gram rows.  A (k, k) float32 agreement matrix or a (k, m) float32 copy
-    # would pass the first budget, and any (k, k) float64 array the second.
+def test_pair_audits_hold_no_k_by_k_array():
+    # Hamming audits: the (k, m) int8 signs, one float32 column buffer, the
+    # float64 and float32 agreement tiles and one geodesic tile; sign-product:
+    # the int8 signs and its row blocks of float64 signs, statistics and Gram
+    # rows.  Any (k, k) float64 array fails either budget.
     k, m = 2000, 500
     rng = substream(25, "test-audit-mem")
     pts = PointSet.sparse(SparseSpec(64, 4), k, rng)
@@ -735,15 +741,14 @@ def test_pair_audits_hold_no_k_by_k_array_beside_the_geodesic_matrix():
     rows = verify.HAMMING_ROW_BYTES // (8 * k)
     tile = 8 * rows * k + 4 * rows * k
     buffer = 4 * k * verify.HAMMING_TILE_COLUMNS
-    hamming_budget = 8 * k * k + k * m + buffer + tile + 2**20
-    assert hamming_budget < 8 * k * k + 4 * k * k
+    hamming_budget = k * m + buffer + 2 * tile + 2**20
+    assert hamming_budget < 8 * k * k
     assert _audit_peak(one_bit_rip, pts, ens, 0.2) < hamming_budget
     assert _audit_peak(small_cells_check, pts, ens, 0.2) < hamming_budget
     packed = greedy_packing(pts, 0.05, rng).centers
     assert _audit_peak(metric_ratio_check, packed, ens, 0.05) < hamming_budget
-    step = verify.HAMMING_ROW_BYTES // (8 * k)
     # sign_matrix's projection block comes and goes before the rows are visited
-    product_budget = k * m + SIGN_BLOCK_BYTES + 8 * step * (m + 2 * k) + 2**20
+    product_budget = k * m + SIGN_BLOCK_BYTES + 8 * rows * (m + 2 * k) + 2**20
     assert product_budget < 8 * k * k
     assert _audit_peak(sign_product_rip, pts, ens, 0.2) < product_budget
 
